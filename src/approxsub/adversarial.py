@@ -115,13 +115,15 @@ def draw_hidden_set(n: int, h: int, seed: int) -> HiddenSet:
     if not 0 < h <= n:
         raise ValueError(f"need 0 < h <= n, got h={h}, n={n}")
     rng = np.random.default_rng(seed)
-    arr = np.arange(n)
-    for i in range(h):
-        j = int(rng.integers(i, n))
+    # One vectorised draw yields the same stream as h scalar rng.integers(i, n)
+    # calls; the swaps stay sequential because later ones read earlier ones.
+    targets = rng.integers(np.arange(h), n).tolist()
+    arr = list(range(n))
+    for i, j in enumerate(targets):
         arr[i], arr[j] = arr[j], arr[i]
     mask = 0
     for e in arr[:h]:
-        mask |= 1 << int(e)
+        mask |= 1 << e
     return HiddenSet(Subset._raw(n, mask, h), seed)
 
 
@@ -156,6 +158,42 @@ def build_monotone_pair(params: HardPairParams, hidden: HiddenSet) -> MonotoneHa
     table = [min(i, Fraction(i * h, n) + cap) for i in range(n + 1)]
     g = ConcaveCardinalityFunction(table)
     return MonotoneHardPair(fh=fh, g=g, params=params, hidden=hidden)
+
+
+class PairBand:
+    """Exact sandwich band test for the monotone hard pair, in integers.
+
+    Both pair functions see a set only through s1 = |S inter H| and
+    s0 = |S minus H|.  Scaled by n they are integers,
+
+        F = n fh = n s1 + min(n s0, alpha (n - h)),
+        G = n g  = min(n s, s h + alpha (n - h)),     s = s1 + s0,
+
+    and with eps taken at its exact binary value p/q (q a power of two) the
+    band test (1 - eps) fh <= g <= (1 + eps) fh is (q - p) F <= q G <= (q + p) F.
+    Nothing is rounded, so every outcome equals the rational test.
+    """
+
+    __slots__ = ("n", "h", "cap_n", "q", "q_lo", "q_hi")
+
+    def __init__(self, params: HardPairParams):
+        self.n = params.n
+        self.h = params.h
+        self.cap_n = params.alpha * (params.n - params.h)
+        p, self.q = float(params.epsilon).as_integer_ratio()
+        self.q_lo = self.q - p
+        self.q_hi = self.q + p
+
+    def sandwich(self, s1: int, s0: int) -> tuple[int, bool]:
+        """(n times the sandwich oracle's value, whether g is inside the band)
+        at a set with s1 planted and s0 other elements."""
+        n = self.n
+        s = s1 + s0
+        F = n * s1 + min(n * s0, self.cap_n)
+        G = min(n * s, s * self.h + self.cap_n)
+        if self.q_lo * F <= self.q * G <= self.q_hi * F:
+            return G, True
+        return F, False
 
 
 def gap_bound(params: HardPairParams) -> Fraction:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import experiments
@@ -111,9 +110,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_distinguish(args) -> int:
-    rows, summary = experiments.run_distinguishability(
-        args.n, args.beta, args.trials, args.seed, threads=args.threads,
-    )
+    rows, summary = experiments.run_distinguishability(args.n, args.beta, args.trials, args.seed)
     _emit(rows, args)
     print(json.dumps({"summary": summary}, sort_keys=True, default=str))
     bound = summary["gap_bound"]
@@ -133,8 +130,7 @@ def _cmd_sweep(args) -> int:
             cfg.get("corpus_seed", args.seed), sizes=tuple(cfg.get("sizes", (8, 10))),
         )
         instances = corpus[: cfg.get("count", len(corpus))]
-    rows = experiments.run_noise_sweep(instances, k, delta_grid, seeds,
-                                       threads=args.threads)
+    rows = experiments.run_noise_sweep(instances, k, delta_grid, seeds)
     _emit(rows, args)
     bad = [r for r in rows if not r.get("ok", True)]
     print(f"sweep: {len(rows)} runs, {len(bad)} below the guarantee")
@@ -236,11 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None, help="report output path")
     common.add_argument("--format", choices=("csv", "structured"), default="csv")
-    common.add_argument(
-        "--threads", type=int,
-        default=int(os.environ.get("APPROXSUB_THREADS", "1")),
-        help="trial parallelism (env APPROXSUB_THREADS)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", parents=[common], help="property checks")

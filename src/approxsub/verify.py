@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import hypergeom
 
+from .adversarial import PairBand
 from .sets import Subset
 
 _SUBMODULAR_TOL = 1e-9
@@ -228,6 +228,8 @@ def _band_indices(n: int, h: int, set_size: int, epsilon) -> tuple[int, int]:
 def exact_band_probability(n: int, h: int, set_size: int, epsilon: float) -> float:
     """P[(1-eps) mu <= |S inter H| <= (1+eps) mu] for a uniform size-h planted
     set, by summing the hypergeometric pmf (log-gamma based) over the band."""
+    from scipy.stats import hypergeom  # deferred: scipy.stats dominates import time and memory
+
     lo, hi = _band_indices(n, h, set_size, epsilon)
     if lo > hi:
         return 0.0
@@ -289,16 +291,14 @@ def pair_band_probability(params, set_size: int) -> float:
     Both pair functions depend on the set only through its overlap with the
     planted set, so one hypergeometric sum is exact.
     """
-    n, h, eps = params.n, params.h, params.epsilon
-    cap = params.cap
-    lo = 1 - Fraction(float(eps))
-    hi = 1 + Fraction(float(eps))
+    from scipy.stats import hypergeom
+
+    n, h = params.n, params.h
+    band = PairBand(params)
     rv = hypergeom(n, h, set_size)
     total = 0.0
-    g_val = min(set_size, Fraction(set_size * h, n) + cap)
     for j in range(max(0, set_size + h - n), min(set_size, h) + 1):
-        fh_val = j + min(set_size - j, cap)
-        if lo * fh_val <= g_val <= hi * fh_val:
+        if band.sandwich(j, set_size - j)[1]:
             total += float(rv.pmf(j))
     return total
 

@@ -110,12 +110,6 @@ def run_params(n, beta):
     return power_law_params(n, beta)
 
 
-def test_distinguishability_threads_match_serial():
-    rows1, s1 = run_distinguishability(256, 0.45, trials=4, seed=9, threads=1)
-    rows2, s2 = run_distinguishability(256, 0.45, trials=4, seed=9, threads=4)
-    assert rows1 == rows2 and s1 == s2
-
-
 def test_distinguishability_rejects_bad_params():
     with pytest.raises(ValueError):
         run_distinguishability(100, 0.25, trials=1, seed=0)
@@ -384,9 +378,3 @@ def test_cli_parameter_rejection_exit_code(capsys):
     code = cli.main(["distinguish", "--n", "100", "--beta", "0.25", "--trials", "1"])
     assert code == 2
 
-
-def test_cli_env_threads(monkeypatch):
-    monkeypatch.setenv("APPROXSUB_THREADS", "3")
-    parser = cli.build_parser()
-    args = parser.parse_args(["bench"])
-    assert args.threads == 3

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import approxsub
 from approxsub.adversarial import HardPairParams, build_monotone_pair, build_sandwich, draw_hidden_set
 from approxsub.functions import AdditiveFunction, CoverageFunction
 from approxsub.noise import consistent_noise
@@ -173,3 +178,24 @@ def test_band_probability_helpers_agree():
     mc = mc_band_probability(100, 50, 40, 0.5, trials=500_000, seed=3)
     assert abs(exact - mc) < 5e-4
     assert tail_reference(5.0) == pytest.approx(0.7290393985385394)
+
+
+def test_scipy_stats_loads_only_when_a_probability_needs_it():
+    code = textwrap.dedent("""
+        import sys
+        import approxsub
+        import approxsub.cli
+        assert "scipy.stats" not in sys.modules, "scipy.stats imported eagerly"
+        code = approxsub.cli.main([
+            "verify", "--property", "concentration", "--n", "100", "--h", "50",
+            "--set-size", "40", "--epsilon", "0.5", "--mode", "exact",
+        ])
+        assert code == 0, code
+        assert "scipy.stats" in sys.modules
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(approxsub.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "measured=0.999987" in proc.stdout
