@@ -7,6 +7,7 @@ float), so integral and rational instances evaluate exactly.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .sets import Subset, iter_bits
@@ -26,6 +27,43 @@ class FunctionInstance:
             raise ValueError(f"ground set mismatch: instance n={self.n}, subset n={s.n}")
 
 
+class _WeightSum:
+    """Sum of weights over a mask's set bits, equal in value and type to
+    adding them to 0 one by one in increasing element order.
+
+    If every weight is exactly an int, bool or Fraction, each is scaled once by
+    D = lcm of the denominators to an int, so a set's int total T is exactly D
+    times its weight sum.  Python's arithmetic gives a Fraction once a Fraction
+    is added and an int otherwise: a set holding a Fraction weight returns
+    Fraction(T, D), and any other set holds only ints, so D divides T and
+    T // D is exact.  Other weights (float, numpy scalars, subclasses that may
+    redefine +) are summed unscaled in element order, as float rounding
+    depends on the order.
+    """
+
+    __slots__ = ("terms", "den", "frac_mask")
+
+    def __init__(self, weights):
+        self.terms = weights
+        self.den = None
+        if all(type(w) in (int, bool, Fraction) for w in weights):
+            self.den = math.lcm(*(w.denominator for w in weights))
+            self.terms = [w.numerator * (self.den // w.denominator) for w in weights]
+            self.frac_mask = sum(1 << e for e, w in enumerate(weights) if type(w) is Fraction)
+
+    def __call__(self, mask: int):
+        terms = self.terms
+        total = 0
+        m = mask
+        while m:
+            low = m & -m
+            total += terms[low.bit_length() - 1]
+            m ^= low
+        if self.den is None:
+            return total
+        return Fraction(total, self.den) if mask & self.frac_mask else total // self.den
+
+
 class AdditiveFunction(FunctionInstance):
     """value(S) = sum of per-element weights over S."""
 
@@ -36,14 +74,11 @@ class AdditiveFunction(FunctionInstance):
         self.n = len(self.weights)
         if self.n < 1:
             raise ValueError("need at least one element")
+        self._sum = _WeightSum(self.weights)
 
     def value(self, s: Subset):
         self._check_ground(s)
-        w = self.weights
-        total = 0
-        for e in iter_bits(s.mask):
-            total += w[e]
-        return total
+        return self._sum(s.mask)
 
 
 class BudgetAdditiveFunction(FunctionInstance):
@@ -59,14 +94,11 @@ class BudgetAdditiveFunction(FunctionInstance):
         if budget < 0:
             raise ValueError(f"budget must be nonnegative, got {budget}")
         self.budget = budget
+        self._sum = _WeightSum(self.weights)
 
     def value(self, s: Subset):
         self._check_ground(s)
-        w = self.weights
-        total = 0
-        for e in iter_bits(s.mask):
-            total += w[e]
-        return min(total, self.budget)
+        return min(self._sum(s.mask), self.budget)
 
 
 class CoverageFunction(FunctionInstance):

@@ -14,7 +14,6 @@ Two models:
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -104,7 +103,6 @@ class InconsistentNoiseOracle:
         self.seed = seed
         self._rng = np.random.default_rng(seed)
         self._queries = 0
-        self._lock = threading.Lock()
 
     @property
     def query_count(self) -> int:
@@ -118,9 +116,8 @@ class InconsistentNoiseOracle:
         if m < 1:
             raise ValueError("need at least one sample")
         v = float(self.base.value(s))
-        with self._lock:
-            self._queries += m
-            u = self._rng.random(m)
+        self._queries += m
+        u = self._rng.random(m)
         shift = self.width * (2.0 * u - 1.0)
         if self.family == "uniform-relative":
             return v * (1.0 + shift)
@@ -160,23 +157,18 @@ class SamplingEstimator(ValueOracle):
         self.source = source
         self.m = m
         self._cache: dict[tuple[int, ...], float] = {}
-        self._cache_lock = threading.Lock()
 
     def value(self, s: Subset) -> float:
         key = s.key()
-        with self._cache_lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached
-            # Compute inside the lock: concurrent first calls for the same
-            # set must observe one canonical value.
-            est = float(np.mean(self.source.sample_batch(s, self.m)))
-            self._cache[key] = est
-            return est
+        cached = self._cache.get(key)
+        if cached is not None:
+            return cached
+        est = float(np.mean(self.source.sample_batch(s, self.m)))
+        self._cache[key] = est
+        return est
 
     def cached_sets(self) -> list[tuple[int, ...]]:
-        with self._cache_lock:
-            return list(self._cache.keys())
+        return list(self._cache.keys())
 
 
 def estimate(est: SamplingEstimator, s: Subset) -> float:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 _BLOCK_BITS = 64
@@ -166,14 +165,12 @@ class ValueOracle:
 
     Subclasses implement :meth:`value`, a pure function of the subset (and
     the oracle's state at construction).  :meth:`query` is the counted entry
-    point used by solvers; the counter increments by exactly one per call and
-    is safe under concurrent increments.
+    point used by solvers; the counter increments by exactly one per call.
     """
 
     def __init__(self, n: int):
         self.n = n
         self._queries = 0
-        self._lock = threading.Lock()
 
     def value(self, s: Subset):
         raise NotImplementedError
@@ -181,16 +178,8 @@ class ValueOracle:
     def query(self, s: Subset):
         if s.n != self.n:
             raise ValueError(f"ground set mismatch: oracle n={self.n}, subset n={s.n}")
-        with self._lock:
-            self._queries += 1
+        self._queries += 1
         return self.value(s)
-
-    def add_queries(self, count: int):
-        """Bulk accounting for vectorized paths that evaluate many sets at once."""
-        if count < 0:
-            raise ValueError("query count can only increase")
-        with self._lock:
-            self._queries += count
 
     @property
     def query_count(self) -> int:

@@ -108,26 +108,11 @@ def curvature_topk(F: ValueOracle, n: int, k: int) -> SolveResult:
         raise ValueError(f"budget k={k} exceeds n={n}")
     start = F.query_count
     singles = [F.query(Subset._raw(n, 1 << a, 1)) for a in range(n)]
-    order = sorted(range(n), key=lambda a: (_neg(singles[a]), a))
+    order = sorted(range(n), key=singles.__getitem__, reverse=True)
     chosen = Subset.from_elements(order[:k], n)
     val = F.query(chosen)
     trace = [(a, F.query_count - start) for a in sorted(order[:k])]
     return SolveResult(chosen, val, trace, F.query_count - start)
-
-
-class _neg:
-    # Sort helper that works for Fraction/float/int mixtures without
-    # converting exact values to floats.
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        return self.v > other.v
-
-    def __eq__(self, other):
-        return self.v == other.v
 
 
 def brute_force(F, n: int, constraint) -> SolveResult:

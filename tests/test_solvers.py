@@ -119,6 +119,29 @@ def test_curvature_topk_coverage_example():
     assert res.queries_used == 3 + 1
 
 
+def test_curvature_topk_ties_go_to_smaller_ids():
+    # Equal singleton values of different types (3, Fraction(3), 3.0) tie;
+    # the sort keeps them in id order, so the budget cuts the larger id 6.
+    f = AdditiveFunction([1, 3, Fraction(3), 3.0, 2, Fraction(5, 2), 3, 0.5])
+    res = curvature_topk(as_oracle(f), 8, 3)
+    assert res.chosen == subset_encode([1, 2, 3], 8)
+    assert res.trace == [(1, 9), (2, 9), (3, 9)]
+    assert res.value == 9.0 and type(res.value) is float
+    assert res.queries_used == 9
+
+    g = AdditiveFunction([Fraction(1, 2), 2, Fraction(4, 2), 1, 2, True])
+    res = curvature_topk(as_oracle(g), 6, 2)
+    assert res.chosen == subset_encode([1, 2], 6)
+    assert res.trace == [(1, 7), (2, 7)]
+    assert res.value == 4 and type(res.value) is Fraction
+
+    # An all-tied ground set keeps the k smallest ids.
+    h = AdditiveFunction([Fraction(1, 3)] * 5)
+    res = curvature_topk(as_oracle(h), 5, 2)
+    assert res.chosen == subset_encode([0, 1], 5)
+    assert res.trace == [(0, 6), (1, 6)]
+
+
 def test_brute_force_full_budget_additive():
     f = AdditiveFunction([1, 2, 3])
     res = brute_force(f, 3, 3)
