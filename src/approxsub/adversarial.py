@@ -64,13 +64,14 @@ class HardPairParams:
         return Fraction(self.alpha * (self.n - self.h), self.n)
 
 
-def _ceil_power(n: int, exponent: float) -> int:
-    """ceil(n ** exponent), snapping float dust at near-integers."""
-    v = n ** exponent
+def _exact_or_float_pow(base: int, exponent: float):
+    """base ** exponent, snapped to an int when float dust is all that
+    separates it from one."""
+    v = base ** exponent
     r = round(v)
     if abs(v - r) < 1e-9 * max(1.0, abs(r)):
         return int(r)
-    return math.ceil(v)
+    return v
 
 
 def power_law_params(n: int, beta: float) -> HardPairParams:
@@ -82,8 +83,8 @@ def power_law_params(n: int, beta: float) -> HardPairParams:
     """
     if not 0 < beta < 0.5:
         raise ValueError(f"beta must be in (0, 1/2), got {beta}")
-    h = _ceil_power(n, 1 - beta / 2)
-    alpha = _ceil_power(n, 1 - beta)
+    h = math.ceil(_exact_or_float_pow(n, 1 - beta / 2))
+    alpha = math.ceil(_exact_or_float_pow(n, 1 - beta))
     epsilon = n ** (beta - 0.5)
     if not epsilon < 1:
         raise ValueError(f"epsilon = {epsilon} must be < 1; increase n")
@@ -397,14 +398,6 @@ class GreedyTrapInstance(FunctionInstance):
         implemented override actually yields."""
         drift = Fraction(_exact_or_float_pow(self.k, 1 - self.beta))
         return self.override_value + (self.k - drift / 2) * Fraction(1, self.n)
-
-
-def _exact_or_float_pow(base: int, exponent: float):
-    v = base ** exponent
-    r = round(v)
-    if abs(v - r) < 1e-9 * max(1.0, abs(r)):
-        return int(r)
-    return v
 
 
 def build_greedy_trap(k: int, beta: float, n: int) -> GreedyTrapInstance:

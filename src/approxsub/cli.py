@@ -1,6 +1,6 @@
 """Command-line driver.
 
-Subcommands: verify, distinguish, sweep, trap, sample, bench, generate.
+Subcommands: verify, distinguish, sweep, trap, sample, generate.
 Exit codes: 0 = pass, 1 = counterexample or violated bound, 2 = rejected
 preconditions or bad configuration.
 """
@@ -23,6 +23,7 @@ from .adversarial import (
 )
 from .functions import instance_from_dict
 from .noise import noise_from_dict
+from .sets import ValueOracle
 from .verify import check_concentration, check_monotone, check_sandwich, check_submodular
 
 EXIT_PASS = 0
@@ -52,7 +53,7 @@ def _cmd_verify(args) -> int:
             raise ValueError("concentration needs --n, --h, --set-size, --epsilon")
         report = check_concentration(
             args.n, args.h, args.set_size, args.epsilon,
-            method=args.mode if args.mode in ("exact", "mc") else "exact",
+            method=args.mode or "exact",
             trials=args.trials, seed=args.seed,
         )
         print(f"concentration n={report.n} h={report.h} |S|={report.set_size} "
@@ -95,6 +96,9 @@ def _cmd_verify(args) -> int:
         else:
             f = instance_from_dict(cfg["instance"])
             F = noise_from_dict(f, cfg["noise"])
+            if not isinstance(F, ValueOracle):
+                raise ValueError("an inconsistent noise block needs 'm' or 'B' for the "
+                                 "sandwich check (a sampled estimator)")
             epsilon = cfg["noise"]["epsilon"]
             n = f.n
         mode = cfg.get("mode", args.mode or "exhaustive")
@@ -180,12 +184,6 @@ def _cmd_sample(args) -> int:
     return EXIT_PASS if ok else EXIT_COUNTEREXAMPLE
 
 
-def _cmd_bench(args) -> int:
-    rows = experiments.run_bench(args.seed)
-    _emit(rows, args, default_stdout=True)
-    return EXIT_PASS
-
-
 def _cmd_generate(args) -> int:
     meta: dict
     if args.construction == "trap":
@@ -267,9 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", parents=[common], help="sampling-rule validation")
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("bench", parents=[common], help="timing of core operations")
-    p.set_defaults(func=_cmd_bench)
-
     p = sub.add_parser("generate", parents=[common],
                        help="emit adversarial instance metadata")
     p.add_argument("--construction", required=True,
@@ -287,7 +282,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, TypeError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REJECTED
 

@@ -9,18 +9,14 @@ from __future__ import annotations
 
 import json
 import math
-import time
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from . import verify
 from .adversarial import (
     HardPairParams,
     PairBand,
     build_greedy_trap,
-    build_monotone_pair,
     draw_hidden_set,
     gap_bound,
     power_law_params,
@@ -40,33 +36,6 @@ REPORT_COLUMNS = [
     "experiment", "n", "k", "h", "alpha", "beta", "epsilon", "seed", "solver",
     "value", "baseline", "ratio", "bound", "queries", "band_escapes",
 ]
-
-
-@dataclass
-class ExperimentConfig:
-    """Declarative description of one experiment; round-trips through JSON."""
-
-    kind: str
-    params: dict = field(default_factory=dict)
-    seeds: list = field(default_factory=list)
-    grid: list | None = None
-    solver: str = "greedy"
-    out: str | None = None
-    format: str = "csv"
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        return cls(**d)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-    @classmethod
-    def loads(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +86,8 @@ def _json_cell(v):
     return str(v)
 
 
-def read_report(path: str, format: str = "structured") -> list[dict]:
+def read_report(path: str) -> list[dict]:
     """Parse a structured report back into rows (parse/emit fixpoint)."""
-    if format != "structured":
-        raise ValueError("round-trip parsing is defined for the structured format")
     with open(path) as fh:
         doc = json.load(fh)
     cols = doc["columns"]
@@ -407,7 +374,7 @@ def sampling_union_bound(n_sets: int, m: int, epsilon: float, width: float,
 def run_sampling_validation(
     f, epsilon: float, confidence_constant: float, trials: int,
     seed: int = 0, k: int = 4, width: float = 0.5,
-    family: str = "uniform-relative", value_range: tuple | None = None,
+    family: str = "uniform-relative",
 ) -> tuple[list[dict], dict]:
     """Drive greedy through a sampling estimator and measure how often any
     queried set's estimate leaves the (1 +- eps) band around f.
@@ -416,11 +383,8 @@ def run_sampling_validation(
     report the violating-set count against the union-bounded prediction.
     """
     n = f.n
-    if value_range is None:
-        vals = [f.value(Subset._raw(n, m_, m_.bit_count())) for m_ in range(1, 1 << n)]
-        b, B = float(min(vals)), float(max(vals))
-    else:
-        b, B = value_range
+    vals = [f.value(Subset._raw(n, m_, m_.bit_count())) for m_ in range(1, 1 << n)]
+    b, B = float(min(vals)), float(max(vals))
     m = required_samples(B, b, n, epsilon, confidence_constant)
     lo = 1 - Fraction(float(epsilon))
     hi = 1 + Fraction(float(epsilon))
@@ -460,58 +424,3 @@ def run_sampling_validation(
     }
     return rows, summary
 
-
-# ---------------------------------------------------------------------------
-# Benchmarks
-# ---------------------------------------------------------------------------
-
-def run_bench(seed: int = 0) -> list[dict]:
-    """Wall-clock timing of the load-bearing operations."""
-    rows = []
-
-    def record(name, n, work):
-        t0 = time.perf_counter()
-        queries = work()
-        dt = time.perf_counter() - t0
-        rows.append({
-            "experiment": "bench", "n": n, "k": "", "h": "", "alpha": "",
-            "beta": "", "epsilon": "", "seed": seed, "solver": name,
-            "value": dt, "baseline": "", "ratio": "", "bound": "",
-            "queries": queries, "band_escapes": "",
-        })
-
-    def decoy_trial():
-        n = 1024
-        params = power_law_params(n, 0.3)
-        hidden = draw_hidden_set(n, params.h, seed)
-        _, _, _, queries = _sandwich_greedy_fast(params, hidden)
-        return queries
-
-    def pair_check():
-        params = HardPairParams(n=10, h=5, alpha=3, k=4, epsilon=0.25)
-        hidden = draw_hidden_set(10, 5, seed)
-        pair = build_monotone_pair(params, hidden)
-        rep = verify.check_submodular(pair.fh, 10)
-        return rep.examined
-
-    def trap_greedy():
-        trap = build_greedy_trap(16, 0.5, 64)
-        oracle = as_oracle(trap)
-        res = greedy_cardinality(oracle, 64, 16)
-        return res.queries_used
-
-    def noisy_queries():
-        base = AdditiveFunction([1] * 12)
-        F = consistent_noise(base, 0.25, seed)
-        total = 0
-        for mask in range(1 << 12):
-            s = Subset._raw(12, mask, mask.bit_count())
-            F.query(s)
-            total += 1
-        return total
-
-    record("decoy-greedy-n1024", 1024, decoy_trial)
-    record("pair-submodularity-n10", 10, pair_check)
-    record("trap-greedy-n64", 64, trap_greedy)
-    record("consistent-noise-4096-queries", 12, noisy_queries)
-    return rows

@@ -241,6 +241,8 @@ def mc_band_probability(
     n: int, h: int, set_size: int, epsilon: float, trials: int, seed: int
 ) -> float:
     """Monte-Carlo estimate of the same band probability."""
+    if trials < 1:
+        raise ValueError(f"Monte-Carlo estimate needs trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     draws = rng.hypergeometric(h, n - h, set_size, size=trials)
     lo, hi = _band_indices(n, h, set_size, epsilon)

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +9,6 @@ import approxsub.cli as cli
 from approxsub.adversarial import HardPairParams, build_monotone_pair, build_sandwich, draw_hidden_set
 from approxsub.experiments import (
     REPORT_COLUMNS,
-    ExperimentConfig,
     _sandwich_greedy_fast,
     emit_report,
     instance_corpus,
@@ -257,12 +257,6 @@ def test_structured_report_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_experiment_config_round_trip():
-    cfg = ExperimentConfig(kind="sweep", params={"k": 4}, seeds=[1, 2, 3],
-                           grid=[0.0, 0.5], solver="greedy", out="x.csv")
-    assert ExperimentConfig.loads(cfg.dumps()) == cfg
-
-
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -358,10 +352,6 @@ def test_cli_sample_runs(capsys):
     assert "violating_fraction" in out
 
 
-def test_cli_bench_runs(capsys):
-    assert cli.main(["bench"]) == 0
-
-
 def test_cli_generate_all_constructions(tmp_path, capsys):
     for construction, extra in [
         ("monotone", ["--n", "1024", "--beta", "0.3"]),
@@ -372,6 +362,48 @@ def test_cli_generate_all_constructions(tmp_path, capsys):
         assert code == 0
         meta = json.loads(capsys.readouterr().out)
         assert meta["construction"] == construction
+
+
+def _assert_rejected(capsys, argv):
+    """Exit 2 with a one-line ``error:`` message on stderr and no traceback."""
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("flags", [["--mode", "bogus"], ["--mode", "mc", "--trials", "0"]])
+def test_cli_concentration_rejects_bad_mode_flags(capsys, flags):
+    _assert_rejected(capsys, ["verify", "--property", "concentration", "--n", "100",
+                              "--h", "50", "--set-size", "40", "--epsilon", "0.5"] + flags)
+
+
+def test_cli_sandwich_rejects_unsampled_inconsistent_noise(tmp_path, capsys):
+    cfg = {"instance": {"kind": "additive", "weights": [1, 2, 3]},
+           "noise": {"kind": "inconsistent", "width": 0.5, "epsilon": 0.3, "seed": 1}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    _assert_rejected(capsys, ["verify", "--property", "sandwich", "--config", str(path)])
+
+
+def test_cli_sweep_rejects_string_budget(tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"k": "4", "count": 1, "sizes": [8], "seeds": [0]}))
+    _assert_rejected(capsys, ["sweep", "--config", str(path)])
+
+
+def test_readme_cli_lines_parse():
+    """Every command in README's CLI block is accepted by the parser."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [ln.split() for ln in block.splitlines() if ln.startswith("approxsub ")]
+    assert len(lines) >= 6
+    parser = cli.build_parser()
+    for argv in lines:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README lists a command the parser rejects: {' '.join(argv)}")
 
 
 def test_cli_parameter_rejection_exit_code(capsys):

@@ -1,5 +1,3 @@
-import threading
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -119,18 +117,21 @@ def test_wide_ground_sets():
     assert mask_from_key(s.key()) == s.mask
 
 
-def test_concurrent_query_counting():
+def test_query_count_serial():
     f = FunctionOracle(AdditiveFunction([1] * 8))
-    s = Subset.full(8)
-    per_thread = 2000
-
-    def worker():
-        for _ in range(per_thread):
-            f.query(s)
-
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert f.query_count == 8 * per_thread
+    full, empty = Subset.full(8), Subset.empty(8)
+    assert f.query_count == 0
+    for i in range(1, 6):
+        f.query(full)
+        assert f.query_count == i
+    # A solver's share is query_count - start, taken mid-run.
+    start = f.query_count
+    for i in range(37):
+        f.query(full if i % 2 else empty)
+    assert f.query_count - start == 37
+    assert f.query_count == 42
+    # value() is the uncounted path, and a rejected query is not counted.
+    f.value(full)
+    with pytest.raises(ValueError):
+        f.query(Subset.full(7))
+    assert f.query_count == 42

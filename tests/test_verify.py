@@ -180,6 +180,11 @@ def test_band_probability_helpers_agree():
     assert tail_reference(5.0) == pytest.approx(0.7290393985385394)
 
 
+def test_mc_band_probability_rejects_no_trials():
+    with pytest.raises(ValueError):
+        mc_band_probability(100, 50, 40, 0.5, trials=0, seed=3)
+
+
 def test_scipy_stats_loads_only_when_a_probability_needs_it():
     code = textwrap.dedent("""
         import sys
