@@ -33,7 +33,10 @@ EXIT_REJECTED = 2
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: top-level JSON must be an object, got {type(data).__name__}")
+    return data
 
 
 def _emit(rows, args, default_stdout=False):

@@ -262,6 +262,8 @@ def run_noise_sweep(instances, k: int, delta_grid, seeds) -> list[dict]:
     Rows carry an extra 'ok' flag (value >= bound * optimum up to float dust);
     instances must be small enough to brute force.  Row order is seed-major.
     """
+    if k < 1:
+        raise ValueError(f"sweep budget k must be >= 1, got {k}")
     for inst in instances:
         if inst.n > 14:
             raise ValueError(f"sweep instances must allow brute force, got n={inst.n}")

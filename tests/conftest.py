@@ -22,7 +22,24 @@ class TableFunction:
         return self.table[s.mask]
 
 
-def naive_submodular(fn, n, tol=0.0):
+def coverage_table(n, covers, weights):
+    """Weighted coverage by mask: element i covers the points set in
+    covers[i], and point p weighs weights[p].  Submodular for weights >= 0."""
+    table = []
+    for m in range(1 << n):
+        union = 0
+        for i in range(n):
+            if m >> i & 1:
+                union |= covers[i]
+        table.append(sum(w for p, w in enumerate(weights) if union >> p & 1))
+    return table
+
+
+def modular_table(n, weights):
+    return [sum(w for i, w in enumerate(weights) if m >> i & 1) for m in range(1 << n)]
+
+
+def naive_submodular(fn, n, tol=0):
     """Reference double loop over all ordered pairs."""
     vals = [fn.value(Subset(n, m)) for m in range(1 << n)]
     for s in range(1 << n):
@@ -32,7 +49,7 @@ def naive_submodular(fn, n, tol=0.0):
     return True, None
 
 
-def naive_monotone(fn, n, tol=0.0):
+def naive_monotone(fn, n, tol=0):
     vals = [fn.value(Subset(n, m)) for m in range(1 << n)]
     for s in range(1 << n):
         for a in range(n):

@@ -392,6 +392,36 @@ def test_cli_sweep_rejects_string_budget(tmp_path, capsys):
     _assert_rejected(capsys, ["sweep", "--config", str(path)])
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_cli_sweep_rejects_budget_below_one(tmp_path, capsys, k):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"k": k, "count": 1, "sizes": [8], "seeds": [0]}))
+    _assert_rejected(capsys, ["sweep", "--config", str(path)])
+
+
+@pytest.mark.parametrize("argv", [["sweep"], ["sample"], ["verify", "--property", "sandwich"]])
+def test_cli_rejects_non_object_config(tmp_path, capsys, argv):
+    path = tmp_path / "cfg.json"
+    path.write_text("[1, 2]")
+    _assert_rejected(capsys, argv + ["--config", str(path)])
+
+
+def test_cli_verify_submodular_report_lines(tmp_path, capsys):
+    """The report line, check count and witness for a pass and a failure."""
+    cases = [
+        ({"kind": "coverage", "universe_size": 4, "covers": [[0, 1], [1, 2], [2, 3], [0]]}, 0,
+         "submodular coverage(n=4): pass (136 checks)\n"),
+        ({"kind": "budget_additive", "weights": [5, -5, 5, 2], "budget": 5}, 1,
+         "submodular budget_additive(n=4): FAIL (45 checks); counterexample: "
+         "(Subset(n=4, elements=[1]), Subset(n=4, elements=[0, 2]))\n"),
+    ]
+    path = tmp_path / "inst.json"
+    for inst, code, line in cases:
+        path.write_text(json.dumps(inst))
+        assert cli.main(["verify", "--property", "submodular", "--instance", str(path)]) == code
+        assert capsys.readouterr().out == line
+
+
 def test_readme_cli_lines_parse():
     """Every command in README's CLI block is accepted by the parser."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

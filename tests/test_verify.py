@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import approxsub
 from approxsub.adversarial import HardPairParams, build_monotone_pair, build_sandwich, draw_hidden_set
@@ -22,7 +23,7 @@ from approxsub.verify import (
     mc_band_probability,
     tail_reference,
 )
-from conftest import TableFunction, naive_monotone, naive_submodular
+from conftest import TableFunction, coverage_table, modular_table, naive_monotone, naive_submodular
 
 
 class SpikeFunction:
@@ -93,6 +94,57 @@ def test_checkers_match_naive_reference():
         assert check_submodular(fn, n).passed == ok_ref, (trial, n)
         ok_ref, _ = naive_monotone(fn, n, tol)
         assert check_monotone(fn, n).passed == ok_ref, (trial, n)
+
+
+@st.composite
+def set_function_tables(draw):
+    """(n, table): unstructured tables, or weighted coverage plus a signed
+    modular part (submodular) with at most one entry nudged; values are
+    int, Fraction or float."""
+    n = draw(st.integers(1, 5))
+    size = 1 << n
+    if draw(st.booleans()):
+        table = draw(st.lists(st.integers(-8, 8), min_size=size, max_size=size))
+    else:
+        covers = draw(st.lists(st.integers(0, 15), min_size=n, max_size=n))
+        weights = draw(st.lists(st.integers(0, 4), min_size=4, max_size=4))
+        shift = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        table = [c + s for c, s in zip(coverage_table(n, covers, weights), modular_table(n, shift))]
+        table[draw(st.integers(0, size - 1))] += draw(st.sampled_from([0, 0, 1, -1]))
+    kind = draw(st.sampled_from(["int", "fraction", "float"]))
+    if kind == "fraction":
+        den = draw(st.integers(2, 9))
+        table = [Fraction(v, den) for v in table]
+    elif kind == "float":
+        table = [v / 3 for v in table]
+    return n, table
+
+
+@settings(max_examples=300, deadline=None)
+@given(set_function_tables())
+def test_checkers_agree_with_naive_on_random_tables(case):
+    n, table = case
+    fn = TableFunction(n, table)
+    tol = 0  # an int: a float zero would turn Fraction comparisons into float ones
+    if isinstance(table[0], float):
+        tol = 1e-9 * max(1.0, max(abs(v) for v in table))
+
+    ok, witness = naive_submodular(fn, n, tol)
+    report = check_submodular(fn, n)
+    assert report.passed == ok
+    if not ok:
+        s, t = (x.mask for x in report.counterexample)
+        assert table[s | t] + table[s & t] > table[s] + table[t] + tol
+        # Both scans report the smallest S first, then the smallest T.
+        assert (s, t) == witness
+
+    ok, _ = naive_monotone(fn, n, tol)
+    report = check_monotone(fn, n)
+    assert report.passed == ok
+    if not ok:
+        s, a = report.counterexample
+        assert not s.mask >> a & 1
+        assert table[s.mask | 1 << a] < table[s.mask] - tol
 
 
 def test_check_guards():
