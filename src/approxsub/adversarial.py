@@ -161,6 +161,47 @@ def build_monotone_pair(params: HardPairParams, hidden: HiddenSet) -> MonotoneHa
     return MonotoneHardPair(fh=fh, g=g, params=params, hidden=hidden)
 
 
+class Band:
+    """The band (1 - eps) f <= F <= (1 + eps) f, with eps held exactly.
+
+    eps = p/q is ``Fraction(eps)``, a float's exact binary value, kept as the
+    ints q - p, q and q + p.  For int and Fraction values, clearing the
+    positive denominators makes the test (q - p) f.num F.den <= q F.num f.den
+    <= (q + p) f.num F.den: :meth:`holds` compares ints and builds no Fraction.
+    :meth:`near` and :meth:`float_holds` are the float forms for noisy values.
+    """
+
+    __slots__ = ("q", "q_lo", "q_hi", "lo", "hi")
+
+    def __init__(self, epsilon):
+        eps = Fraction(epsilon)
+        p, self.q = eps.numerator, eps.denominator
+        self.q_lo, self.q_hi = self.q - p, self.q + p
+        self.lo, self.hi = 1 - eps, 1 + eps
+
+    def holds(self, F, f) -> bool:
+        """Exact band test for int or Fraction F and f."""
+        x = self.q * F.numerator * f.denominator
+        y = f.numerator * F.denominator
+        return self.q_lo * y <= x <= self.q_hi * y
+
+    def contains(self, F, f) -> bool:
+        """:meth:`holds` when both values are int or Fraction, otherwise the
+        band test in whatever arithmetic the values bring."""
+        if isinstance(F, (int, Fraction)) and isinstance(f, (int, Fraction)):
+            return self.holds(F, f)
+        return self.lo * f <= F <= self.hi * f
+
+    def near(self, F, f) -> bool:
+        """Float band test with a 1e-12 relative slack at each edge."""
+        low, high, F = float(self.lo * f), float(self.hi * f), float(F)
+        return low - 1e-12 * max(1.0, abs(low)) <= F <= high + 1e-12 * max(1.0, abs(high))
+
+    def float_holds(self, F: float, f) -> bool:
+        """Float F against the band edges rounded to floats, no slack."""
+        return float(self.lo * f) <= F <= float(self.hi * f)
+
+
 class PairBand:
     """Exact sandwich band test for the monotone hard pair, in integers.
 
@@ -170,9 +211,10 @@ class PairBand:
         F = n fh = n s1 + min(n s0, alpha (n - h)),
         G = n g  = min(n s, s h + alpha (n - h)),     s = s1 + s0,
 
-    and with eps taken at its exact binary value p/q (q a power of two) the
-    band test (1 - eps) fh <= g <= (1 + eps) fh is (q - p) F <= q G <= (q + p) F.
-    Nothing is rounded, so every outcome equals the rational test.
+    and with the ints q - p, q, q + p of ``Band(float(eps))`` the band test
+    (1 - eps) fh <= g <= (1 + eps) fh is (q - p) F <= q G <= (q + p) F.
+    Nothing is rounded, so every outcome equals the rational test.  The
+    comparison is inlined: the collapsed greedy runs it twice per round.
     """
 
     __slots__ = ("n", "h", "cap_n", "q", "q_lo", "q_hi")
@@ -181,9 +223,8 @@ class PairBand:
         self.n = params.n
         self.h = params.h
         self.cap_n = params.alpha * (params.n - params.h)
-        p, self.q = float(params.epsilon).as_integer_ratio()
-        self.q_lo = self.q - p
-        self.q_hi = self.q + p
+        band = Band(float(params.epsilon))
+        self.q, self.q_lo, self.q_hi = band.q, band.q_lo, band.q_hi
 
     def sandwich(self, s1: int, s0: int) -> tuple[int, bool]:
         """(n times the sandwich oracle's value, whether g is inside the band)
@@ -305,8 +346,9 @@ class SandwichFunction(FunctionInstance):
     otherwise.  By construction the result is always within the band around
     fh, so fh is a representative.
 
-    eps is taken at its exact binary-float value and all band comparisons are
-    exact rational arithmetic whenever fh and g evaluate to rationals.
+    eps is taken at its exact binary-float value; the band test is
+    :meth:`Band.contains`, exact integer cross-multiplication when fh and g
+    return ints or Fractions, rational arithmetic on other value types.
     """
 
     kind = "sandwich"
@@ -320,18 +362,12 @@ class SandwichFunction(FunctionInstance):
         self.fh = fh
         self.g = g
         self.epsilon = float(epsilon)
-        self._lo = 1 - Fraction(self.epsilon)
-        self._hi = 1 + Fraction(self.epsilon)
-
-    def in_band(self, s: Subset) -> bool:
-        fv = self.fh.value(s)
-        gv = self.g.value(s)
-        return self._lo * fv <= gv <= self._hi * fv
+        self.band = Band(self.epsilon)
 
     def value(self, s: Subset):
         fv = self.fh.value(s)
         gv = self.g.value(s)
-        if self._lo * fv <= gv <= self._hi * fv:
+        if self.band.contains(gv, fv):
             return gv
         return fv
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .adversarial import (
+    Band,
     HardPairParams,
     PairBand,
     build_greedy_trap,
@@ -223,6 +224,8 @@ def run_distinguishability(
     """
     if n > 1 << 14:
         raise ValueError(f"experiment guarded at n <= {1 << 14}, got {n}")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     params = power_law_params(n, beta)
     bound = float(gap_bound(params))
 
@@ -301,12 +304,9 @@ def run_trap(k: int = 16, beta: float = 0.5, n: int = 64) -> tuple[list[dict], d
     """Build the trap instance, check its band property exactly on every
     override set, and report the predicted and the measured greedy value."""
     trap = build_greedy_trap(k, beta, n)
-    lo = 1 - trap.epsilon
-    hi = 1 + trap.epsilon
+    band = Band(trap.epsilon)
     for s in trap.override_sets():
-        Fv = trap.value(s)
-        fv = trap.f.value(s)
-        if not (lo * fv <= Fv <= hi * fv):
+        if not band.holds(trap.value(s), trap.f.value(s)):
             raise AssertionError(f"override set {s} breaks the band construction")
     oracle = as_oracle(trap)
     res = greedy_cardinality(oracle, n, k)
@@ -384,12 +384,13 @@ def run_sampling_validation(
     m is set from the value range of f over nonempty sets; per-trial rows
     report the violating-set count against the union-bounded prediction.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     n = f.n
     vals = [f.value(Subset._raw(n, m_, m_.bit_count())) for m_ in range(1, 1 << n)]
     b, B = float(min(vals)), float(max(vals))
     m = required_samples(B, b, n, epsilon, confidence_constant)
-    lo = 1 - Fraction(float(epsilon))
-    hi = 1 + Fraction(float(epsilon))
+    band = Band(float(epsilon))
     rows = []
     trials_violating = 0
     n_sets = expected_greedy_queries(n, k)
@@ -403,9 +404,7 @@ def run_sampling_validation(
         for key in est.cached_sets():
             mk = mask_from_key(key)
             s = Subset._raw(n, mk, mk.bit_count())
-            fv = f.value(s)
-            ev = est.value(s)
-            if not (float(lo * fv) <= ev <= float(hi * fv)):
+            if not band.float_holds(est.value(s), f.value(s)):
                 violations += 1
         if violations:
             trials_violating += 1

@@ -108,9 +108,6 @@ class InconsistentNoiseOracle:
     def query_count(self) -> int:
         return self._queries
 
-    def sample(self, s: Subset) -> float:
-        return float(self.sample_batch(s, 1)[0])
-
     def sample_batch(self, s: Subset, m: int) -> np.ndarray:
         """m independent draws for the same set; counts m queries."""
         if m < 1:

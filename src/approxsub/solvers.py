@@ -190,10 +190,3 @@ def curvature_bound(c: float, epsilon: float) -> BoundReport:
 def expected_greedy_queries(n: int, k: int) -> int:
     """Query count of greedy_cardinality: sum_{i=0}^{k-1} (n - i)."""
     return k * n - (k * (k - 1)) // 2
-
-
-def additive_surrogate(F, n: int):
-    """Tabulated singleton values F({e}); the additive surrogate evaluates a
-    set as the sum of these."""
-    oracle = as_oracle(F)
-    return [oracle.value(Subset._raw(n, 1 << a, 1)) for a in range(n)]

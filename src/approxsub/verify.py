@@ -25,11 +25,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .adversarial import PairBand
+from .adversarial import Band, PairBand
 from .sets import Subset
 
 _SUBMODULAR_TOL = 1e-9
-_SANDWICH_TOL = 1e-12
 
 
 @dataclass
@@ -83,21 +82,12 @@ def tabulate(fn, n: int) -> list:
 def _exact_int_table(values) -> np.ndarray | None:
     """Rescale rational values to a common-denominator int64 table, or None
     if any value is not rational or the scale would overflow."""
-    denoms = set()
-    for v in values:
-        if isinstance(v, Fraction):
-            denoms.add(v.denominator)
-        elif not isinstance(v, int):
-            return None
-    scale = math.lcm(*denoms) if denoms else 1
-    scaled = []
-    top = 0
-    for v in values:
-        x = v * scale
-        if isinstance(x, Fraction):
-            x = x.numerator  # denominator is 1 by construction of scale
-        scaled.append(x)
-        top = max(top, abs(x))
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        return None
+    scale = math.lcm(*{v.denominator for v in values})
+    # Each denominator divides scale: v * scale, with no Fraction built.
+    scaled = [v.numerator * (scale // v.denominator) for v in values]
+    top = max(map(abs, scaled), default=0)
     if 2 * top >= 2 ** 62:
         return None
     return np.array(scaled, dtype=np.int64)
@@ -163,20 +153,6 @@ def check_monotone(fn, n: int) -> CheckReport:
     return CheckReport("monotone", _describe(fn), True, None, examined)
 
 
-def _band_holds(Fv, fv, lo, hi, exact: bool) -> bool:
-    low = lo * fv
-    high = hi * fv
-    if exact:
-        return low <= Fv <= high
-    low = float(low)
-    high = float(high)
-    Fv = float(Fv)
-    return (
-        Fv >= low - _SANDWICH_TOL * max(1.0, abs(low))
-        and Fv <= high + _SANDWICH_TOL * max(1.0, abs(high))
-    )
-
-
 def check_sandwich(
     F, f, epsilon: float, n: int, mode: str = "exhaustive",
     trials: int | None = None, seed: int | None = None,
@@ -190,8 +166,7 @@ def check_sandwich(
     """
     name = "sandwich"
     desc = f"{_describe(F)} vs {_describe(f)} @ eps={epsilon}"
-    lo = 1 - Fraction(float(epsilon))
-    hi = 1 + Fraction(float(epsilon))
+    band = Band(float(epsilon))
     if mode == "exhaustive":
         if n > 20:
             raise ValueError(f"exhaustive sandwich check guarded at n <= 20, got {n}")
@@ -212,7 +187,7 @@ def check_sandwich(
         fv = f.value(s)
         exact = isinstance(Fv, (int, Fraction)) and isinstance(fv, (int, Fraction))
         examined += 1
-        if not _band_holds(Fv, fv, lo, hi, exact):
+        if not (band.holds(Fv, fv) if exact else band.near(Fv, fv)):
             return CheckReport(name, desc, False, (s, Fv, fv), examined)
     assert examined == total
     return CheckReport(name, desc, True, None, examined)

@@ -64,7 +64,7 @@ class _EscapeCounting(ValueOracle):
         return self.sw.value(s)
 
     def query(self, s):
-        if not self.sw.in_band(s):
+        if not self.sw.band.holds(self.sw.g.value(s), self.sw.fh.value(s)):
             self.escapes += 1
         return super().query(s)
 
@@ -404,6 +404,29 @@ def test_cli_rejects_non_object_config(tmp_path, capsys, argv):
     path = tmp_path / "cfg.json"
     path.write_text("[1, 2]")
     _assert_rejected(capsys, argv + ["--config", str(path)])
+
+
+def test_cli_sweep_rejects_directory_config(tmp_path, capsys):
+    _assert_rejected(capsys, ["sweep", "--config", str(tmp_path)])
+
+
+def test_cli_distinguish_rejects_negative_trials(capsys):
+    _assert_rejected(capsys, ["distinguish", "--n", "256", "--beta", "0.45", "--trials", "-1"])
+
+
+def test_cli_sample_rejects_negative_trials(tmp_path, capsys):
+    path = tmp_path / "sample.json"
+    path.write_text(json.dumps({"trials": -1}))
+    _assert_rejected(capsys, ["sample", "--config", str(path)])
+
+
+def test_zero_trials_report_empty_summaries():
+    rows, summary = run_distinguishability(256, 0.45, trials=0, seed=0)
+    assert rows == [] and summary["trials"] == 0
+    assert summary["zero_escape_fraction"] == summary["mean_ratio"] == 0.0
+    rows, summary = run_sampling_validation(shared_coverage(), 0.1, 3.0, trials=0)
+    assert rows == [] and summary["trials"] == 0
+    assert summary["violating_fraction"] == 0.0
 
 
 def test_cli_verify_submodular_report_lines(tmp_path, capsys):
