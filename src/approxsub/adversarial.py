@@ -179,6 +179,15 @@ class Band:
         self.q_lo, self.q_hi = self.q - p, self.q + p
         self.lo, self.hi = 1 - eps, 1 + eps
 
+    def scaled(self, F_scale: int, f_scale: int) -> "Band":
+        """The same band for :meth:`holds` on F' = F_scale F and f' = f_scale f
+        (positive int scales): (q - p) F_scale f' <= q f_scale F' <=
+        (q + p) F_scale f'.  The copy sets only the ints :meth:`holds` reads."""
+        band = Band.__new__(Band)
+        band.q = self.q * f_scale
+        band.q_lo, band.q_hi = self.q_lo * F_scale, self.q_hi * F_scale
+        return band
+
     def holds(self, F, f) -> bool:
         """Exact band test for int or Fraction F and f."""
         x = self.q * F.numerator * f.denominator
@@ -426,6 +435,17 @@ class GreedyTrapInstance(FunctionInstance):
         size = len(self.a_elements) + 1
         for c in self.c_elements:
             yield Subset._raw(n, base | (1 << c), size)
+
+    def check_band(self) -> None:
+        """Raise ValueError unless every override value lies in the exact band
+        around f; a rounded |A| (1/(2 eps) not an integer) can break it."""
+        band = Band(self.epsilon)
+        for s in self.override_sets():
+            if not band.holds(self.value(s), self.f.value(s)):
+                raise ValueError(
+                    f"trap at eps = {float(self.epsilon):.6g} leaves the band on override "
+                    f"set {s.elements()}: |A| = {len(self.a_elements)} rounds "
+                    f"1/(2 eps) = {float(1 / (2 * self.epsilon)):.6g}")
 
     def claimed_greedy_value(self) -> Fraction:
         """Predicted greedy outcome 1/eps + (k - k^(1-beta)/2)/n under the

@@ -191,6 +191,7 @@ def _cmd_generate(args) -> int:
     meta: dict
     if args.construction == "trap":
         trap = build_greedy_trap(args.k, args.beta, args.n)
+        trap.check_band()
         meta = {
             "construction": "trap", "n": trap.n, "k": trap.k, "beta": trap.beta,
             "epsilon": float(trap.epsilon),

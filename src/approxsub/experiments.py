@@ -28,6 +28,7 @@ from .functions import (
     ConcaveCardinalityFunction,
     CoverageFunction,
     SumFunction,
+    exact_table,
 )
 from .noise import InconsistentNoiseOracle, SamplingEstimator, consistent_noise, required_samples
 from .sets import Subset, as_oracle, mask_from_key
@@ -304,10 +305,7 @@ def run_trap(k: int = 16, beta: float = 0.5, n: int = 64) -> tuple[list[dict], d
     """Build the trap instance, check its band property exactly on every
     override set, and report the predicted and the measured greedy value."""
     trap = build_greedy_trap(k, beta, n)
-    band = Band(trap.epsilon)
-    for s in trap.override_sets():
-        if not band.holds(trap.value(s), trap.f.value(s)):
-            raise AssertionError(f"override set {s} breaks the band construction")
+    trap.check_band()
     oracle = as_oracle(trap)
     res = greedy_cardinality(oracle, n, k)
     measured = Fraction(res.value)
@@ -387,8 +385,13 @@ def run_sampling_validation(
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     n = f.n
-    vals = [f.value(Subset._raw(n, m_, m_.bit_count())) for m_ in range(1, 1 << n)]
-    b, B = float(min(vals)), float(max(vals))
+    table = exact_table(f, n)
+    if table is None:
+        vals = [f.value(Subset._raw(n, m_, m_.bit_count())) for m_ in range(1, 1 << n)]
+        b, B = float(min(vals)), float(max(vals))
+    else:  # int / int is correctly rounded, as float() of the Fraction T / D is
+        T, D = table
+        b, B = int(T[1:].min()) / D, int(T[1:].max()) / D
     m = required_samples(B, b, n, epsilon, confidence_constant)
     band = Band(float(epsilon))
     rows = []

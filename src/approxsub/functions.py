@@ -10,7 +10,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .sets import Subset, iter_bits
+
+# Every exact table keeps |entry| below this, so the checkers' int64 second
+# differences (four entries) cannot overflow.
+TABLE_LIMIT = 1 << 61
+_EXACT_TYPES = (int, bool, Fraction)
 
 
 class FunctionInstance:
@@ -22,9 +29,24 @@ class FunctionInstance:
     def value(self, s: Subset):
         raise NotImplementedError
 
+    def exact_table(self, n: int):
+        """``(T, D)``, an int64 array over all 2^n masks and a positive int
+        with ``value(S) == Fraction(T[S.mask], D)`` on every set, or None.
+
+        None means the caller evaluates ``value()`` set by set: the kind has
+        no table form, n is not the instance's ground set, some datum is not
+        exactly an int, bool or Fraction, or an entry could reach 2^61.
+        """
+        return None
+
     def _check_ground(self, s: Subset):
         if s.n != self.n:
             raise ValueError(f"ground set mismatch: instance n={self.n}, subset n={s.n}")
+
+
+def _scaled(values, den: int) -> list[int]:
+    """den * v for exact values v whose denominators divide den."""
+    return [v.numerator * (den // v.denominator) for v in values]
 
 
 class _WeightSum:
@@ -48,7 +70,7 @@ class _WeightSum:
         self.den = None
         if all(type(w) in (int, bool, Fraction) for w in weights):
             self.den = math.lcm(*(w.denominator for w in weights))
-            self.terms = [w.numerator * (self.den // w.denominator) for w in weights]
+            self.terms = _scaled(weights, self.den)
             self.frac_mask = sum(1 << e for e, w in enumerate(weights) if type(w) is Fraction)
 
     def __call__(self, mask: int):
@@ -62,6 +84,22 @@ class _WeightSum:
         if self.den is None:
             return total
         return Fraction(total, self.den) if mask & self.frac_mask else total // self.den
+
+
+def _doubling(n: int, dtype, step) -> np.ndarray:
+    """Whole table by t[m | 1 << i] = step(t[m], i) for m < 2^i, from t[0] = 0."""
+    t = np.zeros(1 << n, dtype=dtype)
+    for i in range(n):
+        t[1 << i:2 << i] = step(t[:1 << i], i)
+    return t
+
+
+def _weight_table(weights, n: int):
+    """int64 table of the int weights' sum over all masks, or None if an
+    entry could reach the limit."""
+    if max(sum(w for w in weights if w > 0), -sum(w for w in weights if w < 0)) >= TABLE_LIMIT:
+        return None
+    return _doubling(n, np.int64, lambda t, i: t + weights[i])
 
 
 class AdditiveFunction(FunctionInstance):
@@ -79,6 +117,12 @@ class AdditiveFunction(FunctionInstance):
     def value(self, s: Subset):
         self._check_ground(s)
         return self._sum(s.mask)
+
+    def exact_table(self, n: int):
+        if n != self.n or self._sum.den is None:
+            return None
+        t = _weight_table(self._sum.terms, n)
+        return None if t is None else (t, self._sum.den)
 
 
 class BudgetAdditiveFunction(FunctionInstance):
@@ -99,6 +143,16 @@ class BudgetAdditiveFunction(FunctionInstance):
     def value(self, s: Subset):
         self._check_ground(s)
         return min(self._sum(s.mask), self.budget)
+
+    def exact_table(self, n: int):
+        if n != self.n or self._sum.den is None or type(self.budget) not in _EXACT_TYPES:
+            return None
+        den = math.lcm(self._sum.den, self.budget.denominator)
+        budget, = _scaled([self.budget], den)
+        t = _weight_table(_scaled(self.weights, den), n)
+        if t is None or budget >= TABLE_LIMIT:
+            return None
+        return np.minimum(t, budget), den
 
 
 class CoverageFunction(FunctionInstance):
@@ -138,6 +192,13 @@ class CoverageFunction(FunctionInstance):
             covered |= self.covers[e]
         return covered.bit_count()
 
+    def exact_table(self, n: int):
+        if n != self.n or self.universe_size > 63:
+            return None
+        covers = np.array(self.covers, dtype=np.uint64)
+        covered = _doubling(n, np.uint64, lambda t, i: t | covers[i])
+        return np.bitwise_count(covered).astype(np.int64), 1
+
 
 class ConcaveCardinalityFunction(FunctionInstance):
     """value(S) = G(|S|) for a tabulated nondecreasing concave G on {0..n}.
@@ -166,6 +227,16 @@ class ConcaveCardinalityFunction(FunctionInstance):
         self._check_ground(s)
         return self.table[s.size]
 
+    def exact_table(self, n: int):
+        if n != self.n or any(type(v) not in _EXACT_TYPES for v in self.table):
+            return None
+        den = math.lcm(*(v.denominator for v in self.table))
+        scaled = _scaled(self.table, den)
+        if max(map(abs, scaled)) >= TABLE_LIMIT:
+            return None
+        sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint64))
+        return np.array(scaled, dtype=np.int64)[sizes], den
+
 
 class SumFunction(FunctionInstance):
     """Pointwise sum of function instances over a common ground set."""
@@ -188,10 +259,32 @@ class SumFunction(FunctionInstance):
             total += t.value(s)
         return total
 
+    def exact_table(self, n: int):
+        if n != self.n:
+            return None
+        tables = [exact_table(t, n) for t in self.terms]
+        if None in tables:
+            return None
+        den = math.lcm(*(d for _, d in tables))
+        # Triangle bound over the terms; it also bounds every partial sum below.
+        if sum(int(np.abs(t).max()) * (den // d) for t, d in tables) >= TABLE_LIMIT:
+            return None
+        total = np.zeros(1 << n, dtype=np.int64)
+        for t, d in tables:
+            if t.any():  # an all-zero term's factor den // d may not fit int64
+                total += t * (den // d)
+        return total, den
+
 
 def evaluate_instance(inst: FunctionInstance, s: Subset):
     """Evaluate an instance at a subset (exact per the instance's formula)."""
     return inst.value(s)
+
+
+def exact_table(fn, n: int):
+    """``fn.exact_table(n)`` for an object that has one, else None."""
+    table = getattr(fn, "exact_table", None)
+    return None if table is None else table(n)
 
 
 def marginal(inst: FunctionInstance, s: Subset, a: int):
@@ -269,6 +362,8 @@ def instance_to_dict(inst: FunctionInstance) -> dict:
 
 
 def instance_from_dict(d: dict) -> FunctionInstance:
+    if not isinstance(d, dict):
+        raise ValueError(f"an instance must be a JSON object, got {type(d).__name__}")
     kind = d.get("kind")
     if kind == "additive":
         return AdditiveFunction([_num_from_obj(w) for w in d["weights"]])

@@ -95,6 +95,8 @@ def matroid_to_dict(m: Matroid) -> dict:
 
 
 def matroid_from_dict(d: dict) -> Matroid:
+    if not isinstance(d, dict):
+        raise ValueError(f"a matroid must be a JSON object, got {type(d).__name__}")
     kind = d.get("kind")
     if kind == "uniform":
         return UniformMatroid(d["n"], d["k"])

@@ -1,9 +1,14 @@
 """Exhaustive and statistical property checkers.
 
 Exhaustive checks (submodularity, monotonicity, multiplicative sandwich) work
-on a full table of values indexed by subset mask.  When every value is an
-int or Fraction the table is rescaled to integers and compared exactly;
-otherwise comparisons are float with the stated tolerances.
+on a full table of values indexed by subset mask.  A function whose
+``exact_table(n)`` gives an int64 table T over a denominator D (the five exact
+kinds in ``functions``) is read from it: T / D is every value, so comparisons
+on T are exact.  Any other function, or one whose ``exact_table`` returns None
+(floats, numpy scalars, entries that could reach 2^61), is evaluated set by
+set; when every value is an int or Fraction the table is rescaled to integers
+and compared exactly, otherwise comparisons are float with the stated
+tolerances.
 
 Submodularity of an exact table is certified by the local form
 f(S+a) + f(S+b) >= f(S+a+b) + f(S), equivalent to the pair form in exact
@@ -26,6 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .adversarial import Band, PairBand
+from .functions import TABLE_LIMIT, exact_table
 from .sets import Subset
 
 _SUBMODULAR_TOL = 1e-9
@@ -87,10 +93,18 @@ def _exact_int_table(values) -> np.ndarray | None:
     scale = math.lcm(*{v.denominator for v in values})
     # Each denominator divides scale: v * scale, with no Fraction built.
     scaled = [v.numerator * (scale // v.denominator) for v in values]
-    top = max(map(abs, scaled), default=0)
-    if 2 * top >= 2 ** 62:
+    if max(map(abs, scaled), default=0) >= TABLE_LIMIT:
         return None
     return np.array(scaled, dtype=np.int64)
+
+
+def _table_of(fn, n: int):
+    """(table, tolerance) for the exhaustive checkers: fn's exact table with
+    zero tolerance when it has one, else :func:`_tables` of its values."""
+    exact = exact_table(fn, n)
+    if exact is not None:
+        return exact[0], 0
+    return _tables(tabulate(fn, n))
 
 
 def _tables(values):
@@ -111,7 +125,7 @@ def check_submodular(fn, n: int) -> CheckReport:
     scan compared through the witness's row."""
     if n > 14:
         raise ValueError(f"exhaustive pair check guarded at n <= 14, got {n}")
-    tab, tol = _tables(tabulate(fn, n))
+    tab, tol = _table_of(fn, n)
     size = 1 << n
     if tol == 0:  # second differences of values below 2^61 fit in int64
         cube = tab.reshape((2,) * n)
@@ -138,7 +152,7 @@ def check_monotone(fn, n: int) -> CheckReport:
     sufficient for monotonicity by transitivity."""
     if n > 20:
         raise ValueError(f"exhaustive extension check guarded at n <= 20, got {n}")
-    tab, tol = _tables(tabulate(fn, n))
+    tab, tol = _table_of(fn, n)
     all_masks = np.arange(1 << n, dtype=np.int64)
     examined = 0
     for a in range(n):
@@ -159,19 +173,22 @@ def check_sandwich(
 ) -> CheckReport:
     """Test (1 - eps) f(S) <= F(S) <= (1 + eps) f(S).
 
-    ``mode='exhaustive'`` visits all subsets (n <= 20); ``mode='sampled'``
-    draws ``trials`` uniform subsets with the given seed.  Comparisons are
-    exact whenever both functions return rationals, otherwise float with a
-    1e-12 relative slack for noise paths.
+    ``mode='exhaustive'`` visits all subsets (n <= 20) and reads each side
+    from its exact table when it has one; ``mode='sampled'`` draws ``trials``
+    uniform subsets with the given seed.  Comparisons are exact whenever both
+    functions return rationals, otherwise float with a 1e-12 relative slack
+    for noise paths.  A witness carries both sides' own ``value()``.
     """
     name = "sandwich"
     desc = f"{_describe(F)} vs {_describe(f)} @ eps={epsilon}"
     band = Band(float(epsilon))
+    F_tab = f_tab = None
     if mode == "exhaustive":
         if n > 20:
             raise ValueError(f"exhaustive sandwich check guarded at n <= 20, got {n}")
         masks = range(1 << n)
         total = 1 << n
+        F_tab, f_tab = exact_table(F, n), exact_table(f, n)
     elif mode == "sampled":
         if not trials or seed is None:
             raise ValueError("sampled mode needs trials and seed")
@@ -180,15 +197,30 @@ def check_sandwich(
         total = trials
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    # A side read from its table is the Python int D * value; the band's ints
+    # absorb each side's D (see Band.scaled), so the test stays exact.
+    F_den, f_den = F_tab[1] if F_tab else 1, f_tab[1] if f_tab else 1
+    exact_band = band.scaled(F_den, f_den)
+    F_ints = F_tab[0].tolist() if F_tab else None
+    f_ints = f_tab[0].tolist() if f_tab else None
     examined = 0
     for m in masks:
         s = Subset._raw(n, m, m.bit_count())
-        Fv = F.value(s)
-        fv = f.value(s)
-        exact = isinstance(Fv, (int, Fraction)) and isinstance(fv, (int, Fraction))
+        Fv = F.value(s) if F_ints is None else F_ints[m]
+        fv = f.value(s) if f_ints is None else f_ints[m]
         examined += 1
-        if not (band.holds(Fv, fv) if exact else band.near(Fv, fv)):
-            return CheckReport(name, desc, False, (s, Fv, fv), examined)
+        if isinstance(Fv, (int, Fraction)) and isinstance(fv, (int, Fraction)):
+            if exact_band.holds(Fv, fv):
+                continue
+        elif band.near(Fv if F_ints is None else Fraction(Fv, F_den),
+                       fv if f_ints is None else Fraction(fv, f_den)):
+            continue
+        # The witness carries each side's own value(), types included.
+        if F_ints is not None:
+            Fv = F.value(s)
+        if f_ints is not None:
+            fv = f.value(s)
+        return CheckReport(name, desc, False, (s, Fv, fv), examined)
     assert examined == total
     return CheckReport(name, desc, True, None, examined)
 

@@ -1,0 +1,483 @@
+"""Whole exact tables (``FunctionInstance.exact_table``) and the checkers that
+read them.
+
+A table must equal ``value()`` on every mask, and the kinds that cannot give
+one exactly must return None.  The checkers are compared with verbatim
+copies of the per-mask code they replaced (``reference_*`` below): reports
+must be equal, witnesses included, and ``run_sampling_validation`` must give
+equal rows and summary.
+"""
+
+import json
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import approxsub.cli as cli
+from approxsub.adversarial import (
+    Band,
+    HardPairParams,
+    build_greedy_trap,
+    build_monotone_pair,
+    build_sandwich,
+    draw_hidden_set,
+)
+from approxsub.experiments import (
+    instance_corpus,
+    run_sampling_validation,
+    run_trap,
+    sampling_union_bound,
+)
+from approxsub.functions import (
+    TABLE_LIMIT,
+    AdditiveFunction,
+    BudgetAdditiveFunction,
+    ConcaveCardinalityFunction,
+    CoverageFunction,
+    SumFunction,
+    instance_from_dict,
+    instance_to_dict,
+)
+from approxsub.matroids import PartitionMatroid, UniformMatroid, matroid_from_dict, matroid_to_dict
+from approxsub.noise import (
+    InconsistentNoiseOracle,
+    SamplingEstimator,
+    consistent_noise,
+    required_samples,
+)
+from approxsub.sets import Subset, mask_from_key
+from approxsub.solvers import expected_greedy_queries, greedy_cardinality
+from approxsub.verify import (
+    CheckReport,
+    _describe,
+    _exact_int_table,
+    _tables,
+    check_monotone,
+    check_sandwich,
+    check_submodular,
+    tabulate,
+)
+
+# ---------------------------------------------------------------------------
+# The generic per-mask checkers, verbatim as they stood before the tables.
+# ---------------------------------------------------------------------------
+
+
+def reference_check_submodular(fn, n: int) -> CheckReport:
+    if n > 14:
+        raise ValueError(f"exhaustive pair check guarded at n <= 14, got {n}")
+    tab, tol = _tables(tabulate(fn, n))
+    size = 1 << n
+    if tol == 0:  # second differences of values below 2^61 fit in int64
+        cube = tab.reshape((2,) * n)
+        if all((np.diff(np.diff(cube, axis=i), axis=j) <= 0).all()
+               for i in range(n) for j in range(i + 1, n)):
+            return CheckReport("submodular", _describe(fn), True, None, size * (size + 1) // 2)
+    all_masks = np.arange(size, dtype=np.int64)
+    examined = 0
+    for s in range(size):
+        ts = all_masks[s:]
+        lhs = tab[s | ts] + tab[s & ts]
+        rhs = tab[s] + tab[ts]
+        bad = np.nonzero(lhs > rhs + tol)[0]
+        examined += ts.size
+        if bad.size:
+            t = s + int(bad[0])
+            cx = (Subset(n, s), Subset(n, t))
+            return CheckReport("submodular", _describe(fn), False, cx, examined)
+    return CheckReport("submodular", _describe(fn), True, None, examined)
+
+
+def reference_check_monotone(fn, n: int) -> CheckReport:
+    if n > 20:
+        raise ValueError(f"exhaustive extension check guarded at n <= 20, got {n}")
+    tab, tol = _tables(tabulate(fn, n))
+    all_masks = np.arange(1 << n, dtype=np.int64)
+    examined = 0
+    for a in range(n):
+        bit = 1 << a
+        without = all_masks[(all_masks & bit) == 0]
+        drops = np.nonzero(tab[without | bit] < tab[without] - tol)[0]
+        examined += without.size
+        if drops.size:
+            s = int(without[drops[0]])
+            cx = (Subset(n, s), a)
+            return CheckReport("monotone", _describe(fn), False, cx, examined)
+    return CheckReport("monotone", _describe(fn), True, None, examined)
+
+
+def reference_check_sandwich(
+    F, f, epsilon: float, n: int, mode: str = "exhaustive",
+    trials: int | None = None, seed: int | None = None,
+) -> CheckReport:
+    name = "sandwich"
+    desc = f"{_describe(F)} vs {_describe(f)} @ eps={epsilon}"
+    band = Band(float(epsilon))
+    if mode == "exhaustive":
+        if n > 20:
+            raise ValueError(f"exhaustive sandwich check guarded at n <= 20, got {n}")
+        masks = range(1 << n)
+        total = 1 << n
+    elif mode == "sampled":
+        if not trials or seed is None:
+            raise ValueError("sampled mode needs trials and seed")
+        rng = random.Random(seed)
+        masks = (rng.getrandbits(n) for _ in range(trials))
+        total = trials
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    examined = 0
+    for m in masks:
+        s = Subset._raw(n, m, m.bit_count())
+        Fv = F.value(s)
+        fv = f.value(s)
+        exact = isinstance(Fv, (int, Fraction)) and isinstance(fv, (int, Fraction))
+        examined += 1
+        if not (band.holds(Fv, fv) if exact else band.near(Fv, fv)):
+            return CheckReport(name, desc, False, (s, Fv, fv), examined)
+    assert examined == total
+    return CheckReport(name, desc, True, None, examined)
+
+
+def reference_run_sampling_validation(
+    f, epsilon: float, confidence_constant: float, trials: int,
+    seed: int = 0, k: int = 4, width: float = 0.5,
+    family: str = "uniform-relative",
+) -> tuple[list[dict], dict]:
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    n = f.n
+    vals = [f.value(Subset._raw(n, m_, m_.bit_count())) for m_ in range(1, 1 << n)]
+    b, B = float(min(vals)), float(max(vals))
+    m = required_samples(B, b, n, epsilon, confidence_constant)
+    band = Band(float(epsilon))
+    rows = []
+    trials_violating = 0
+    n_sets = expected_greedy_queries(n, k)
+    rel_b = 1.0 if family == "uniform-relative" else b
+    prediction = sampling_union_bound(n_sets, m, epsilon, width, rel_b)
+    for t in range(trials):
+        source = InconsistentNoiseOracle(f, family, width, seed + t)
+        est = SamplingEstimator(source, m)
+        greedy_cardinality(est, n, k)
+        violations = 0
+        for key in est.cached_sets():
+            mk = mask_from_key(key)
+            s = Subset._raw(n, mk, mk.bit_count())
+            if not band.float_holds(est.value(s), f.value(s)):
+                violations += 1
+        if violations:
+            trials_violating += 1
+        rows.append({
+            "experiment": "sample", "n": n, "k": k, "h": "", "alpha": "",
+            "beta": "", "epsilon": epsilon, "seed": seed + t,
+            "solver": f"estimator(m={m},{family},w={width})",
+            "value": violations, "baseline": n_sets,
+            "ratio": violations / n_sets, "bound": prediction,
+            "queries": source.query_count, "band_escapes": violations,
+        })
+    summary = {
+        "m": m, "trials": trials, "queried_sets_per_trial": n_sets,
+        "violating_trials": trials_violating,
+        "violating_fraction": trials_violating / trials if trials else 0.0,
+        "prediction": prediction,
+        "confidence_constant": confidence_constant,
+    }
+    return rows, summary
+
+
+def assert_same_report(got: CheckReport, ref: CheckReport):
+    assert got == ref
+    if got.property_name == "sandwich" and got.counterexample is not None:
+        # The witness values keep the types their own value() gives.
+        assert [type(v) for v in got.counterexample] == [type(v) for v in ref.counterexample]
+
+
+# ---------------------------------------------------------------------------
+# One strategy for random exact instances of all five kinds
+# ---------------------------------------------------------------------------
+
+EXACT_TYPES = (int, bool, Fraction)
+
+
+def numbers(lo, inexact):
+    """int, bool, Fraction (integral ones too), with one draw in 16 taken
+    from ``inexact`` instead when it is not empty."""
+    fractions = st.fractions(min_value=lo, max_value=20, max_denominator=12)
+    exact = st.one_of(st.integers(lo, 20), st.booleans(), st.integers(lo, 20).map(Fraction),
+                      fractions, fractions)
+    if not inexact:
+        return exact
+    return st.integers(0, 15).flatmap(lambda r: st.sampled_from(inexact) if r == 0 else exact)
+
+
+@st.composite
+def instances(draw, n, inexact=(0.5, 2.0, np.int64(3)), depth=2):
+    """(instance, whether it must have an exact table) over n elements.
+    Budgets are drawn nonnegative: the constructor rejects negative ones."""
+    kinds = ["additive", "budget_additive", "coverage", "concave_cardinality"]
+    kind = draw(st.sampled_from(kinds + ["sum"] * (depth > 0)))
+    if kind == "sum":
+        parts = draw(st.lists(instances(n, inexact, depth - 1), min_size=1, max_size=3))
+        return SumFunction([p for p, _ in parts]), all(ok for _, ok in parts)
+    if kind == "coverage":
+        universe = draw(st.sampled_from([1, 5, 63, 64, 70]))
+        covers = draw(st.lists(st.lists(st.integers(0, universe - 1), max_size=4),
+                               min_size=n, max_size=n))
+        return CoverageFunction(universe, covers), universe <= 63
+    if kind == "concave_cardinality":
+        # An inexact table is an int table converted whole: float rounding of
+        # mixed entries could break the concavity the constructor checks.
+        convert = draw(st.sampled_from([None] * 7 + [type(v) for v in inexact]))
+        start = draw(numbers(-20, ()) if convert is None else st.integers(-20, 20))
+        steps = draw(st.lists(numbers(0, ()) if convert is None else st.integers(0, 20),
+                              min_size=n, max_size=n))
+        table = [start]
+        for d in sorted(steps, reverse=True):
+            table.append(table[-1] + d)
+        if convert is not None:
+            table = [convert(v) for v in table]
+        return ConcaveCardinalityFunction(table), convert is None
+    weights = draw(st.lists(numbers(-20, inexact), min_size=n, max_size=n))
+    ok = all(type(w) in EXACT_TYPES for w in weights)
+    if kind == "additive":
+        return AdditiveFunction(weights), ok
+    budget = draw(numbers(0, inexact))
+    return BudgetAdditiveFunction(weights, budget), ok and type(budget) in EXACT_TYPES
+
+
+def sized_instances(inexact=(0.5, 2.0, np.int64(3))):
+    return st.integers(1, 6).flatmap(lambda n: instances(n, inexact))
+
+
+def assert_table_matches(fn, n):
+    T, D = fn.exact_table(n)
+    assert T.dtype == np.int64 and T.shape == (1 << n,)
+    assert type(D) is int and D > 0
+    for m in range(1 << n):
+        assert fn.value(Subset(n, m)) == Fraction(int(T[m]), D), m
+
+
+@settings(max_examples=300, deadline=None)
+@given(sized_instances())
+def test_exact_table_equals_value_on_every_mask(drawn):
+    fn, has_table = drawn
+    if has_table:
+        assert_table_matches(fn, fn.n)
+    else:
+        assert fn.exact_table(fn.n) is None
+    # Another ground set size is never tabulated: value() would reject it.
+    assert fn.exact_table(fn.n + 1) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(sized_instances(inexact=(0.5, 2.0)))
+def test_instance_dict_round_trip(drawn):
+    fn, _ = drawn
+    d = instance_to_dict(fn)
+    back = instance_from_dict(json.loads(json.dumps(d)))
+    assert instance_to_dict(back) == d
+    for m in range(1 << fn.n):
+        s = Subset(fn.n, m)
+        v, w = fn.value(s), back.value(s)
+        assert v == w and type(v) is type(w)
+
+
+@st.composite
+def matroids(draw):
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        return UniformMatroid(n, draw(st.integers(0, n)))
+    nblocks = draw(st.integers(1, 3))
+    blocks = draw(st.lists(st.integers(0, nblocks - 1), min_size=n, max_size=n))
+    caps = draw(st.lists(st.integers(0, 3), min_size=nblocks, max_size=nblocks))
+    return PartitionMatroid(blocks, caps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matroids())
+def test_matroid_dict_round_trip(m):
+    d = matroid_to_dict(m)
+    back = matroid_from_dict(json.loads(json.dumps(d)))
+    assert matroid_to_dict(back) == d and back.rank() == m.rank()
+    for mask in range(1 << m.n):
+        s = Subset(m.n, mask)
+        assert back.is_independent(s) == m.is_independent(s)
+
+
+@pytest.mark.parametrize("node", [5, [1], "additive", None])
+def test_from_dict_rejects_non_object_nodes(node):
+    with pytest.raises(ValueError, match="JSON object"):
+        instance_from_dict({"kind": "sum", "terms": [node]})
+    with pytest.raises(ValueError, match="JSON object"):
+        matroid_from_dict(node)
+
+
+# ---------------------------------------------------------------------------
+# The 2^61 edge: a table exists exactly while every |entry| stays below it
+# ---------------------------------------------------------------------------
+
+EDGE = TABLE_LIMIT
+
+
+@pytest.mark.parametrize("fn, has_table", [
+    # Additive: the extreme entries are the positive and the negative weight sums.
+    (AdditiveFunction([EDGE // 2, EDGE // 2 - 1]), True),
+    (AdditiveFunction([EDGE // 2, EDGE // 2]), False),
+    (AdditiveFunction([-(EDGE // 2), -(EDGE // 2 - 1), EDGE - 1]), True),
+    (AdditiveFunction([-(EDGE // 2), -(EDGE // 2), 5]), False),
+    # Scaled by D = 3: 3 * (EDGE - 1) / 3 is below, 3 * EDGE / 3 is not.
+    (AdditiveFunction([Fraction(EDGE - 1, 3), 0]), True),
+    (AdditiveFunction([Fraction(EDGE, 3), 0]), False),
+    (ConcaveCardinalityFunction([0, EDGE - 1]), True),
+    (ConcaveCardinalityFunction([-EDGE, 0]), False),
+    (ConcaveCardinalityFunction([Fraction(-(EDGE - 1), 7), 0, Fraction(1, 7)]), True),
+    # Budget-additive: the weight sum is an intermediate, so it bounds too.
+    (BudgetAdditiveFunction([EDGE - 1, 0], 5), True),
+    (BudgetAdditiveFunction([EDGE // 2, EDGE // 2], 5), False),
+    (BudgetAdditiveFunction([1, 2], EDGE - 1), True),
+    (BudgetAdditiveFunction([1, 2], EDGE), False),
+    # Sum: the terms' bounds add, each scaled to the common denominator.
+    (SumFunction([AdditiveFunction([EDGE // 2, 0]), AdditiveFunction([0, EDGE // 2 - 1])]), True),
+    (SumFunction([AdditiveFunction([EDGE // 2, 0]), AdditiveFunction([0, EDGE // 2])]), False),
+    (SumFunction([AdditiveFunction([Fraction(EDGE // 4, 2), 0]),
+                  ConcaveCardinalityFunction([0, Fraction(EDGE // 4 - 1, 3), Fraction(EDGE // 4 - 1, 3)])]), True),
+    # An all-zero term at a huge common denominator adds nothing.
+    (SumFunction([AdditiveFunction([Fraction(1, 2 ** 70)] * 2), AdditiveFunction([0, 0])]), True),
+])
+def test_table_falls_back_at_the_edge(fn, has_table):
+    n = fn.n
+    if has_table:
+        assert_table_matches(fn, n)
+    else:
+        assert fn.exact_table(n) is None
+    # For one-term kinds the generic rescaling draws the line at the same place.
+    if not isinstance(fn, (SumFunction, BudgetAdditiveFunction)):
+        assert (_exact_int_table(tabulate(fn, n)) is not None) == has_table
+    for check, ref in ((check_submodular, reference_check_submodular),
+                       (check_monotone, reference_check_monotone)):
+        assert_same_report(check(fn, n), ref(fn, n))
+
+
+def test_sum_table_is_over_the_lcm_of_its_terms():
+    """Terms over the coprime denominators 2, 3, 5 and 7 (nested too)."""
+    fn = SumFunction([
+        AdditiveFunction([Fraction(1, 2), 1, Fraction(-3, 2)]),
+        ConcaveCardinalityFunction([0, Fraction(2, 3), Fraction(4, 3), Fraction(5, 3)]),
+        SumFunction([BudgetAdditiveFunction([Fraction(1, 5), 2, True], Fraction(16, 7)),
+                     CoverageFunction(4, [[0], [1, 2], [2, 3]])]),
+    ])
+    assert fn.exact_table(3)[1] == 2 * 3 * 5 * 7
+    assert_table_matches(fn, 3)
+
+
+def test_coverage_universe_edge():
+    covers = [[62], [0, 62], [30]]
+    assert_table_matches(CoverageFunction(63, covers), 3)
+    assert CoverageFunction(64, covers).exact_table(3) is None
+
+
+# ---------------------------------------------------------------------------
+# Checkers against the generic per-mask code
+# ---------------------------------------------------------------------------
+
+def _corpus_cases():
+    """Each corpus instance with the next one of the same size (11 per size)."""
+    for seed in (0, 1):
+        corpus = instance_corpus(seed, sizes=(8, 12))
+        for j, fn in enumerate(corpus):
+            other = corpus[j - j % 11 + (j + 1) % 11]
+            yield pytest.param(seed, fn, other, id=f"{seed}-{j}-{fn.kind}")
+
+
+@pytest.mark.parametrize("seed, fn, other", _corpus_cases())
+def test_corpus_reports_equal_generic(seed, fn, other):
+    n = fn.n
+    assert fn.exact_table(n) is not None and other.n == n
+    assert_same_report(check_submodular(fn, n), reference_check_submodular(fn, n))
+    assert_same_report(check_monotone(fn, n), reference_check_monotone(fn, n))
+    # Both sides tabulated (a pass), another instance as F (usually an early
+    # failure), and, at n = 8 to keep the hash cost down, a float-valued noisy F.
+    cases = [(fn, 0.3), (other, 0.5)] + [(consistent_noise(fn, 0.25, seed), 0.25)] * (n == 8)
+    for F, eps in cases:
+        assert_same_report(check_sandwich(F, fn, eps, n), reference_check_sandwich(F, fn, eps, n))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hard_pair_sandwiches_equal_generic(seed):
+    params = HardPairParams(12, 6, 2, 5, 0.3)
+    pair = build_monotone_pair(params, draw_hidden_set(12, params.h, seed))
+    sw = build_sandwich(pair)
+    eps = params.epsilon
+    passed = check_sandwich(sw, pair.fh, eps, 12)
+    assert passed.passed
+    assert_same_report(passed, reference_check_sandwich(sw, pair.fh, eps, 12))
+    failed = check_sandwich(sw, pair.g, eps, 12)
+    assert not failed.passed
+    assert_same_report(failed, reference_check_sandwich(sw, pair.g, eps, 12))
+    # The table on the F side instead, against the untabulated sandwich.
+    for F in (pair.fh, pair.g):
+        assert_same_report(check_sandwich(F, sw, eps, 12), reference_check_sandwich(F, sw, eps, 12))
+    # A float F against g's table, whose denominator is 2: a pass and a failure.
+    assert pair.g.exact_table(12)[1] == 2
+    for band_eps in (0.25, 0.1):
+        noisy = consistent_noise(pair.g, 0.25, seed)
+        assert_same_report(check_sandwich(noisy, pair.g, band_eps, 12),
+                           reference_check_sandwich(noisy, pair.g, band_eps, 12))
+    for fn in (pair.fh, pair.g):
+        assert_same_report(check_submodular(fn, 12), reference_check_submodular(fn, 12))
+        assert_same_report(check_monotone(fn, 12), reference_check_monotone(fn, 12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(instances(n), instances(n))),
+       st.sampled_from([0.1, 0.5, Fraction(1, 3)]))
+def test_random_instances_report_equal_generic(pair, eps):
+    (F, _), (f, _) = pair
+    n = f.n
+    assert_same_report(check_submodular(f, n), reference_check_submodular(f, n))
+    assert_same_report(check_monotone(f, n), reference_check_monotone(f, n))
+    assert_same_report(check_sandwich(F, f, eps, n), reference_check_sandwich(F, f, eps, n))
+
+
+@pytest.mark.parametrize("f", [
+    CoverageFunction(5, [list(range(5))] * 12),
+    instance_corpus(0, sizes=(8,))[2],
+    instance_corpus(1, sizes=(8,))[10],
+], ids=["default-fixture", "budget-additive", "sum"])
+def test_sampling_validation_equals_generic(f):
+    for family, width in (("uniform-relative", 0.5), ("additive-bounded", 1.0)):
+        kwargs = dict(epsilon=0.1, confidence_constant=3.0, trials=4, seed=7,
+                      k=3, width=width, family=family)
+        assert run_sampling_validation(f, **kwargs) == reference_run_sampling_validation(f, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# The trap's band check
+# ---------------------------------------------------------------------------
+
+def test_trap_band_check_rejects_rounded_blocks(capsys):
+    trap = build_greedy_trap(12, 0.5, 48)  # stays permissive: |A| = 2 rounds 1/(2 eps)
+    with pytest.raises(ValueError, match="leaves the band"):
+        trap.check_band()
+    with pytest.raises(ValueError, match="leaves the band"):
+        run_trap(12, 0.5, 48)
+    build_greedy_trap(16, 0.5, 64).check_band()
+    for argv in (["trap", "--k", "12", "--n", "48"], ["trap", "--curve", "12"],
+                 ["generate", "--construction", "trap", "--k", "12", "--n", "48",
+                  "--beta", "0.5"]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_rejects_non_object_instance_node(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"kind": "sum", "terms": [5]}))
+    assert cli.main(["verify", "--property", "submodular", "--instance", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: an instance must be a JSON object, got int\n"
