@@ -385,6 +385,8 @@ def run_sampling_validation(
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     n = f.n
+    if n > 20:  # the value range below visits all 2^n sets
+        raise ValueError(f"sampling validation guarded at n <= 20, got {n}")
     table = exact_table(f, n)
     if table is None:
         vals = [f.value(Subset._raw(n, m_, m_.bit_count())) for m_ in range(1, 1 << n)]

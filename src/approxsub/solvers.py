@@ -42,30 +42,36 @@ def greedy_cardinality(F: ValueOracle, n: int, k: int) -> SolveResult:
     """Plain greedy under a cardinality budget: k rounds, each adding the
     element maximizing the queried value of the augmented set.
 
-    Exactly k elements are selected (monotone oracles never lose by filling
-    the budget); queries_used = sum over rounds of the remaining pool size.
+    Each round walks the bits of the complement of the chosen mask in
+    increasing order and queries chosen + {a} for each; only a strictly
+    larger value replaces the best, so ties go to the smallest id.  Exactly k
+    elements are selected (monotone oracles never lose by filling the
+    budget); queries_used = sum over rounds of the remaining pool size.
     """
     if n != F.n:
         raise ValueError(f"ground set mismatch: oracle n={F.n}, n={n}")
     if k > n:
         raise ValueError(f"budget k={k} exceeds n={n}")
     start = F.query_count
-    chosen = Subset.empty(n)
+    full = (1 << n) - 1
+    mask = 0
     trace: list[tuple[int, int]] = []
     best_value = 0
-    for _ in range(k):
-        best = None
+    for size in range(1, k + 1):
+        best = 0
         best_val = None
-        for a in range(n):
-            if chosen.contains(a):
-                continue
-            v = F.query(chosen.add(a))
+        rest = full ^ mask
+        while rest:
+            low = rest & -rest
+            v = F.query(Subset._raw(n, mask | low, size))
             if best_val is None or v > best_val:
-                best, best_val = a, v
-        chosen = chosen.add(best)
+                best, best_val = low, v
+            rest ^= low
+        mask |= best
         best_value = best_val
-        trace.append((best, F.query_count - start))
-    return SolveResult(chosen, best_value, trace, F.query_count - start)
+        trace.append((best.bit_length() - 1, F.query_count - start))
+    return SolveResult(Subset._raw(n, mask, len(trace)), best_value, trace,
+                       F.query_count - start)
 
 
 def greedy_matroid(F: ValueOracle, matroid: Matroid) -> SolveResult:
@@ -116,35 +122,42 @@ def curvature_topk(F: ValueOracle, n: int, k: int) -> SolveResult:
 
 
 def brute_force(F, n: int, constraint) -> SolveResult:
-    """Exact maximizer by full enumeration; the reference oracle for every
-    ratio claim.
+    """Exact maximizer by enumeration; the reference oracle for every ratio
+    claim.
 
-    ``constraint`` is either an integer budget k or a matroid.  Ties break
-    toward the smallest mask.  Guarded at n <= 24.
+    ``constraint`` is either an integer budget k or a matroid.  Masks are
+    visited in increasing order and ties break toward the smallest mask.
+    Under a budget, a mask with more than k elements jumps to
+    mask + lowbit(mask): every mask in between keeps all of mask's bits from
+    lowbit up, so none of them is feasible, and exactly the masks with at
+    most k elements are queried.  A matroid never jumps (its ``rank()`` is
+    not trusted); ``is_independent`` filters every mask.  Guarded at n <= 24.
     """
     if n > 24:
         raise ValueError(f"brute force guarded at n <= 24, got {n}")
     oracle = as_oracle(F)
     if oracle.n != n:
         raise ValueError(f"ground set mismatch: oracle n={oracle.n}, n={n}")
-    if isinstance(constraint, Matroid):
-        feasible = constraint.is_independent
-    else:
-        k = int(constraint)
-
-        def feasible(s: Subset) -> bool:
-            return s.size <= k
-
+    matroid = constraint if isinstance(constraint, Matroid) else None
+    limit = n if matroid is not None else int(constraint)
+    if limit < 0:  # no feasible set; the jump would stall at mask 0
+        return SolveResult(None, None, [], 0)
     start = oracle.query_count
     best = None
     best_val = None
-    for mask in range(1 << n):
-        s = Subset._raw(n, mask, mask.bit_count())
-        if not feasible(s):
+    end = 1 << n
+    mask = 0
+    while mask < end:
+        size = mask.bit_count()
+        if size > limit:
+            mask += mask & -mask
             continue
-        v = oracle.query(s)
-        if best_val is None or v > best_val:
-            best, best_val = s, v
+        s = Subset._raw(n, mask, size)
+        if matroid is None or matroid.is_independent(s):
+            v = oracle.query(s)
+            if best_val is None or v > best_val:
+                best, best_val = s, v
+        mask += 1
     return SolveResult(best, best_val, [], oracle.query_count - start)
 
 

@@ -420,6 +420,14 @@ def test_cli_sample_rejects_negative_trials(tmp_path, capsys):
     _assert_rejected(capsys, ["sample", "--config", str(path)])
 
 
+@pytest.mark.parametrize("n", [21, 30])
+def test_cli_sample_rejects_large_ground_set(tmp_path, capsys, n):
+    """Guarded before the 2^n value-range pass, so this returns at once."""
+    path = tmp_path / "sample.json"
+    path.write_text(json.dumps({"n": n}))
+    _assert_rejected(capsys, ["sample", "--config", str(path)])
+
+
 def test_zero_trials_report_empty_summaries():
     rows, summary = run_distinguishability(256, 0.45, trials=0, seed=0)
     assert rows == [] and summary["trials"] == 0

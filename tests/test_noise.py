@@ -3,8 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from approxsub.functions import AdditiveFunction, CoverageFunction
+from approxsub.functions import (
+    AdditiveFunction,
+    BudgetAdditiveFunction,
+    ConcaveCardinalityFunction,
+    CoverageFunction,
+    SumFunction,
+)
 from approxsub.noise import (
     ConsistentNoiseOracle,
     InconsistentNoiseOracle,
@@ -15,6 +22,7 @@ from approxsub.noise import (
     required_samples,
 )
 from approxsub.sets import Subset
+from approxsub.verify import check_sandwich
 
 
 def _random_subsets(n, count, seed):
@@ -44,6 +52,63 @@ def test_different_seed_differs_somewhere():
     a = consistent_noise(f, 0.3, 1)
     b = consistent_noise(f, 0.3, 2)
     assert any(a.value(s) != b.value(s) for s in _random_subsets(30, 100, 8))
+
+
+nonnegative = st.one_of(st.integers(0, 20),
+                        st.fractions(min_value=0, max_value=20, max_denominator=12))
+
+
+@st.composite
+def exact_instances(draw, n=None, depth=1):
+    """Nonnegative exact instances of every kind on at most 8 elements."""
+    n = draw(st.integers(1, 8)) if n is None else n
+    kind = draw(st.sampled_from(["additive", "budget_additive", "coverage", "concave"]
+                                + ["sum"] * depth))
+    if kind == "sum":
+        return SumFunction(draw(st.lists(exact_instances(n, depth - 1), min_size=1, max_size=3)))
+    if kind == "coverage":
+        covers = st.lists(st.integers(0, 9), max_size=4)
+        return CoverageFunction(10, draw(st.lists(covers, min_size=n, max_size=n)))
+    if kind == "concave":
+        table = [draw(nonnegative)]
+        for d in sorted(draw(st.lists(nonnegative, min_size=n, max_size=n)), reverse=True):
+            table.append(table[-1] + d)
+        return ConcaveCardinalityFunction(table)
+    weights = draw(st.lists(nonnegative, min_size=n, max_size=n))
+    if kind == "additive":
+        return AdditiveFunction(weights)
+    return BudgetAdditiveFunction(weights, draw(nonnegative))
+
+
+seeds = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_instances(), st.floats(0, 0.9), seeds)
+def test_consistent_noise_stays_in_band(f, eps, seed):
+    report = check_sandwich(consistent_noise(f, eps, seed), f, eps, f.n)
+    assert report.passed, report
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_instances(), st.floats(0, 0.9), seeds)
+def test_consistent_noise_is_reproducible(f, eps, seed):
+    a, b = consistent_noise(f, eps, seed), consistent_noise(f, eps, seed)
+    for mask in range(1 << f.n):
+        s = Subset(f.n, mask)
+        first = a.query(s)
+        assert a.query(s) == first == b.query(s)
+    assert a.query_count == 2 << f.n
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_instances(), st.floats(0.01, 0.9), seeds, seeds)
+def test_consistent_noise_depends_on_seed(f, eps, seed, other):
+    assume(seed != other)
+    sets = [Subset(f.n, mask) for mask in range(1 << f.n)]
+    assume(any(f.value(s) != 0 for s in sets))
+    a, b = consistent_noise(f, eps, seed), consistent_noise(f, eps, other)
+    assert any(a.value(s) != b.value(s) for s in sets)
 
 
 def test_ratio_range_and_mean():

@@ -179,6 +179,46 @@ def test_brute_force_guard():
         brute_force(AdditiveFunction([1] * 25), 25, 2)
 
 
+class BandAdversary:
+    """Exact worst-case member of the band around f: deflate every set that
+    meets f's optimum O by (1 - eps) and inflate every other set by (1 + eps),
+    so greedy is steered away from O."""
+
+    kind = "band_adversary"
+
+    def __init__(self, f, epsilon: Fraction, optimum_mask: int):
+        self.f = f
+        self.n = f.n
+        self.lo, self.hi = 1 - epsilon, 1 + epsilon
+        self.optimum_mask = optimum_mask
+
+    def value(self, s: Subset):
+        return (self.lo if s.mask & self.optimum_mask else self.hi) * self.f.value(s)
+
+
+def band_adversary_ratios(k):
+    """(greedy / F's optimum, greedy_bound) for every corpus instance and
+    eps in {0, 1/(2k), 1/k} against the band adversary."""
+    out = []
+    for f in instance_corpus(0, sizes=(8, 10)):
+        optimum = brute_force(f, f.n, k).chosen.mask
+        for eps in (Fraction(0), Fraction(1, 2 * k), Fraction(1, k)):
+            F = as_oracle(BandAdversary(f, eps, optimum))
+            res = greedy_cardinality(F, f.n, k)
+            best = brute_force(F, f.n, k).value
+            assert type(res.value) is type(best) is Fraction
+            out.append((float(res.value) / float(best), greedy_bound(k, float(eps)).ratio))
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_greedy_guarantee_under_band_adversary(k):
+    """Criterion 05's comparison, against an exact in-band adversary rather
+    than random noise."""
+    for ratio, bound in band_adversary_ratios(k):
+        assert ratio >= bound - 1e-12, (ratio, bound)
+
+
 # ---------------------------------------------------------------------------
 # Bound formulas
 # ---------------------------------------------------------------------------
