@@ -9,11 +9,10 @@ claim exactly.
 """
 
 from .adversarial import (
-    CoverageHardPair,
     GreedyTrapInstance,
+    HardPair,
     HardPairParams,
     HiddenSet,
-    MonotoneHardPair,
     SandwichFunction,
     build_coverage_pair,
     build_greedy_trap,

@@ -1,11 +1,13 @@
 """Adversarial instance generators.
 
-Three families:
+Two constructions:
 
-* a monotone hard pair (planted function and its cardinality-only decoy)
-  whose maxima are separated by a provable gap while the two functions agree
-  on most query paths;
-* a coverage-realizable variant of the same pair;
+* a hard pair (:class:`HardPair`): a planted function fh and its
+  cardinality-only decoy g whose maxima are separated by a provable gap while
+  the two agree on most query paths.  It comes in two families, monotone and
+  coverage-realizable; in both, fh is a sum of zoo kinds (additive on the
+  planted set plus a budget-additive or concave-of-cardinality term) and g is
+  concave of cardinality;
 * a greedy trap built from an additive function with a deflation override on
   a thin family of sets.
 
@@ -15,6 +17,7 @@ All constructions evaluate exactly (int/Fraction arithmetic).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +27,7 @@ from .functions import (
     AdditiveFunction,
     BudgetAdditiveFunction,
     ConcaveCardinalityFunction,
+    CoverageFunction,
     FunctionInstance,
     SumFunction,
 )
@@ -47,6 +51,10 @@ class HardPairParams:
     beta: float | None = None
 
     def __post_init__(self):
+        for name in ("n", "h", "alpha", "k"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
         if not 1 <= self.alpha <= self.k:
@@ -129,36 +137,85 @@ def draw_hidden_set(n: int, h: int, seed: int) -> HiddenSet:
 
 
 @dataclass(frozen=True)
-class MonotoneHardPair:
-    """Planted function fh(S) = |S inter H| + min(|S minus H|, cap) and its
-    cardinality-only decoy g(S) = min(|S|, |S| h/n + cap).
+class HardPair:
+    """A planted function fh, its cardinality-only decoy g, and the draw
+    that planted them.
 
-    fh is a sum of an additive function (indicator of H) and a budget-additive
-    function (indicator of the complement, budget = cap); g is concave of
-    cardinality.  Both are monotone submodular; they coincide on all sets with
-    |S| <= alpha and |S minus H| <= cap.
+    ``fh_cov``/``g_cov`` are optional explicit coverage realizations scaled
+    by ``scale``: ``fh_cov.value(S) == scale * fh.value(S)``, likewise g.
     """
 
     fh: SumFunction
     g: ConcaveCardinalityFunction
     params: HardPairParams
     hidden: HiddenSet
+    fh_cov: CoverageFunction | None = None
+    g_cov: CoverageFunction | None = None
+    scale: int | None = None
 
 
-def build_monotone_pair(params: HardPairParams, hidden: HiddenSet) -> MonotoneHardPair:
+def _membership(params: HardPairParams, hidden: HiddenSet) -> list[int]:
+    """0/1 indicator of the hidden set, after checking it fits the params."""
     if hidden.subset.n != params.n:
         raise ValueError("hidden set drawn over a different ground set")
     if hidden.h != params.h:
         raise ValueError(f"hidden set size {hidden.h} != h = {params.h}")
-    n, h = params.n, params.h
-    cap = params.cap
-    member = [1 if hidden.subset.contains(e) else 0 for e in range(n)]
-    on_hidden = AdditiveFunction(member)
-    off_hidden = BudgetAdditiveFunction([1 - m for m in member], cap)
-    fh = SumFunction([on_hidden, off_hidden])
-    table = [min(i, Fraction(i * h, n) + cap) for i in range(n + 1)]
-    g = ConcaveCardinalityFunction(table)
-    return MonotoneHardPair(fh=fh, g=g, params=params, hidden=hidden)
+    mask = hidden.subset.mask
+    return [mask >> e & 1 for e in range(params.n)]
+
+
+def build_monotone_pair(params: HardPairParams, hidden: HiddenSet) -> HardPair:
+    """fh(S) = |S inter H| + min(|S minus H|, cap), g(S) = min(|S|, |S| h/n + cap).
+
+    fh is additive on H plus budget-additive off H (budget cap); g is concave
+    of cardinality.  Both are monotone submodular; they coincide on all sets
+    with |S| <= alpha and |S minus H| <= cap.
+    """
+    member = _membership(params, hidden)
+    n, h, cap = params.n, params.h, params.cap
+    fh = SumFunction([AdditiveFunction(member),
+                      BudgetAdditiveFunction([1 - m for m in member], cap)])
+    g = ConcaveCardinalityFunction([min(i, Fraction(i * h, n) + cap) for i in range(n + 1)])
+    return HardPair(fh=fh, g=g, params=params, hidden=hidden)
+
+
+def build_coverage_pair(
+    params: HardPairParams, hidden: HiddenSet, realize_explicitly: bool = False
+) -> HardPair:
+    """fh(S) = |S inter H| + alpha and g(S) = |S| h/n + alpha on nonempty S,
+    both 0 at the empty set: additive on H plus a step of height alpha, and
+    concave of cardinality.
+
+    With ``realize_explicitly`` (n <= 20) both are also built as coverage
+    functions scaled by n, so every universe cardinality is an integer: every
+    ground element covers one shared block of n alpha universe elements (the
+    +alpha step), members of H add n private elements each to fh, and every
+    element adds h private elements to g.
+    """
+    member = _membership(params, hidden)
+    n, h, alpha = params.n, params.h, params.alpha
+    fh = SumFunction([AdditiveFunction(member),
+                      ConcaveCardinalityFunction([0] + [alpha] * n)])
+    g = ConcaveCardinalityFunction([0] + [Fraction(i * h, n) + alpha for i in range(1, n + 1)])
+    if not realize_explicitly:
+        return HardPair(fh=fh, g=g, params=params, hidden=hidden)
+    if n > 20:
+        raise ValueError(f"explicit realization supported only for n <= 20, got {n}")
+    shared = (1 << (n * alpha)) - 1
+    covers_fh, covers_g = [], []
+    offset_fh = offset_g = n * alpha
+    for e in range(n):
+        mask = shared
+        if member[e]:
+            mask |= ((1 << n) - 1) << offset_fh
+            offset_fh += n
+        covers_fh.append(mask)
+        covers_g.append(shared | (((1 << h) - 1) << offset_g))
+        offset_g += h
+    universe = n * alpha + n * h
+    return HardPair(fh=fh, g=g, params=params, hidden=hidden,
+                    fh_cov=CoverageFunction(universe, covers_fh),
+                    g_cov=CoverageFunction(universe, covers_g), scale=n)
 
 
 class Band:
@@ -174,6 +231,8 @@ class Band:
     __slots__ = ("q", "q_lo", "q_hi", "lo", "hi")
 
     def __init__(self, epsilon):
+        if not 0 <= epsilon < math.inf:
+            raise ValueError(f"band epsilon must be nonnegative and finite, got {epsilon}")
         eps = Fraction(epsilon)
         p, self.q = eps.numerator, eps.denominator
         self.q_lo, self.q_hi = self.q - p, self.q + p
@@ -251,102 +310,6 @@ def gap_bound(params: HardPairParams) -> Fraction:
     """Ratio alpha/k + h/n separating the decoy's constrained maximum from the
     planted function's.  Exact rational; may exceed 1 (vacuously valid)."""
     return Fraction(params.alpha, params.k) + Fraction(params.h, params.n)
-
-
-class _CoverageFormPlanted(FunctionInstance):
-    """Closed form |S inter H| + alpha for nonempty S, 0 at the empty set."""
-
-    kind = "coverage_pair_planted"
-
-    def __init__(self, hidden: Subset, alpha: int):
-        self.n = hidden.n
-        self._hidden = hidden
-        self._alpha = alpha
-
-    def value(self, s: Subset) -> int:
-        self._check_ground(s)
-        if s.size == 0:
-            return 0
-        return s.intersection_size(self._hidden) + self._alpha
-
-
-class _CoverageFormDecoy(FunctionInstance):
-    """Closed form |S| h/n + alpha for nonempty S, 0 at the empty set."""
-
-    kind = "coverage_pair_decoy"
-
-    def __init__(self, n: int, h: int, alpha: int):
-        self.n = n
-        self._h = h
-        self._alpha = alpha
-
-    def value(self, s: Subset):
-        self._check_ground(s)
-        if s.size == 0:
-            return 0
-        return Fraction(s.size * self._h, self.n) + self._alpha
-
-
-@dataclass(frozen=True)
-class CoverageHardPair:
-    """Coverage-realizable hard pair in closed form, optionally backed by
-    explicit coverage functions.
-
-    The explicit realizations are scaled by n so all universe cardinalities
-    are integers: ``fh_cov.value(S) == n * fh.value(S)`` and likewise for the
-    decoy.  Every ground element covers the same shared block of n*alpha
-    universe elements, which produces the +alpha offset on nonempty sets.
-    """
-
-    fh: _CoverageFormPlanted
-    g: _CoverageFormDecoy
-    params: HardPairParams
-    hidden: HiddenSet
-    fh_cov: object | None = None
-    g_cov: object | None = None
-    scale: int | None = None
-
-
-def build_coverage_pair(
-    params: HardPairParams, hidden: HiddenSet, realize_explicitly: bool = False
-) -> CoverageHardPair:
-    if hidden.subset.n != params.n:
-        raise ValueError("hidden set drawn over a different ground set")
-    if hidden.h != params.h:
-        raise ValueError(f"hidden set size {hidden.h} != h = {params.h}")
-    n, h, alpha = params.n, params.h, params.alpha
-    fh = _CoverageFormPlanted(hidden.subset, alpha)
-    g = _CoverageFormDecoy(n, h, alpha)
-    fh_cov = g_cov = scale = None
-    if realize_explicitly:
-        if n > 20:
-            raise ValueError(f"explicit realization supported only for n <= 20, got {n}")
-        from .functions import CoverageFunction
-
-        scale = n
-        shared = (1 << (n * alpha)) - 1
-        # Planted: members of the hidden set add n private universe elements.
-        covers_fh = []
-        offset = n * alpha
-        for e in range(n):
-            mask = shared
-            if hidden.subset.contains(e):
-                mask |= ((1 << n) - 1) << offset
-                offset += n
-            covers_fh.append(mask)
-        fh_universe = n * alpha + n * h
-        fh_cov = CoverageFunction(fh_universe, covers_fh)
-        # Decoy: every element adds h private universe elements.
-        covers_g = []
-        offset = n * alpha
-        for e in range(n):
-            covers_g.append(shared | (((1 << h) - 1) << offset))
-            offset += h
-        g_cov = CoverageFunction(n * alpha + n * h, covers_g)
-    return CoverageHardPair(
-        fh=fh, g=g, params=params, hidden=hidden,
-        fh_cov=fh_cov, g_cov=g_cov, scale=scale,
-    )
 
 
 class SandwichFunction(FunctionInstance):

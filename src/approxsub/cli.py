@@ -136,7 +136,10 @@ def _cmd_sweep(args) -> int:
         corpus = experiments.instance_corpus(
             cfg.get("corpus_seed", args.seed), sizes=tuple(cfg.get("sizes", (8, 10))),
         )
-        instances = corpus[: cfg.get("count", len(corpus))]
+        count = cfg.get("count", len(corpus))
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        instances = corpus[:count]
     rows = experiments.run_noise_sweep(instances, k, delta_grid, seeds)
     _emit(rows, args)
     bad = [r for r in rows if not r.get("ok", True)]
@@ -202,10 +205,6 @@ def _cmd_generate(args) -> int:
     else:
         params = power_law_params(args.n, args.beta)
         hidden = draw_hidden_set(params.n, params.h, args.seed)
-        if args.construction == "coverage":
-            build_coverage_pair(params, hidden)
-        else:
-            build_monotone_pair(params, hidden)
         meta = {
             "construction": args.construction, "n": params.n, "h": params.h,
             "alpha": params.alpha, "k": params.k, "epsilon": params.epsilon,

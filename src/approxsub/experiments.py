@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -273,7 +274,7 @@ def run_noise_sweep(instances, k: int, delta_grid, seeds) -> list[dict]:
             raise ValueError(f"sweep instances must allow brute force, got n={inst.n}")
     rows = []
     for seed in seeds:
-        seed = int(seed)
+        seed = operator.index(seed)
         for idx, inst in enumerate(instances):
             for delta in delta_grid:
                 eps = float(delta) / k
@@ -384,6 +385,8 @@ def run_sampling_validation(
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    if not k >= 1:
+        raise ValueError(f"greedy budget k must be >= 1, got {k}")
     n = f.n
     if n > 20:  # the value range below visits all 2^n sets
         raise ValueError(f"sampling validation guarded at n <= 20, got {n}")

@@ -335,7 +335,11 @@ def _num_to_obj(x):
 
 def _num_from_obj(o):
     if isinstance(o, dict):
+        if o["den"] == 0:
+            raise ValueError(f"zero denominator in {o}")
         return Fraction(o["num"], o["den"])
+    if isinstance(o, float) and not math.isfinite(o):
+        raise ValueError(f"non-finite number {o}")
     return o
 
 

@@ -94,8 +94,8 @@ class InconsistentNoiseOracle:
     def __init__(self, base, family: str, width: float, seed: int):
         if family not in self.FAMILIES:
             raise ValueError(f"unknown noise family {family!r}")
-        if width < 0:
-            raise ValueError("width must be nonnegative")
+        if not 0 <= width < math.inf:
+            raise ValueError(f"width must be nonnegative and finite, got {width}")
         self.base = base
         self.n = base.n
         self.family = family
@@ -139,8 +139,13 @@ def required_samples(B, b, n, epsilon: float, confidence_constant: float = 3.0) 
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if n < 1:
         raise ValueError("n must be at least 1")
-    m = math.ceil(confidence_constant * B * math.log(n) / (b * epsilon * epsilon))
-    return max(1, m)
+    if not 0 < confidence_constant < math.inf:
+        raise ValueError(
+            f"confidence_constant must be positive and finite, got {confidence_constant}")
+    m = confidence_constant * B * math.log(n) / (b * epsilon * epsilon)
+    if not m < math.inf:
+        raise ValueError(f"sample count {m} is not finite")
+    return max(1, math.ceil(m))
 
 
 class SamplingEstimator(ValueOracle):

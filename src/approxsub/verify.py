@@ -190,8 +190,8 @@ def check_sandwich(
         total = 1 << n
         F_tab, f_tab = exact_table(F, n), exact_table(f, n)
     elif mode == "sampled":
-        if not trials or seed is None:
-            raise ValueError("sampled mode needs trials and seed")
+        if trials is None or not trials >= 1 or seed is None:
+            raise ValueError(f"sampled mode needs trials >= 1 and a seed, got trials={trials}")
         rng = random.Random(seed)
         masks = (rng.getrandbits(n) for _ in range(trials))
         total = trials

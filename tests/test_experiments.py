@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import approxsub.cli as cli
 from approxsub.adversarial import HardPairParams, build_monotone_pair, build_sandwich, draw_hidden_set
@@ -471,3 +474,77 @@ def test_cli_parameter_rejection_exit_code(capsys):
     code = cli.main(["distinguish", "--n", "100", "--beta", "0.25", "--trials", "1"])
     assert code == 2
 
+
+
+_SANDWICH_SAMPLED = {"construction": {"n": 10, "h": 4, "alpha": 2, "k": 3, "epsilon": 0.3,
+                                      "family": "coverage"},
+                     "seed": 1, "mode": "sampled"}
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["sample"], '{"k": 0}'),
+    (["sample"], '{"k": -2}'),
+    (["sample"], '{"confidence_constant": -1}'),
+    (["sample"], '{"confidence_constant": 0}'),
+    (["verify", "--property", "sandwich"], json.dumps({**_SANDWICH_SAMPLED, "trials": -3})),
+    (["verify", "--property", "monotone"], '{"kind": "additive", "weights": [1, {"num": 1, "den": 0}]}'),
+    (["verify", "--property", "monotone"], '{"kind": "additive", "weights": [1, NaN]}'),
+    (["verify", "--property", "submodular"], '{"kind": "additive", "weights": [1, 1e400]}'),
+    (["verify", "--property", "monotone"], '{"kind": "concave_cardinality", "table": [0, Infinity]}'),
+    (["sweep"], '{"count": -1}'),
+    (["sweep"], '{"seeds": [Infinity], "sizes": [6], "count": 1}'),
+    (["sample"], '{"n": 5, "trials": 2, "width": NaN}'),
+    (["verify", "--property", "sandwich"],
+     json.dumps({**_SANDWICH_SAMPLED, "trials": 5,
+                 "construction": {**_SANDWICH_SAMPLED["construction"], "n": math.inf}})),
+    (["verify", "--property", "sandwich"],
+     '{"instance": {"kind": "additive", "weights": [1, 2]}, "mode": "sampled", "trials": 5, '
+     '"seed": 1, "noise": {"kind": "inconsistent", "width": 0.5, "m": 2, "epsilon": Infinity}}'),
+])
+def test_cli_rejects_malformed_input(tmp_path, capsys, argv, text):
+    """Each input once exited 0 or 1, with or without a traceback."""
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    flag = "--instance" if argv[-1] in ("monotone", "submodular") else "--config"
+    _assert_rejected(capsys, argv + [flag, str(path)])
+
+
+_junk = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.5, 0.0, 0.5]),
+    st.lists(st.one_of(st.integers(-2, 3), st.sampled_from([math.nan, math.inf])), max_size=2),
+)
+_BASES = {  # command: (valid small config, fields to spoil as (block or None, key))
+    "sweep": ({"k": 2, "delta_grid": [0.0, 0.5], "seeds": [0], "sizes": [6], "count": 1},
+              [(None, f) for f in ("k", "delta_grid", "seeds", "sizes", "count", "corpus_seed")]),
+    "sample": ({"n": 5, "k": 2, "trials": 2, "epsilon": 0.5},
+               [(None, f) for f in ("n", "alpha", "epsilon", "confidence_constant", "trials",
+                                    "seed", "k", "width", "family")]),
+    "sandwich": ({**_SANDWICH_SAMPLED, "trials": 20},
+                 [("construction", f) for f in ("n", "h", "alpha", "k", "epsilon", "family")]
+                 + [(None, f) for f in ("seed", "mode", "trials")]),
+    "sandwich-noise": ({"instance": {"kind": "additive", "weights": [1, 2, 3]},
+                        "noise": {"kind": "inconsistent", "width": 0.5, "epsilon": 0.3,
+                                  "m": 2, "seed": 1},
+                        "mode": "sampled", "trials": 5, "seed": 1},
+                       [("noise", f) for f in ("kind", "family", "width", "epsilon", "m", "seed",
+                                               "B", "b", "confidence_constant")]
+                       + [(None, f) for f in ("mode", "trials", "seed")]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_BASES)), st.data())
+def test_cli_never_raises_on_malformed_config(tmp_path_factory, command, data):
+    """Whatever the config fields hold, main returns 0, 1 or 2 and raises nothing."""
+    base, fields = _BASES[command]
+    cfg = json.loads(json.dumps(base))
+    for block, key in data.draw(st.lists(st.sampled_from(fields), min_size=1, max_size=3,
+                                         unique=True)):
+        (cfg[block] if block else cfg)[key] = data.draw(_junk)
+    path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = [command] if command in ("sweep", "sample") else ["verify", "--property", "sandwich"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv + ["--config", str(path)])
+    assert code in (0, 1, 2)
