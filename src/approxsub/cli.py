@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 
 from . import experiments
@@ -84,12 +85,15 @@ def _cmd_verify(args) -> int:
         cfg = _load_json(args.config)
         if "construction" in cfg:
             c = cfg["construction"]
+            if not isinstance(c, dict):
+                raise ValueError(f"a construction must be a JSON object, got {type(c).__name__}")
             from .adversarial import HardPairParams
 
             params = HardPairParams(
                 n=c["n"], h=c["h"], alpha=c["alpha"], k=c["k"], epsilon=c["epsilon"],
             )
-            hidden = draw_hidden_set(params.n, params.h, cfg.get("seed", args.seed))
+            hidden = draw_hidden_set(params.n, params.h,
+                                     operator.index(cfg.get("seed", args.seed)))
             pair = (build_coverage_pair if c.get("family") == "coverage"
                     else build_monotone_pair)(params, hidden)
             F = build_sandwich(pair)
@@ -133,9 +137,10 @@ def _cmd_sweep(args) -> int:
     if "instances" in cfg:
         instances = [instance_from_dict(d) for d in cfg["instances"]]
     else:
-        corpus = experiments.instance_corpus(
-            cfg.get("corpus_seed", args.seed), sizes=tuple(cfg.get("sizes", (8, 10))),
-        )
+        sizes = tuple(operator.index(size) for size in cfg.get("sizes", (8, 10)))
+        if not all(1 <= size <= experiments.SWEEP_MAX_N for size in sizes):
+            raise ValueError(f"sweep sizes must be in 1..{experiments.SWEEP_MAX_N}, got {sizes}")
+        corpus = experiments.instance_corpus(cfg.get("corpus_seed", args.seed), sizes=sizes)
         count = cfg.get("count", len(corpus))
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")

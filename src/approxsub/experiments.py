@@ -259,6 +259,9 @@ def run_distinguishability(
 # Greedy noise sweep
 # ---------------------------------------------------------------------------
 
+SWEEP_MAX_N = 14  # brute force visits up to 2^n sets per run
+
+
 def run_noise_sweep(instances, k: int, delta_grid, seeds) -> list[dict]:
     """For each instance, error level delta (eps = delta/k), and seed: wrap in
     consistent noise, run greedy, and compare against the brute-force optimum
@@ -270,7 +273,7 @@ def run_noise_sweep(instances, k: int, delta_grid, seeds) -> list[dict]:
     if k < 1:
         raise ValueError(f"sweep budget k must be >= 1, got {k}")
     for inst in instances:
-        if inst.n > 14:
+        if inst.n > SWEEP_MAX_N:
             raise ValueError(f"sweep instances must allow brute force, got n={inst.n}")
     rows = []
     for seed in seeds:

@@ -14,6 +14,7 @@ Two models:
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -186,12 +187,15 @@ def noise_from_dict(base, cfg: dict):
     Sampled estimator: inconsistent block plus either "m" or
     {"B": ..., "b": ..., "epsilon": ..., "confidence_constant": ...}.
     """
+    if not isinstance(cfg, dict):
+        raise ValueError(f"a noise block must be a JSON object, got {type(cfg).__name__}")
     kind = cfg.get("kind")
+    seed = operator.index(cfg.get("seed", 0))  # None would draw OS entropy
     if kind == "consistent":
-        return consistent_noise(base, cfg["epsilon"], cfg.get("seed", 0))
+        return consistent_noise(base, cfg["epsilon"], seed)
     if kind == "inconsistent":
         source = InconsistentNoiseOracle(
-            base, cfg.get("family", "uniform-relative"), cfg["width"], cfg.get("seed", 0)
+            base, cfg.get("family", "uniform-relative"), cfg["width"], seed
         )
         if "m" in cfg:
             return SamplingEstimator(source, cfg["m"])

@@ -245,16 +245,26 @@ def _band_indices(n: int, h: int, set_size: int, epsilon) -> tuple[int, int]:
     return max(lo, support_lo), min(hi, support_hi)
 
 
-def exact_band_probability(n: int, h: int, set_size: int, epsilon: float) -> float:
-    """P[(1-eps) mu <= |S inter H| <= (1+eps) mu] for a uniform size-h planted
-    set, by summing the hypergeometric pmf (log-gamma based) over the band."""
-    from scipy.stats import hypergeom  # deferred: scipy.stats dominates import time and memory
-
-    lo, hi = _band_indices(n, h, set_size, epsilon)
+def _hypergeom_mass(n: int, h: int, s: int, lo: int, hi: int, keep=None) -> Fraction:
+    """Exact sum of C(h, j) C(n-h, s-j) / C(n, s) over the overlaps j in
+    [lo, hi] and the support that ``keep`` accepts (all by default).  Walks
+    term(j+1) = term(j) (h-j)(s-j) / ((j+1)(n-h-s+j+1)) from math.comb at the
+    lower end; every term is an integer, so each division is exact."""
+    lo, hi = max(lo, 0, s + h - n), min(hi, s, h)
     if lo > hi:
-        return 0.0
-    rv = hypergeom(n, h, set_size)
-    return float(rv.pmf(np.arange(lo, hi + 1)).sum())
+        return Fraction(0)
+    term, total = math.comb(h, lo) * math.comb(n - h, s - lo), 0
+    for j in range(lo, hi + 1):
+        if keep is None or keep(j):
+            total += term
+        term = term * (h - j) * (s - j) // ((j + 1) * (n - h - s + j + 1))
+    return Fraction(total, math.comb(n, s))
+
+
+def exact_band_probability(n: int, h: int, set_size: int, epsilon: float) -> float:
+    """Exact P[(1-eps) mu <= |S inter H| <= (1+eps) mu] for a uniform size-h
+    planted set, rounded once to float; cost grows with n (~25 s at n = 10^6)."""
+    return float(_hypergeom_mass(n, h, set_size, *_band_indices(n, h, set_size, epsilon)))
 
 
 def mc_band_probability(
@@ -306,23 +316,13 @@ def check_concentration(
 
 
 def pair_band_probability(params, set_size: int) -> float:
-    """Exact probability (over the random planted set) that the decoy stays in
-    the (1 +- eps) band around the planted function at a fixed set of the
-    given size.
-
-    Both pair functions depend on the set only through its overlap with the
-    planted set, so one hypergeometric sum is exact.
-    """
-    from scipy.stats import hypergeom
-
-    n, h = params.n, params.h
+    """Exact probability (over the random planted set), rounded once to float,
+    that the decoy stays in the (1 +- eps) band around the planted function at
+    a fixed set of the given size.  Both functions see the set only through
+    its overlap with the planted set, so one hypergeometric sum is exact."""
     band = PairBand(params)
-    rv = hypergeom(n, h, set_size)
-    total = 0.0
-    for j in range(max(0, set_size + h - n), min(set_size, h) + 1):
-        if band.sandwich(j, set_size - j)[1]:
-            total += float(rv.pmf(j))
-    return total
+    return float(_hypergeom_mass(params.n, params.h, set_size, 0, set_size,
+                                 lambda j: band.sandwich(j, set_size - j)[1]))
 
 
 def pair_band_reference(params, set_size: int) -> float:

@@ -2,10 +2,12 @@
 
 Each reference below is the earlier implementation, kept verbatim: the
 collapsed sandwich greedy with a per-trial ``Fraction`` g-table, the scalar
-Fisher-Yates draw, and the ``Fraction`` band tests of the planted optimum and
-of the pair band probability.
+Fisher-Yates draw, and the ``Fraction`` band test of the planted optimum.  The
+pair band probability is checked against an exact ``Fraction`` sum of
+``math.comb`` ratios over the overlaps, with the earlier per-overlap band test.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -99,16 +101,14 @@ def reference_planted_optimum_escapes(params: HardPairParams) -> bool:
     return not (lo * params.k <= g_table[params.k] <= hi * params.k)
 
 
-def reference_pair_band(params, set_size: int) -> tuple[float, list[bool]]:
-    """Probability and the per-overlap band outcomes it sums over."""
-    from scipy.stats import hypergeom
-
+def reference_pair_band(params, set_size: int) -> tuple[Fraction, list[bool]]:
+    """Exact probability, as a sum of ``math.comb`` ratios, and the per-overlap
+    band outcomes it sums over."""
     n, h, eps = params.n, params.h, params.epsilon
     cap = params.cap
     lo = 1 - Fraction(float(eps))
     hi = 1 + Fraction(float(eps))
-    rv = hypergeom(n, h, set_size)
-    total = 0.0
+    total = 0
     outcomes = []
     g_val = min(set_size, Fraction(set_size * h, n) + cap)
     for j in range(max(0, set_size + h - n), min(set_size, h) + 1):
@@ -116,8 +116,8 @@ def reference_pair_band(params, set_size: int) -> tuple[float, list[bool]]:
         inside = lo * fh_val <= g_val <= hi * fh_val
         outcomes.append(inside)
         if inside:
-            total += float(rv.pmf(j))
-    return total, outcomes
+            total += math.comb(h, j) * math.comb(n - h, set_size - j)
+    return Fraction(total, math.comb(n, set_size)), outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +185,7 @@ def test_pair_band_probability_matches_fraction_form():
             got = [band.sandwich(j, set_size - j)[1]
                    for j in range(lo_j, min(set_size, params.h) + 1)]
             assert got == outcomes, (params, set_size)
-            assert pair_band_probability(params, set_size) == expected
+            assert pair_band_probability(params, set_size) == float(expected)
             seen.update(outcomes)
     assert seen == {True, False}
 

@@ -509,6 +509,50 @@ def test_cli_rejects_malformed_input(tmp_path, capsys, argv, text):
     _assert_rejected(capsys, argv + [flag, str(path)])
 
 
+_ADDITIVE = {"kind": "additive", "weights": [1, 2, 3]}
+_SEEDED_SANDWICHES = {
+    "construction": {"construction": _SANDWICH_SAMPLED["construction"]},
+    "consistent-noise": {"instance": _ADDITIVE,
+                         "noise": {"kind": "consistent", "epsilon": 0.3}},
+    "sampled-noise": {"instance": _ADDITIVE,
+                      "noise": {"kind": "inconsistent", "width": 0.5, "epsilon": 0.3, "m": 2},
+                      "mode": "sampled", "trials": 5, "seed": 1},
+}
+
+
+@pytest.mark.parametrize("seed", [None, [], 1.5], ids=["null", "list", "float"])
+@pytest.mark.parametrize("case", sorted(_SEEDED_SANDWICHES))
+def test_cli_sandwich_rejects_non_integer_seed(tmp_path, capsys, case, seed):
+    """A null or empty seed once reached np.random.default_rng and drew OS
+    entropy, so two runs on the same config differed."""
+    cfg = json.loads(json.dumps(_SEEDED_SANDWICHES[case]))
+    (cfg["noise"] if "noise" in cfg else cfg)["seed"] = seed
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    _assert_rejected(capsys, ["verify", "--property", "sandwich", "--config", str(path)])
+
+
+@pytest.mark.parametrize("value", [[1], "x", None, 3])
+@pytest.mark.parametrize("block", ["noise", "construction"])
+def test_cli_sandwich_rejects_non_object_block(tmp_path, capsys, block, value):
+    """A list noise block once crashed with AttributeError and exit 1."""
+    cfg = {"instance": _ADDITIVE, "noise": value} if block == "noise" else {block: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    _assert_rejected(capsys, ["verify", "--property", "sandwich", "--config", str(path)])
+
+
+@pytest.mark.parametrize("sizes", [[100_000_000], [8, 15], [0], [-3], [8.0], ["8"], [None], 8])
+def test_cli_sweep_checks_sizes_before_building_instances(tmp_path, capsys, monkeypatch, sizes):
+    def refuse(*args, **kwargs):
+        raise AssertionError("instance_corpus called before the sizes were checked")
+
+    monkeypatch.setattr(cli.experiments, "instance_corpus", refuse)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"sizes": sizes}))
+    _assert_rejected(capsys, ["sweep", "--config", str(path)])
+
+
 _junk = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=2),
     st.sampled_from([math.nan, math.inf, -math.inf, -1.5, 0.0, 0.5]),

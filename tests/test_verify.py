@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -15,6 +16,7 @@ from approxsub.functions import AdditiveFunction, CoverageFunction
 from approxsub.noise import consistent_noise
 from approxsub.sets import Subset
 from approxsub.verify import (
+    _hypergeom_mass,
     check_concentration,
     check_monotone,
     check_sandwich,
@@ -232,27 +234,62 @@ def test_band_probability_helpers_agree():
     assert tail_reference(5.0) == pytest.approx(0.7290393985385394)
 
 
+def _direct_mass(n, h, s, lo, hi, keep):
+    """sum C(h, j) C(n-h, s-j) / C(n, s) over kept j in [lo, hi], term by term."""
+    return Fraction(sum(math.comb(h, j) * math.comb(n - h, s - j)
+                        for j in range(max(lo, 0), min(hi, s) + 1)
+                        if keep is None or keep(j)),
+                    math.comb(n, s))
+
+
+def test_hypergeom_mass_equals_direct_comb_sums():
+    rng = random.Random(20)
+    keeps = [None, lambda j: j % 2 == 1, lambda j: j % 3 == 0]
+    cases = [(n, h, s) for n in (0, 1, 2, 9, 300) for h in {0, n // 3, n}
+             for s in {0, n // 2, n}]
+    for _ in range(150):
+        n = rng.randint(1, 300)
+        cases.append((n, rng.randint(0, n), rng.randint(0, n)))
+    for n, h, s in cases:
+        a, b = sorted(rng.randint(-2, n + 2) for _ in range(2))
+        for lo, hi in [(0, n), (-3, n + 3), (n, 0), (a, b)]:
+            for i, keep in enumerate(keeps):
+                got = _hypergeom_mass(n, h, s, lo, hi, keep)
+                want = _direct_mass(n, h, s, lo, hi, keep)
+                assert type(got) is Fraction
+                assert got == want, (n, h, s, lo, hi, i)
+        assert _hypergeom_mass(n, h, s, -1, n + 1) == 1
+
+
+def test_exact_band_probability_stays_a_probability_at_scale():
+    # The float pmf sum gave 1.0000000000000036 here.
+    assert exact_band_probability(10**5, 50000, 40000, 0.05) <= 1
+
+
 def test_mc_band_probability_rejects_no_trials():
     with pytest.raises(ValueError):
         mc_band_probability(100, 50, 40, 0.5, trials=0, seed=3)
 
 
-def test_scipy_stats_loads_only_when_a_probability_needs_it():
+def test_scipy_never_loads():
     code = textwrap.dedent("""
+        import runpy
         import sys
+        sys.modules["scipy"] = None  # any scipy import now raises ImportError
         import approxsub
         import approxsub.cli
-        assert "scipy.stats" not in sys.modules, "scipy.stats imported eagerly"
         code = approxsub.cli.main([
             "verify", "--property", "concentration", "--n", "100", "--h", "50",
             "--set-size", "40", "--epsilon", "0.5", "--mode", "exact",
         ])
         assert code == 0, code
-        assert "scipy.stats" in sys.modules
+        runpy.run_path(sys.argv[1], run_name="__main__")
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(approxsub.__file__)))
+    demo = os.path.join(os.path.dirname(src), "demos", "02_hard_pair_and_sandwich.py")
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, demo], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "measured=0.999987" in proc.stdout
+    assert "sandwich oracle follows the decoy" in proc.stdout
