@@ -5,11 +5,14 @@ A table must equal ``value()`` on every mask, and the kinds that cannot give
 one exactly must return None.  The checkers are compared with verbatim
 copies of the per-mask code they replaced (``reference_*`` below): reports
 must be equal, witnesses included, and ``run_sampling_validation`` must give
-equal rows and summary.
+equal rows and summary.  ``check_monotone``'s strided views are also compared
+with ``previous_check_monotone``, the gather loop over exact tables they
+replaced.
 """
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -54,12 +57,14 @@ from approxsub.verify import (
     CheckReport,
     _describe,
     _exact_int_table,
+    _table_of,
     _tables,
     check_monotone,
     check_sandwich,
     check_submodular,
     tabulate,
 )
+from conftest import EDGE_TABLES, TOP, TableFunction, coverage_table, value_tables
 
 # ---------------------------------------------------------------------------
 # The generic per-mask checkers, verbatim as they stood before the tables.
@@ -95,6 +100,25 @@ def reference_check_monotone(fn, n: int) -> CheckReport:
     if n > 20:
         raise ValueError(f"exhaustive extension check guarded at n <= 20, got {n}")
     tab, tol = _tables(tabulate(fn, n))
+    all_masks = np.arange(1 << n, dtype=np.int64)
+    examined = 0
+    for a in range(n):
+        bit = 1 << a
+        without = all_masks[(all_masks & bit) == 0]
+        drops = np.nonzero(tab[without | bit] < tab[without] - tol)[0]
+        examined += without.size
+        if drops.size:
+            s = int(without[drops[0]])
+            cx = (Subset(n, s), a)
+            return CheckReport("monotone", _describe(fn), False, cx, examined)
+    return CheckReport("monotone", _describe(fn), True, None, examined)
+
+
+def previous_check_monotone(fn, n: int) -> CheckReport:
+    """Verbatim as it stood before the strided views: a gather per element."""
+    if n > 20:
+        raise ValueError(f"exhaustive extension check guarded at n <= 20, got {n}")
+    tab, tol = _table_of(fn, n)
     all_masks = np.arange(1 << n, dtype=np.int64)
     examined = 0
     for a in range(n):
@@ -453,6 +477,95 @@ def test_sampling_validation_equals_generic(f):
         kwargs = dict(epsilon=0.1, confidence_constant=3.0, trials=4, seed=7,
                       k=3, width=width, family=family)
         assert run_sampling_validation(f, **kwargs) == reference_run_sampling_validation(f, **kwargs)
+
+
+def assert_monotone_same(fn, n):
+    got = check_monotone(fn, n)
+    assert_same_report(got, previous_check_monotone(fn, n))
+    return got
+
+
+@settings(max_examples=100, deadline=None)
+@given(value_tables())
+def test_monotone_random_tables_equal_previous(drawn):
+    n, table = drawn
+    assert_monotone_same(TableFunction(n, table), n)
+
+
+@pytest.mark.parametrize("name,n,table", EDGE_TABLES, ids=[t[0] for t in EDGE_TABLES])
+def test_monotone_nudged_tables_equal_previous(name, n, table):
+    """Each entry moved by +1 and by -1; flat steps make both verdicts occur."""
+    outcomes = {assert_monotone_same(TableFunction(n, table), n).passed}
+    for m in range(1 << n):
+        for step in (1, -1):
+            nudged = list(table)
+            nudged[m] += step
+            outcomes.add(assert_monotone_same(TableFunction(n, nudged), n).passed)
+    assert False in outcomes
+
+
+@pytest.mark.parametrize("n", [12, 13, 14])
+def test_monotone_corpus_equal_previous(n):
+    """Every corpus member from its exact table, alone (a pass) and plus a
+    negative additive term (failing at various elements)."""
+    rng = np.random.default_rng(n)
+    verdicts = set()
+    for fn in instance_corpus(0, sizes=(n,)):
+        weights = [int(w) for w in rng.integers(-12, 1, size=n)]
+        for f in (fn, SumFunction([fn, AdditiveFunction(weights)])):
+            assert f.exact_table(n) is not None
+            verdicts.add(assert_monotone_same(f, n).passed)
+    assert verdicts == {True, False}
+
+
+def test_monotone_full_magnitude_tables_equal_previous():
+    n = 6
+    base = coverage_table(n, [0b0011, 0b0110, 0b1100, 0b1001, 0b0101, 0b1111], [1, 2, 1, 3])
+    # A monotone table from near -TOP up to exactly TOP, then spoiled.
+    table = [TOP - (7 - v) * (2 * TOP // 7) for v in base]
+    assert max(base) == 7 and max(table) == TOP and -TOP <= min(table) < 7 - TOP
+    assert _tables(table)[1] == 0
+    assert assert_monotone_same(TableFunction(n, table), n).passed
+    for m, v in ((1, TOP), (2, TOP), ((1 << n) - 1, -TOP)):
+        nudged = list(table)
+        nudged[m] = v
+        assert not assert_monotone_same(TableFunction(n, nudged), n).passed
+    for seed in range(20):
+        signs = np.random.default_rng(seed).choice([-1, 1], size=1 << n)
+        assert_monotone_same(TableFunction(n, [int(s) * TOP for s in signs]), n)
+
+
+class _PrebuiltTable:
+    """Serves a table built beforehand, so a checker's traced memory is only
+    its own working memory."""
+
+    kind = "prebuilt"
+
+    def __init__(self, fn, n):
+        self.n = n
+        self._table = fn.exact_table(n)
+
+    def exact_table(self, n):
+        return self._table
+
+
+@pytest.mark.parametrize("check", [check_submodular, check_monotone])
+def test_checker_memory_at_n14(check):
+    """A pass over an exact n = 14 table (128 KiB) allocates under two tables'
+    worth: one 2^13 difference array at a time, plus numpy's fixed 8192-element
+    ufunc buffers on strided views.  The gather loop peaked at about 390 KB;
+    a stacked (14, 2^13) marginal array alone is 896 KiB."""
+    n = 14
+    fn = _PrebuiltTable(next(f for f in instance_corpus(0, sizes=(n,))
+                             if f.kind == "budget_additive"), n)
+    assert check(fn, n).passed
+    tracemalloc.start()
+    try:
+        check(fn, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * (1 << n)
 
 
 # ---------------------------------------------------------------------------

@@ -375,10 +375,44 @@ def _assert_rejected(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("flags", [["--mode", "bogus"], ["--mode", "mc", "--trials", "0"]])
+@pytest.mark.parametrize("flags", [["--mode", "bogus"], ["--mode", "mc", "--trials", "0"],
+                                   ["--epsilon", "inf"], ["--epsilon", "nan"],
+                                   ["--epsilon=-inf"], ["--mode", "mc", "--epsilon", "inf"]])
 def test_cli_concentration_rejects_bad_mode_flags(capsys, flags):
+    """A non-finite epsilon once raised OverflowError: a traceback and exit 1."""
     _assert_rejected(capsys, ["verify", "--property", "concentration", "--n", "100",
                               "--h", "50", "--set-size", "40", "--epsilon", "0.5"] + flags)
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_cli_concentration_huge_epsilon_passes(capsys, mode):
+    """eps = 1e308 once overflowed in eps ** 2; the band then holds every
+    overlap, and eps^2 mu = inf gives the reference 1."""
+    code = cli.main(["verify", "--property", "concentration", "--n", "100", "--h", "50",
+                     "--set-size", "40", "--epsilon", "1e308", "--mode", mode, "--trials", "100"])
+    assert code == 0
+    assert capsys.readouterr().out.endswith("measured=1.000000 reference=1.000000 [pass]\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-2, 2000).flatmap(lambda n: st.tuples(
+           st.just(n), st.integers(-2, max(n, 0) + 2), st.integers(-2, max(n, 0) + 2))),
+       st.one_of(st.sampled_from([math.inf, -math.inf, math.nan, 1e308, 0.0, -0.5, 1.0, 10.0]),
+                 st.floats(allow_nan=True, allow_infinity=True)))
+def test_cli_exact_concentration_never_fails_or_raises(sizes, epsilon):
+    """The exact method has no counterexample to find: the reference is a
+    valid Chernoff lower bound on the exact probability for every eps > 0.
+    So main returns 0 or 2 (one error line), never 1 or a traceback."""
+    n, h, set_size = sizes
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "--property", "concentration", "--mode", "exact",
+                         "--n", str(n), "--h", str(h), "--set-size", str(set_size),
+                         f"--epsilon={epsilon!r}"])
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert code == 0 and err.getvalue() == "", (code, out.getvalue(), err.getvalue())
 
 
 def test_cli_sandwich_rejects_unsampled_inconsistent_noise(tmp_path, capsys):

@@ -1,21 +1,34 @@
-"""check_submodular's local-form certificate against the full pair scan.
+"""check_submodular's strided certificate against the code it replaced.
 
-``reference_check_submodular`` is the pair scan exactly as it stood before
-the local form f(S+a) + f(S+b) >= f(S+a+b) + f(S) was added.  On every table
-below, check_submodular must give the same pass/fail, the same witness masks
-and the same ``examined`` count.
+Two references are kept verbatim.  ``reference_check_submodular`` is the pair
+scan exactly as it stood before the local form f(S+a) + f(S+b) >=
+f(S+a+b) + f(S) was added.  ``previous_check_submodular`` is the local form
+as it stood before the strided passes: one second difference per pair of
+axes of the value cube.  On every table below, check_submodular must give the
+same pass/fail, the same witness masks, the same ``examined`` count, property
+name and instance as both (at n >= 13 as the second only: the pair scan over
+a passing table takes seconds there).
 """
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from approxsub.adversarial import HardPairParams, build_monotone_pair, build_sandwich, draw_hidden_set
 from approxsub.experiments import instance_corpus
 from approxsub.sets import Subset
-from approxsub.verify import CheckReport, _describe, _tables, check_submodular, tabulate
-from conftest import TableFunction, coverage_table, modular_table
+from approxsub.verify import CheckReport, _describe, _table_of, _tables, check_submodular, tabulate
+from conftest import (
+    EDGE_TABLES,
+    TOP,
+    TableFunction,
+    coverage_table,
+    modular_table,
+    popcount_table,
+    value_tables,
+)
 
 
 def reference_check_submodular(fn, n: int) -> CheckReport:
@@ -40,22 +53,48 @@ def reference_check_submodular(fn, n: int) -> CheckReport:
     return CheckReport("submodular", _describe(fn), True, None, examined)
 
 
+def previous_check_submodular(fn, n: int) -> CheckReport:
+    if n > 14:
+        raise ValueError(f"exhaustive pair check guarded at n <= 14, got {n}")
+    tab, tol = _table_of(fn, n)
+    size = 1 << n
+    if tol == 0:  # second differences of values below 2^61 fit in int64
+        cube = tab.reshape((2,) * n)
+        if all((np.diff(np.diff(cube, axis=i), axis=j) <= 0).all()
+               for i in range(n) for j in range(i + 1, n)):
+            return CheckReport("submodular", _describe(fn), True, None, size * (size + 1) // 2)
+    all_masks = np.arange(size, dtype=np.int64)
+    examined = 0
+    for s in range(size):
+        ts = all_masks[s:]
+        lhs = tab[s | ts] + tab[s & ts]
+        rhs = tab[s] + tab[ts]
+        bad = np.nonzero(lhs > rhs + tol)[0]
+        examined += ts.size
+        if bad.size:
+            t = s + int(bad[0])
+            cx = (Subset(n, s), Subset(n, t))
+            return CheckReport("submodular", _describe(fn), False, cx, examined)
+    return CheckReport("submodular", _describe(fn), True, None, examined)
+
+
 def _witness(report):
     if report.counterexample is None:
         return None
     return tuple(s.mask for s in report.counterexample)
 
 
-def assert_same(fn, n):
-    got = check_submodular(fn, n)
-    ref = reference_check_submodular(fn, n)
+def _same(got, ref):
     assert (got.passed, _witness(got), got.examined) == (ref.passed, _witness(ref), ref.examined)
     assert (got.property_name, got.instance) == (ref.property_name, ref.instance)
+
+
+def assert_same(fn, n, pair_scan=True):
+    got = check_submodular(fn, n)
+    _same(got, previous_check_submodular(fn, n))
+    if pair_scan:
+        _same(got, reference_check_submodular(fn, n))
     return got
-
-
-def _popcount_table(n, g):
-    return [g[bin(m).count("1")] for m in range(1 << n)]
 
 
 def _submodular_table(rng, n):
@@ -87,22 +126,10 @@ def test_random_exact_tables(seed):
     assert_same(TableFunction(n, table), n)
 
 
-def _edge_tables():
-    """Submodular tables with many tight local inequalities (linear stretches
-    of a concave profile, overlapping covers)."""
-    yield "concave", 5, _popcount_table(5, [0, 4, 8, 11, 13, 13])
-    yield "concave-neg", 4, _popcount_table(4, [-3, 1, 3, 5, 5])
-    yield "coverage", 5, coverage_table(5, [0b0011, 0b0110, 0b1100, 0b1001, 0b0101], [1, 2, 1, 3])
-    yield "modular", 4, modular_table(4, [3, -1, 0, 2])
-
-
-EDGE_TABLES = list(_edge_tables())
-
-
 @pytest.mark.parametrize("name,n,table", EDGE_TABLES, ids=[t[0] for t in EDGE_TABLES])
 def test_tables_nudged_across_the_edge(name, n, table):
     """Each entry of a submodular table moved by +1 and by -1: both outcomes
-    occur, and every table matches the pair scan."""
+    occur, and every table matches both references."""
     outcomes = set()
     assert assert_same(TableFunction(n, table), n).passed
     for m in range(1 << n):
@@ -117,15 +144,12 @@ def test_convex_and_supermodular_tables_fail():
     """Tables whose second differences are all >= 0 (one strictly) are not
     submodular; the certificate's inequality must point the right way."""
     for n in range(2, 7):
-        report = assert_same(TableFunction(n, _popcount_table(n, [k * k for k in range(n + 1)])), n)
+        report = assert_same(TableFunction(n, popcount_table(n, [k * k for k in range(n + 1)])), n)
         assert not report.passed
         # Supermodular on one pair only, modular elsewhere.
         table = modular_table(n, list(range(n)))
         table[0b11] += 1
         assert not assert_same(TableFunction(n, table), n).passed
-
-
-TOP = 2 ** 61 - 1  # largest magnitude the exact int64 table accepts
 
 
 def test_large_int_tables_below_the_guard():
@@ -157,7 +181,7 @@ def test_large_int_tables_below_the_guard():
 
 def test_tables_above_the_guard_and_float_tables_take_the_pair_scan():
     n = 5
-    over = _popcount_table(n, [0, 2 ** 61, 2 ** 61 + 1, 2 ** 61 + 1, 2 ** 61 + 1, 2 ** 61 + 1])
+    over = popcount_table(n, [0, 2 ** 61, 2 ** 61 + 1, 2 ** 61 + 1, 2 ** 61 + 1, 2 ** 61 + 1])
     assert _tables(over)[1] > 0
     assert_same(TableFunction(n, over), n)
     rng = np.random.default_rng(3)
@@ -175,6 +199,27 @@ def test_corpus_n12_instances():
     assert corpus
     for fn in corpus:
         assert assert_same(fn, 12).passed
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_corpus_n13_n14_instances(n):
+    """Every corpus member, read from its exact table, and a table that is
+    supermodular on one pair only."""
+    corpus = instance_corpus(0, sizes=(n,))
+    assert corpus
+    for fn in corpus:
+        assert fn.exact_table(n) is not None
+        assert assert_same(fn, n, pair_scan=False).passed
+    table = modular_table(n, list(range(n)))
+    table[0b1100] += 1
+    assert not assert_same(TableFunction(n, table), n, pair_scan=False).passed
+
+
+@settings(max_examples=100, deadline=None)
+@given(value_tables())
+def test_random_tables_equal_both_references(drawn):
+    n, table = drawn
+    assert_same(TableFunction(n, table), n)
 
 
 def test_hard_pair_sandwiches_n12():
