@@ -41,7 +41,6 @@ from .noise import (
     InconsistentNoiseOracle,
     SamplingEstimator,
     consistent_noise,
-    estimate,
     required_samples,
 )
 from .sets import (

@@ -48,7 +48,6 @@ class HardPairParams:
     alpha: int
     k: int
     epsilon: float
-    beta: float | None = None
 
     def __post_init__(self):
         for name in ("n", "h", "alpha", "k"):
@@ -103,7 +102,7 @@ def power_law_params(n: int, beta: float) -> HardPairParams:
             f"rounded parameters violate h <= n/2: h={h}, n={n} "
             f"(need roughly n >= 2^(2/beta) = {2 ** (2 / beta):.3g})"
         )
-    return HardPairParams(n=n, h=h, alpha=alpha, k=h, epsilon=epsilon, beta=beta)
+    return HardPairParams(n=n, h=h, alpha=alpha, k=h, epsilon=epsilon)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import sys
 
 from . import experiments
 from .adversarial import (
+    HardPairParams,
     build_coverage_pair,
     build_greedy_trap,
     build_monotone_pair,
@@ -22,7 +23,7 @@ from .adversarial import (
     gap_bound,
     power_law_params,
 )
-from .functions import instance_from_dict
+from .functions import CoverageFunction, instance_from_dict
 from .noise import noise_from_dict
 from .sets import ValueOracle
 from .verify import check_concentration, check_monotone, check_sandwich, check_submodular
@@ -30,6 +31,7 @@ from .verify import check_concentration, check_monotone, check_sandwich, check_s
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_REJECTED = 2
+_FIXTURE_MAX_ALPHA = 1 << 24  # the sample fixture's shared block is one alpha-bit int
 
 
 def _load_json(path: str) -> dict:
@@ -84,35 +86,31 @@ def _cmd_verify(args) -> int:
             raise ValueError("--config required for the sandwich check")
         cfg = _load_json(args.config)
         if "construction" in cfg:
-            c = cfg["construction"]
-            if not isinstance(c, dict):
-                raise ValueError(f"a construction must be a JSON object, got {type(c).__name__}")
-            from .adversarial import HardPairParams
-
-            params = HardPairParams(
-                n=c["n"], h=c["h"], alpha=c["alpha"], k=c["k"], epsilon=c["epsilon"],
-            )
+            construction = cfg.pop("construction")
+            if not isinstance(construction, dict):
+                raise ValueError(f"a construction must be a JSON object, "
+                                 f"got {type(construction).__name__}")
+            family = construction.pop("family", "monotone")
+            if family not in ("monotone", "coverage"):
+                raise ValueError(f"construction family must be 'monotone' or 'coverage', "
+                                 f"got {family!r}")
+            params = HardPairParams(**construction)
             hidden = draw_hidden_set(params.n, params.h,
                                      operator.index(cfg.get("seed", args.seed)))
-            pair = (build_coverage_pair if c.get("family") == "coverage"
+            pair = (build_coverage_pair if family == "coverage"
                     else build_monotone_pair)(params, hidden)
-            F = build_sandwich(pair)
-            f = pair.fh
-            epsilon = params.epsilon
-            n = params.n
+            F, f, epsilon, n = build_sandwich(pair), pair.fh, params.epsilon, params.n
         else:
-            f = instance_from_dict(cfg["instance"])
-            F = noise_from_dict(f, cfg["noise"])
+            f = instance_from_dict(cfg.pop("instance"))
+            noise = cfg.pop("noise")
+            F = noise_from_dict(f, noise)
             if not isinstance(F, ValueOracle):
                 raise ValueError("an inconsistent noise block needs 'm' or 'B' for the "
                                  "sandwich check (a sampled estimator)")
-            epsilon = cfg["noise"]["epsilon"]
-            n = f.n
-        mode = cfg.get("mode", args.mode or "exhaustive")
-        report = check_sandwich(
-            F, f, epsilon, n, mode=mode,
-            trials=cfg.get("trials", args.trials), seed=cfg.get("seed", args.seed),
-        )
+            epsilon, n = noise["epsilon"], f.n
+        report = check_sandwich(F, f, epsilon, n, **{
+            "mode": args.mode or "exhaustive", "trials": args.trials, "seed": args.seed, **cfg,
+        })
         print(f"sandwich {report.instance}: {'pass' if report.passed else 'FAIL'} "
               f"({report.examined} sets)")
         return EXIT_PASS if report.passed else EXIT_COUNTEREXAMPLE
@@ -131,21 +129,18 @@ def _cmd_distinguish(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_json(args.config) if args.config else {}
-    k = cfg.get("k", 4)
-    delta_grid = cfg.get("delta_grid", [0.0, 0.5, 1.0 - 1e-9])
-    seeds = cfg.get("seeds", list(range(10)))
     if "instances" in cfg:
-        instances = [instance_from_dict(d) for d in cfg["instances"]]
+        instances = [instance_from_dict(d) for d in cfg.pop("instances")]
     else:
-        sizes = tuple(operator.index(size) for size in cfg.get("sizes", (8, 10)))
+        sizes = tuple(operator.index(size) for size in cfg.pop("sizes", (8, 10)))
         if not all(1 <= size <= experiments.SWEEP_MAX_N for size in sizes):
             raise ValueError(f"sweep sizes must be in 1..{experiments.SWEEP_MAX_N}, got {sizes}")
-        corpus = experiments.instance_corpus(cfg.get("corpus_seed", args.seed), sizes=sizes)
-        count = cfg.get("count", len(corpus))
+        corpus = experiments.instance_corpus(cfg.pop("corpus_seed", args.seed), sizes=sizes)
+        count = cfg.pop("count", len(corpus))
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
         instances = corpus[:count]
-    rows = experiments.run_noise_sweep(instances, k, delta_grid, seeds)
+    rows = experiments.run_noise_sweep(instances, **cfg)
     _emit(rows, args)
     bad = [r for r in rows if not r.get("ok", True)]
     print(f"sweep: {len(rows)} runs, {len(bad)} below the guarantee")
@@ -170,25 +165,16 @@ def _cmd_trap(args) -> int:
 def _cmd_sample(args) -> int:
     cfg = _load_json(args.config) if args.config else {}
     if "instance" in cfg:
-        f = instance_from_dict(cfg["instance"])
+        f = instance_from_dict(cfg.pop("instance"))
     else:
         # Default fixture: every element covers the same shared block, so the
         # value range over nonempty sets is a single point.
-        from .functions import CoverageFunction
-
-        n = cfg.get("n", 12)
-        shared = list(range(cfg.get("alpha", 5)))
-        f = CoverageFunction(cfg.get("alpha", 5), [shared] * n)
-    rows, summary = experiments.run_sampling_validation(
-        f,
-        epsilon=cfg.get("epsilon", 0.1),
-        confidence_constant=cfg.get("confidence_constant", 3.0),
-        trials=cfg.get("trials", 100),
-        seed=cfg.get("seed", args.seed),
-        k=cfg.get("k", 4),
-        width=cfg.get("width", 0.5),
-        family=cfg.get("family", "uniform-relative"),
-    )
+        n, alpha = cfg.pop("n", 12), cfg.pop("alpha", 5)
+        if n > experiments.SAMPLE_MAX_N or alpha > _FIXTURE_MAX_ALPHA:
+            raise ValueError(f"the fixture is guarded at n <= {experiments.SAMPLE_MAX_N} and "
+                             f"alpha <= {_FIXTURE_MAX_ALPHA}, got n={n}, alpha={alpha}")
+        f = CoverageFunction(alpha, [(1 << alpha) - 1] * n)
+    rows, summary = experiments.run_sampling_validation(f, **{"seed": args.seed, **cfg})
     _emit(rows, args)
     print(json.dumps({"summary": summary}, sort_keys=True))
     ok = summary["violating_fraction"] <= summary["prediction"] + 1e-12
@@ -290,7 +276,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError, OSError, KeyError) as exc:
+    except (ValueError, TypeError, OSError, KeyError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REJECTED
 

@@ -8,7 +8,6 @@ rows over a fixed column set, written as CSV or a structured JSON document.
 from __future__ import annotations
 
 import json
-import math
 import operator
 from fractions import Fraction
 
@@ -34,6 +33,7 @@ from .functions import (
 from .noise import InconsistentNoiseOracle, SamplingEstimator, consistent_noise, required_samples
 from .sets import Subset, as_oracle, mask_from_key
 from .solvers import brute_force, expected_greedy_queries, greedy_bound, greedy_cardinality
+from .verify import chernoff_tails
 
 REPORT_COLUMNS = [
     "experiment", "n", "k", "h", "alpha", "beta", "epsilon", "seed", "solver",
@@ -260,9 +260,11 @@ def run_distinguishability(
 # ---------------------------------------------------------------------------
 
 SWEEP_MAX_N = 14  # brute force visits up to 2^n sets per run
+SAMPLE_MAX_N = 20  # the sampling rule's value range visits all 2^n sets
 
 
-def run_noise_sweep(instances, k: int, delta_grid, seeds) -> list[dict]:
+def run_noise_sweep(instances, k: int = 4, delta_grid=(0.0, 0.5, 1 - 1e-9),
+                    seeds=range(10)) -> list[dict]:
     """For each instance, error level delta (eps = delta/k), and seed: wrap in
     consistent noise, run greedy, and compare against the brute-force optimum
     of the noisy oracle and the closed-form ratio guarantee.
@@ -341,12 +343,11 @@ def run_trap(k: int = 16, beta: float = 0.5, n: int = 64) -> tuple[list[dict], d
     return [row], summary
 
 
-def run_trap_curve(ks, beta: float = 0.5, n_factor: int = 4) -> list[dict]:
-    """Measured greedy-to-best ratio for trap instances across budgets."""
+def run_trap_curve(ks, beta: float = 0.5) -> list[dict]:
+    """Measured greedy-to-best ratio for trap instances across budgets k, at n = 4k."""
     rows = []
     for k in ks:
-        n = n_factor * k
-        rws, summary = run_trap(k, beta, n)
+        rws, summary = run_trap(k, beta, 4 * k)
         row = dict(rws[0])
         row["experiment"] = "trap-curve"
         row["ratio"] = summary["measured_greedy_value"] / summary["best_feasible_value"]
@@ -366,17 +367,19 @@ def sampling_union_bound(n_sets: int, m: int, epsilon: float, width: float,
 
     Each draw, rescaled to [0,1], concentrates around m/2 with relative
     deviation delta = eps/width (relative noise) at the band edge; the
-    standard upper/lower tail rates exp(-d^2 mu / 3) and exp(-d^2 mu / 2)
-    are summed and union-bounded over the queried sets.
+    two :func:`~approxsub.verify.chernoff_tails` are summed and
+    union-bounded over the queried sets.  Without noise (width 0) no
+    estimate leaves the band.
     """
-    delta = epsilon * b / width if width > 0 else float("inf")
-    mu = m / 2.0
-    per_set = math.exp(-(delta ** 2) * mu / 3.0) + math.exp(-(delta ** 2) * mu / 2.0)
+    if not width > 0:
+        return 0.0
+    delta = epsilon * b / width
+    per_set = sum(chernoff_tails(delta ** 2 * (m / 2.0), delta))
     return min(1.0, n_sets * per_set)
 
 
 def run_sampling_validation(
-    f, epsilon: float, confidence_constant: float, trials: int,
+    f, epsilon: float = 0.1, confidence_constant: float = 3.0, trials: int = 100,
     seed: int = 0, k: int = 4, width: float = 0.5,
     family: str = "uniform-relative",
 ) -> tuple[list[dict], dict]:
@@ -391,8 +394,8 @@ def run_sampling_validation(
     if not k >= 1:
         raise ValueError(f"greedy budget k must be >= 1, got {k}")
     n = f.n
-    if n > 20:  # the value range below visits all 2^n sets
-        raise ValueError(f"sampling validation guarded at n <= 20, got {n}")
+    if n > SAMPLE_MAX_N:
+        raise ValueError(f"sampling validation guarded at n <= {SAMPLE_MAX_N}, got {n}")
     table = exact_table(f, n)
     if table is None:
         vals = [f.value(Subset._raw(n, m_, m_.bit_count())) for m_ in range(1, 1 << n)]

@@ -22,6 +22,7 @@ from .sets import Subset, ValueOracle
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+MAX_SAMPLES = 1 << 24  # a SamplingEstimator draws one set's m samples as one 128 MiB batch
 
 
 def _mix64(z: int) -> int:
@@ -154,8 +155,8 @@ class SamplingEstimator(ValueOracle):
     computed once and cached under the subset's canonical key."""
 
     def __init__(self, source: InconsistentNoiseOracle, m: int):
-        if m < 1:
-            raise ValueError("need at least one sample per set")
+        if not 1 <= m <= MAX_SAMPLES:
+            raise ValueError(f"need 1 <= m <= {MAX_SAMPLES} samples per set, got {m}")
         super().__init__(source.n)
         self.source = source
         self.m = m
@@ -174,9 +175,9 @@ class SamplingEstimator(ValueOracle):
         return list(self._cache.keys())
 
 
-def estimate(est: SamplingEstimator, s: Subset) -> float:
-    """First call draws and caches m samples; later calls return the cache."""
-    return est.value(s)
+_NOISE_KEYS = {"consistent": {"kind", "epsilon", "seed"}}
+_NOISE_KEYS["inconsistent"] = _NOISE_KEYS["consistent"] | {
+    "family", "width", "m", "B", "b", "confidence_constant"}
 
 
 def noise_from_dict(base, cfg: dict):
@@ -186,24 +187,28 @@ def noise_from_dict(base, cfg: dict):
     Inconsistent source: {"kind": "inconsistent", "family": ..., "width": w, "seed": s}
     Sampled estimator: inconsistent block plus either "m" or
     {"B": ..., "b": ..., "epsilon": ..., "confidence_constant": ...}.
+    Any other key is rejected.
     """
     if not isinstance(cfg, dict):
         raise ValueError(f"a noise block must be a JSON object, got {type(cfg).__name__}")
     kind = cfg.get("kind")
+    if kind not in ("consistent", "inconsistent"):
+        raise ValueError(f"unknown noise kind {kind!r}")
+    stray = cfg.keys() - _NOISE_KEYS[kind]
+    if stray:
+        raise ValueError(f"unknown keys in a {kind} noise block: {sorted(stray)}")
     seed = operator.index(cfg.get("seed", 0))  # None would draw OS entropy
     if kind == "consistent":
         return consistent_noise(base, cfg["epsilon"], seed)
-    if kind == "inconsistent":
-        source = InconsistentNoiseOracle(
-            base, cfg.get("family", "uniform-relative"), cfg["width"], seed
+    source = InconsistentNoiseOracle(
+        base, cfg.get("family", "uniform-relative"), cfg["width"], seed
+    )
+    if "m" in cfg:
+        return SamplingEstimator(source, cfg["m"])
+    if "B" in cfg:
+        m = required_samples(
+            cfg["B"], cfg["b"], base.n, cfg["epsilon"],
+            cfg.get("confidence_constant", 3.0),
         )
-        if "m" in cfg:
-            return SamplingEstimator(source, cfg["m"])
-        if "B" in cfg:
-            m = required_samples(
-                cfg["B"], cfg["b"], base.n, cfg["epsilon"],
-                cfg.get("confidence_constant", 3.0),
-            )
-            return SamplingEstimator(source, m)
-        return source
-    raise ValueError(f"unknown noise kind {kind!r}")
+        return SamplingEstimator(source, m)
+    return source

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import operator
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import approxsub.cli as cli
-from approxsub.adversarial import HardPairParams, build_monotone_pair, build_sandwich, draw_hidden_set
+from approxsub import experiments
+from approxsub.adversarial import (
+    HardPairParams,
+    build_coverage_pair,
+    build_monotone_pair,
+    build_sandwich,
+    draw_hidden_set,
+)
+from approxsub.cli import EXIT_COUNTEREXAMPLE, EXIT_PASS, _emit, _load_json
 from approxsub.experiments import (
     REPORT_COLUMNS,
     _sandwich_greedy_fast,
@@ -23,10 +32,11 @@ from approxsub.experiments import (
     run_trap,
     sampling_union_bound,
 )
-from approxsub.functions import CoverageFunction, instance_to_dict
+from approxsub.functions import CoverageFunction, instance_from_dict, instance_to_dict
+from approxsub.noise import noise_from_dict
 from approxsub.sets import ValueOracle
 from approxsub.solvers import expected_greedy_queries, greedy_cardinality
-from approxsub.verify import check_monotone, check_submodular
+from approxsub.verify import check_monotone, check_sandwich, check_submodular
 
 
 def shared_coverage(n=12, alpha=5):
@@ -515,6 +525,12 @@ _SANDWICH_SAMPLED = {"construction": {"n": 10, "h": 4, "alpha": 2, "k": 3, "epsi
                      "seed": 1, "mode": "sampled"}
 
 
+def _deep_sum(depth):
+    """An additive instance nested in ``depth`` one-term sums, as JSON text."""
+    return ('{"kind": "sum", "terms": [' * depth + '{"kind": "additive", "weights": [1, 2]}'
+            + "]}" * depth)
+
+
 @pytest.mark.parametrize("argv, text", [
     (["sample"], '{"k": 0}'),
     (["sample"], '{"k": -2}'),
@@ -534,6 +550,27 @@ _SANDWICH_SAMPLED = {"construction": {"n": 10, "h": 4, "alpha": 2, "k": 3, "epsi
     (["verify", "--property", "sandwich"],
      '{"instance": {"kind": "additive", "weights": [1, 2]}, "mode": "sampled", "trials": 5, '
      '"seed": 1, "noise": {"kind": "inconsistent", "width": 0.5, "m": 2, "epsilon": Infinity}}'),
+    # an unknown family once built the monotone pair; a missing key must still exit 2
+    (["verify", "--property", "sandwich"],
+     json.dumps({"construction": {**_SANDWICH_SAMPLED["construction"], "family": "bogus"}})),
+    (["verify", "--property", "sandwich"],
+     json.dumps({"construction": {"n": 10, "h": 4, "alpha": 2, "epsilon": 0.3}})),
+    # sample's fixture was built before any guard ran
+    (["sample"], '{"n": 100000000000000000000}'),
+    (["sample"], '{"n": 1000000000}'),
+    (["sample"], '{"alpha": 100000000000000000000}'),
+    # 745,471,995 samples per queried set, about 6 GB in one batch
+    (["sample"], '{"epsilon": 1e-4}'),
+    (["verify", "--property", "sandwich"],
+     json.dumps({"instance": {"kind": "additive", "weights": [1, 2]}, "mode": "sampled",
+                 "trials": 5, "seed": 1, "noise": {"kind": "inconsistent", "width": 0.5,
+                                                   "m": 2 ** 24 + 1, "epsilon": 0.3}})),
+    # deep sum nesting: RecursionError in the JSON decoder, or in the package
+    pytest.param(["sweep"], '{"instances": [' + _deep_sum(2000) + "]}", id="sweep-sum-depth-2000"),
+    pytest.param(["verify", "--property", "submodular"], _deep_sum(2000),
+                 id="submodular-sum-depth-2000"),
+    pytest.param(["verify", "--property", "submodular"], _deep_sum(450),
+                 id="submodular-sum-depth-450"),
 ])
 def test_cli_rejects_malformed_input(tmp_path, capsys, argv, text):
     """Each input once exited 0 or 1, with or without a traceback."""
@@ -592,33 +629,37 @@ _junk = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -1.5, 0.0, 0.5]),
     st.lists(st.one_of(st.integers(-2, 3), st.sampled_from([math.nan, math.inf])), max_size=2),
 )
+_STRAY = "stray"  # a key no config object knows
 _BASES = {  # command: (valid small config, fields to spoil as (block or None, key))
     "sweep": ({"k": 2, "delta_grid": [0.0, 0.5], "seeds": [0], "sizes": [6], "count": 1},
-              [(None, f) for f in ("k", "delta_grid", "seeds", "sizes", "count", "corpus_seed")]),
+              [(None, f) for f in ("k", "delta_grid", "seeds", "sizes", "count", "corpus_seed",
+                                   _STRAY)]),
     "sample": ({"n": 5, "k": 2, "trials": 2, "epsilon": 0.5},
                [(None, f) for f in ("n", "alpha", "epsilon", "confidence_constant", "trials",
-                                    "seed", "k", "width", "family")]),
+                                    "seed", "k", "width", "family", _STRAY)]),
     "sandwich": ({**_SANDWICH_SAMPLED, "trials": 20},
-                 [("construction", f) for f in ("n", "h", "alpha", "k", "epsilon", "family")]
-                 + [(None, f) for f in ("seed", "mode", "trials")]),
+                 [("construction", f) for f in ("n", "h", "alpha", "k", "epsilon", "family",
+                                                 _STRAY)]
+                 + [(None, f) for f in ("seed", "mode", "trials", _STRAY)]),
     "sandwich-noise": ({"instance": {"kind": "additive", "weights": [1, 2, 3]},
                         "noise": {"kind": "inconsistent", "width": 0.5, "epsilon": 0.3,
                                   "m": 2, "seed": 1},
                         "mode": "sampled", "trials": 5, "seed": 1},
                        [("noise", f) for f in ("kind", "family", "width", "epsilon", "m", "seed",
-                                               "B", "b", "confidence_constant")]
-                       + [(None, f) for f in ("mode", "trials", "seed")]),
+                                               "B", "b", "confidence_constant", _STRAY)]
+                       + [(None, f) for f in ("mode", "trials", "seed", _STRAY)]),
 }
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(sorted(_BASES)), st.data())
 def test_cli_never_raises_on_malformed_config(tmp_path_factory, command, data):
-    """Whatever the config fields hold, main returns 0, 1 or 2 and raises nothing."""
+    """Whatever the config fields hold, main returns 0, 1 or 2 and raises
+    nothing; a config with a stray key returns 2."""
     base, fields = _BASES[command]
     cfg = json.loads(json.dumps(base))
-    for block, key in data.draw(st.lists(st.sampled_from(fields), min_size=1, max_size=3,
-                                         unique=True)):
+    spoiled = data.draw(st.lists(st.sampled_from(fields), min_size=1, max_size=3, unique=True))
+    for block, key in spoiled:
         (cfg[block] if block else cfg)[key] = data.draw(_junk)
     path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -626,3 +667,217 @@ def test_cli_never_raises_on_malformed_config(tmp_path_factory, command, data):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv + ["--config", str(path)])
     assert code in (0, 1, 2)
+    if any(key == _STRAY for _, key in spoiled):
+        assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# Config objects go to the runners whole: the previous handlers as references
+# ---------------------------------------------------------------------------
+# The three handlers below are verbatim as they stood when the CLI read each
+# config key with its own cfg.get(key, default) and dropped unknown keys (the
+# sandwich branch of _cmd_verify as a handler of its own; relative imports
+# made absolute).  On every valid config the CLI must match them in exit
+# code, stdout, stderr and report bytes.
+
+def previous_cmd_sweep(args) -> int:
+    cfg = _load_json(args.config) if args.config else {}
+    k = cfg.get("k", 4)
+    delta_grid = cfg.get("delta_grid", [0.0, 0.5, 1.0 - 1e-9])
+    seeds = cfg.get("seeds", list(range(10)))
+    if "instances" in cfg:
+        instances = [instance_from_dict(d) for d in cfg["instances"]]
+    else:
+        sizes = tuple(operator.index(size) for size in cfg.get("sizes", (8, 10)))
+        if not all(1 <= size <= experiments.SWEEP_MAX_N for size in sizes):
+            raise ValueError(f"sweep sizes must be in 1..{experiments.SWEEP_MAX_N}, got {sizes}")
+        corpus = experiments.instance_corpus(cfg.get("corpus_seed", args.seed), sizes=sizes)
+        count = cfg.get("count", len(corpus))
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        instances = corpus[:count]
+    rows = experiments.run_noise_sweep(instances, k, delta_grid, seeds)
+    _emit(rows, args)
+    bad = [r for r in rows if not r.get("ok", True)]
+    print(f"sweep: {len(rows)} runs, {len(bad)} below the guarantee")
+    return EXIT_COUNTEREXAMPLE if bad else EXIT_PASS
+
+
+def previous_cmd_sample(args) -> int:
+    cfg = _load_json(args.config) if args.config else {}
+    if "instance" in cfg:
+        f = instance_from_dict(cfg["instance"])
+    else:
+        # Default fixture: every element covers the same shared block, so the
+        # value range over nonempty sets is a single point.
+        from approxsub.functions import CoverageFunction
+
+        n = cfg.get("n", 12)
+        shared = list(range(cfg.get("alpha", 5)))
+        f = CoverageFunction(cfg.get("alpha", 5), [shared] * n)
+    rows, summary = experiments.run_sampling_validation(
+        f,
+        epsilon=cfg.get("epsilon", 0.1),
+        confidence_constant=cfg.get("confidence_constant", 3.0),
+        trials=cfg.get("trials", 100),
+        seed=cfg.get("seed", args.seed),
+        k=cfg.get("k", 4),
+        width=cfg.get("width", 0.5),
+        family=cfg.get("family", "uniform-relative"),
+    )
+    _emit(rows, args)
+    print(json.dumps({"summary": summary}, sort_keys=True))
+    ok = summary["violating_fraction"] <= summary["prediction"] + 1e-12
+    return EXIT_PASS if ok else EXIT_COUNTEREXAMPLE
+
+
+def previous_cmd_verify_sandwich(args):
+    if not args.config:
+        raise ValueError("--config required for the sandwich check")
+    cfg = _load_json(args.config)
+    if "construction" in cfg:
+        c = cfg["construction"]
+        if not isinstance(c, dict):
+            raise ValueError(f"a construction must be a JSON object, got {type(c).__name__}")
+        from approxsub.adversarial import HardPairParams
+
+        params = HardPairParams(
+            n=c["n"], h=c["h"], alpha=c["alpha"], k=c["k"], epsilon=c["epsilon"],
+        )
+        hidden = draw_hidden_set(params.n, params.h,
+                                 operator.index(cfg.get("seed", args.seed)))
+        pair = (build_coverage_pair if c.get("family") == "coverage"
+                else build_monotone_pair)(params, hidden)
+        F = build_sandwich(pair)
+        f = pair.fh
+        epsilon = params.epsilon
+        n = params.n
+    else:
+        f = instance_from_dict(cfg["instance"])
+        F = noise_from_dict(f, cfg["noise"])
+        if not isinstance(F, ValueOracle):
+            raise ValueError("an inconsistent noise block needs 'm' or 'B' for the "
+                             "sandwich check (a sampled estimator)")
+        epsilon = cfg["noise"]["epsilon"]
+        n = f.n
+    mode = cfg.get("mode", args.mode or "exhaustive")
+    report = check_sandwich(
+        F, f, epsilon, n, mode=mode,
+        trials=cfg.get("trials", args.trials), seed=cfg.get("seed", args.seed),
+    )
+    print(f"sandwich {report.instance}: {'pass' if report.passed else 'FAIL'} "
+          f"({report.examined} sets)")
+    return EXIT_PASS if report.passed else EXIT_COUNTEREXAMPLE
+
+
+_PREVIOUS = {"sweep": ("_cmd_sweep", previous_cmd_sweep),
+             "sample": ("_cmd_sample", previous_cmd_sample),
+             "sandwich": ("_cmd_verify", previous_cmd_verify_sandwich)}
+_CONSTRUCTION = {"n": 12, "h": 5, "alpha": 2, "k": 5, "epsilon": 0.3}
+_VALID_CONFIGS = [  # (command, config or None, extra flags)
+    # tests above
+    ("sweep", {"k": 3, "delta_grid": [0.0, 0.5], "seeds": [0, 1], "count": 3, "sizes": [8]}, []),
+    ("sample", None, []),
+    ("sandwich", {"construction": _CONSTRUCTION, "seed": 8, "mode": "exhaustive"}, []),
+    ("sandwich", {"instance": instance_to_dict(instance_corpus(2)[1]),
+                  "noise": {"kind": "consistent", "epsilon": 0.2, "seed": 4},
+                  "mode": "exhaustive"}, []),
+    *[("sandwich", cfg, []) for _, cfg in sorted(_SEEDED_SANDWICHES.items())],
+    *[("sandwich" if command.startswith("sandwich") else command, base, [])
+      for command, (base, _) in sorted(_BASES.items())],
+    # README config sketches
+    ("sweep", {"k": 4, "delta_grid": [0, 0.5], "seeds": [0, 1], "count": 8, "sizes": [8, 10]},
+     []),
+    ("sandwich", {"instance": _ADDITIVE,
+                  "noise": {"kind": "consistent", "epsilon": 0.2, "seed": 4}}, []),
+    ("sandwich", {"construction": _CONSTRUCTION}, []),
+    # every default, every key and each form of each config object
+    ("sweep", None, ["--seed", "3"]),
+    ("sweep", {"count": 2}, []),
+    ("sweep", {"sizes": [6, 7], "corpus_seed": 5, "count": 4, "k": 2, "seeds": [3]}, []),
+    ("sweep", {"instances": [_ADDITIVE, {"kind": "sum", "terms": [_ADDITIVE, _ADDITIVE]}],
+               "k": 2, "delta_grid": [0.25, 0.9], "seeds": [0, 7]}, []),
+    ("sample", {"trials": 7}, ["--seed", "11"]),
+    ("sample", {"n": 6, "alpha": 3, "epsilon": 0.3, "confidence_constant": 2.0, "trials": 4,
+                "seed": 9, "k": 3, "width": 1.0, "family": "additive-bounded"}, []),
+    ("sample", {"alpha": 70, "n": 4, "trials": 3}, []),  # past the exact coverage table
+    ("sample", {"instance": _ADDITIVE, "trials": 5, "k": 2}, []),
+    ("sandwich", {"construction": {**_CONSTRUCTION, "family": "monotone"}, "seed": 2}, []),
+    ("sandwich", {"construction": {**_CONSTRUCTION, "family": "coverage"}},
+     ["--mode", "sampled", "--trials", "300", "--seed", "5"]),
+    ("sandwich", {"instance": _ADDITIVE,
+                  "noise": {"kind": "inconsistent", "family": "additive-bounded", "width": 0.5,
+                            "B": 6, "b": 1, "epsilon": 0.4, "confidence_constant": 2.0,
+                            "seed": 2}, "mode": "sampled", "trials": 40}, []),
+    ("sandwich", {"instance": _ADDITIVE, "noise": {"kind": "consistent", "epsilon": 0.3}},
+     ["--seed", "6"]),
+]
+
+
+def _cli_outcome(argv, out):
+    if out.exists():
+        out.unlink()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    return code, stdout.getvalue(), stderr.getvalue(), out.read_bytes() if out.exists() else None
+
+
+@pytest.mark.parametrize("command, cfg, flags, fmt", [
+    pytest.param(command, cfg, flags, fmt, id=f"{command}-{i}-{fmt}")
+    for i, (command, cfg, flags) in enumerate(_VALID_CONFIGS)
+    # a sandwich check writes no report; the default sweep (1.3 s) runs once
+    for fmt in (["csv"] if command == "sandwich" or cfg is None and command == "sweep"
+                else ["csv", "structured"])
+])
+def test_cli_matches_previous_handlers(tmp_path, monkeypatch, command, cfg, flags, fmt):
+    argv = [command] if command != "sandwich" else ["verify", "--property", "sandwich"]
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv += ["--config", str(path)]
+    out = tmp_path / "report.out"
+    argv += flags + ["--out", str(out), "--format", fmt]
+    got = _cli_outcome(argv, out)
+    name, previous = _PREVIOUS[command]
+    with monkeypatch.context() as m:
+        m.setattr(cli, name, previous)
+        want = _cli_outcome(argv, out)
+    assert got == want
+    assert got[0] in (0, 1) and got[2] == ""
+    assert (got[3] is None) == (command == "sandwich")
+
+
+_STRAY_CONFIGS = {  # one stray, misspelled or misplaced key per config object
+    "sweep": (["sweep"], {"kk": 99}),
+    "sweep-instances": (["sweep"], {"instances": [_ADDITIVE], "sizes": [8], "k": 2}),
+    "sample": (["sample"], {"epsilom": 0.5}),
+    "sample-instance": (["sample"], {"instance": _ADDITIVE, "n": 3, "trials": 1, "k": 2}),
+    "sandwich": (["verify", "--property", "sandwich"],
+                 {"construction": _CONSTRUCTION, "trails": 5}),
+    "sandwich-noise": (["verify", "--property", "sandwich"],
+                       {**_SEEDED_SANDWICHES["consistent-noise"], "epsilon": 0.3}),
+    "construction": (["verify", "--property", "sandwich"],
+                     {"construction": {**_CONSTRUCTION, "familly": "coverage"}}),
+    "construction-beta": (["verify", "--property", "sandwich"],
+                          {"construction": {**_CONSTRUCTION, "beta": 0.25}}),
+    "consistent-noise": (["verify", "--property", "sandwich"],
+                         {"instance": _ADDITIVE,
+                          "noise": {"kind": "consistent", "epsilon": 0.3, "sead": 1}}),
+    "consistent-noise-width": (["verify", "--property", "sandwich"],
+                               {"instance": _ADDITIVE,
+                                "noise": {"kind": "consistent", "epsilon": 0.3, "width": 0.5}}),
+    "inconsistent-noise": (["verify", "--property", "sandwich"],
+                           {**_SEEDED_SANDWICHES["sampled-noise"],
+                            "noise": {**_SEEDED_SANDWICHES["sampled-noise"]["noise"],
+                                      "withd": 0.1}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STRAY_CONFIGS))
+def test_cli_rejects_stray_key(tmp_path, capsys, case):
+    """Each of these once ran with the key ignored and exited 0."""
+    argv, cfg = _STRAY_CONFIGS[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    _assert_rejected(capsys, argv + ["--config", str(path)])

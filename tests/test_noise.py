@@ -17,7 +17,6 @@ from approxsub.noise import (
     InconsistentNoiseOracle,
     SamplingEstimator,
     consistent_noise,
-    estimate,
     noise_from_dict,
     required_samples,
 )
@@ -169,7 +168,7 @@ def test_estimator_zero_variance_recovers_exactly():
     src = InconsistentNoiseOracle(f, "uniform-relative", 0.0, 7)
     est = SamplingEstimator(src, 5)
     s = Subset.from_elements([1, 2], 3)
-    assert estimate(est, s) == 7.0
+    assert est.value(s) == 7.0
 
 
 def test_estimator_caches_and_counts():
@@ -177,12 +176,12 @@ def test_estimator_caches_and_counts():
     src = InconsistentNoiseOracle(f, "uniform-relative", 0.5, 7)
     est = SamplingEstimator(src, 10)
     s = Subset.from_elements([0], 3)
-    v1 = estimate(est, s)
+    v1 = est.value(s)
     assert src.query_count == 10
-    v2 = estimate(est, s)
+    v2 = est.value(s)
     assert v2 == v1
     assert src.query_count == 10  # cache hit costs no source queries
-    estimate(est, Subset.from_elements([1], 3))
+    est.value(Subset.from_elements([1], 3))
     assert src.query_count == 20
 
 

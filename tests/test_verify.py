@@ -5,13 +5,15 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import approxsub
 from approxsub.adversarial import HardPairParams, build_monotone_pair, build_sandwich, draw_hidden_set
+from approxsub.experiments import sampling_union_bound
 from approxsub.functions import AdditiveFunction, CoverageFunction
 from approxsub.noise import consistent_noise
 from approxsub.sets import Subset
@@ -23,6 +25,7 @@ from approxsub.verify import (
     check_submodular,
     exact_band_probability,
     mc_band_probability,
+    pair_band_reference,
     tail_reference,
 )
 from conftest import TableFunction, coverage_table, modular_table, naive_monotone, naive_submodular
@@ -232,6 +235,64 @@ def test_band_probability_helpers_agree():
     mc = mc_band_probability(100, 50, 40, 0.5, trials=500_000, seed=3)
     assert abs(exact - mc) < 5e-4
     assert tail_reference(5.0) == pytest.approx(0.7290393985385394)
+
+
+# The three exponential references as they stood before they shared
+# verify.chernoff_tails, code verbatim.  Each hard-coded its upper-tail rate:
+# x/3 in the first two, x / max(3, 2 + eps) in the third.
+
+def previous_sampling_union_bound(n_sets: int, m: int, epsilon: float, width: float,
+                                  b: float = 1.0) -> float:
+    delta = epsilon * b / width if width > 0 else float("inf")
+    mu = m / 2.0
+    per_set = math.exp(-(delta ** 2) * mu / 3.0) + math.exp(-(delta ** 2) * mu / 2.0)
+    return min(1.0, n_sets * per_set)
+
+
+def previous_pair_band_reference(params, set_size: int) -> float:
+    eps2 = float(params.epsilon) ** 2
+    mu = set_size * params.h / params.n
+    mu_bar = set_size * (params.n - params.h) / params.n
+    loss = (
+        math.exp(-eps2 * mu / 3.0) + math.exp(-eps2 * mu / 2.0)
+        + math.exp(-eps2 * mu_bar / 3.0) + math.exp(-eps2 * mu_bar / 2.0)
+    )
+    return max(0.0, 1.0 - loss)
+
+
+def previous_tail_reference(e2mu: float, epsilon: float = 1.0) -> float:
+    return 1.0 - math.exp(-e2mu / max(3.0, 2.0 + epsilon)) - math.exp(-e2mu / 2.0)
+
+
+_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10 ** 6).flatmap(lambda n: st.tuples(
+           st.just(n), st.integers(1, n), st.integers(0, n))),
+       _unit, st.integers(1, 10 ** 4), st.integers(1, 10 ** 9),
+       st.floats(0.0, 1e3), st.floats(0.0, 1e3, exclude_min=True),
+       st.floats(0.0, math.inf), st.floats(0.0, 1e308, exclude_min=True))
+def test_chernoff_references_keep_their_bits(sizes, eps, n_sets, m, width, b, e2mu, epsilon):
+    """The shared rate is x/3 wherever delta <= 1, so the pair and sampling
+    references give the bits they gave with x/3 hard-coded; the
+    concentration reference is unchanged for every eps."""
+    n, h, set_size = sizes
+    params = SimpleNamespace(n=n, h=h, epsilon=eps)
+    assert pair_band_reference(params, set_size) == previous_pair_band_reference(params,
+                                                                                set_size)
+    assert tail_reference(e2mu, epsilon) == previous_tail_reference(e2mu, epsilon)
+    assume(not width > 0 or eps * b / width <= 1)
+    assert sampling_union_bound(n_sets, m, eps, width, b) == previous_sampling_union_bound(
+        n_sets, m, eps, width, b)
+
+
+def test_sampling_union_bound_rate_past_delta_one():
+    """delta = 0.5 / 0.25 = 2 and mu = 50, so x = 200: the upper tail is
+    exp(-x / (2 + delta)), where x/3 understated it."""
+    got = sampling_union_bound(1, 100, 0.5, 0.25)
+    assert got == math.exp(-200 / 4) + math.exp(-200 / 2)
+    assert previous_sampling_union_bound(1, 100, 0.5, 0.25) < got
 
 
 def _direct_mass(n, h, s, lo, hi, keep):
