@@ -1,5 +1,5 @@
-"""Tour of the core currency: bitmask subsets, counted value oracles, and the
-exact function zoo.
+"""Tour of the core currency: bitmask subsets and the exact function zoo, in
+which every function is a value oracle that counts its queries.
 
 Run:
     python demos/01_subsets_oracles_functions.py
@@ -11,24 +11,19 @@ from approxsub import (
     AdditiveFunction,
     BudgetAdditiveFunction,
     CoverageFunction,
-    GroundSet,
     Subset,
-    as_oracle,
     curvature,
     instance_from_dict,
     instance_to_dict,
     marginal,
-    query,
-    subset_encode,
 )
 
 print("=" * 70)
-print("Subsets are canonical bitmasks over a dense ground set")
+print("Subsets are canonical bitmasks over the ground set 0..n-1")
 print("=" * 70)
 
-ground = GroundSet(8)
-s = subset_encode([5, 0, 3, 5], ground)  # duplicates collapse, order ignored
-t = subset_encode([3, 4], ground)
+s = Subset.from_elements([5, 0, 3, 5], 8)  # duplicates collapse, order ignored
+t = Subset.from_elements([3, 4], 8)
 print(f"s = {s.elements()}  (size {s.size}, mask {s.mask:#010b})")
 print(f"t = {t.elements()}")
 print(f"s | t = {s.union(t).elements()},  s & t = {s.intersection(t).elements()}")
@@ -36,14 +31,14 @@ print(f"complement of s = {s.complement().elements()}")
 
 print()
 print("=" * 70)
-print("Value oracles count every query")
+print("Every function is a value oracle: query() counts, value() does not")
 print("=" * 70)
 
 f = AdditiveFunction([1, 2, 3, 4, 5, 6, 7, 8])
-oracle = as_oracle(f)
-print(f"f(s) = {query(oracle, s)}   (queries so far: {oracle.query_count})")
-print(f"f(s) = {query(oracle, s)}   (same set, same value, queries: {oracle.query_count})")
-print(f"f(empty) = {query(oracle, Subset.empty(8))}  -- normalized")
+print(f"f(s) = {f.query(s)}   (queries so far: {f.query_count})")
+print(f"f(s) = {f.query(s)}   (same set, same value, queries: {f.query_count})")
+print(f"f(empty) = {f.query(Subset.empty(8))}  -- normalized")
+print(f"f(t) = {f.value(t)}   (uncounted; queries still {f.query_count})")
 
 print()
 print("=" * 70)
@@ -51,14 +46,14 @@ print("The exact zoo: additive, budget-additive, coverage, concave")
 print("=" * 70)
 
 budgeted = BudgetAdditiveFunction([1, 1, 1, 1], budget=2.5)
-big = subset_encode([0, 1, 2], 4)
+big = Subset.from_elements([0, 1, 2], 4)
 print(f"budget-additive caps at the budget: value = {budgeted.value(big)}")
 
 cover = CoverageFunction(3, [[0, 1], [1, 2]])
-both = subset_encode([0, 1], 2)
+both = Subset.from_elements([0, 1], 2)
 print(f"coverage of both sets = {cover.value(both)} (the whole universe)")
 print(f"marginal of adding the second set to the first = "
-      f"{marginal(cover, subset_encode([0], 2), 1)}")
+      f"{marginal(cover, Subset.from_elements([0], 2), 1)}")
 
 print()
 print("Curvature: how much the last marginal can shrink relative to the first")

@@ -22,7 +22,6 @@ from approxsub import (
     check_submodular,
     draw_hidden_set,
     gap_bound,
-    subset_encode,
 )
 from approxsub.verify import pair_band_probability, pair_band_reference
 
@@ -52,7 +51,7 @@ print("\nOn small sets the two coincide; they split once the budget piece caps:"
 inside = hidden.subset.elements()
 outside = hidden.subset.complement().elements()
 for elems in ([inside[0]], inside[:3], inside[:2] + outside[:4], inside[:4] + outside[:5]):
-    s = subset_encode(elems, n)
+    s = Subset.from_elements(elems, n)
     print(f"  |S|={s.size}: planted={float(pair.fh.value(s)):6.3f}   "
           f"decoy={float(pair.g.value(s)):6.3f}")
 

@@ -11,9 +11,9 @@ Run:
 """
 
 from approxsub import (
+    ConsistentNoiseOracle,
     PartitionMatroid,
     brute_force,
-    consistent_noise,
     greedy_bound,
     greedy_cardinality,
     greedy_matroid,
@@ -28,7 +28,7 @@ k = 4
 print(f"{'delta':>6} {'eps':>8} {'guaranteed ratio':>18}")
 for delta in (0.0, 0.1, 0.25, 0.5, 0.75, 0.99):
     eps = delta / k
-    print(f"{delta:6.2f} {eps:8.4f} {greedy_bound(k, eps).ratio:18.4f}")
+    print(f"{delta:6.2f} {eps:8.4f} {greedy_bound(k, eps):18.4f}")
 
 print()
 print("=" * 70)
@@ -61,10 +61,10 @@ print(f"rank {k} partition matroid; exact optimum over independent sets: "
       f"{float(opt.value)}")
 for delta in (0.0, 0.5):
     eps = delta / k
-    bound = matroid_bound(k, eps).ratio
+    bound = matroid_bound(k, eps)
     worst = 1.0
     for seed in range(5):
-        F = consistent_noise(f, eps, seed)
+        F = ConsistentNoiseOracle(f, eps, seed)
         res = greedy_matroid(F, matroid)
         worst = min(worst, float(res.value) / float(opt.value))
     print(f"eps={eps:8.5f}: worst measured ratio {worst:.4f} "

@@ -6,17 +6,16 @@ Run:
 """
 
 from approxsub import (
+    ConsistentNoiseOracle,
     CoverageFunction,
     brute_force,
     build_greedy_trap,
-    consistent_noise,
     curvature,
     curvature_bound,
     curvature_topk,
     greedy_cardinality,
 )
 from approxsub.experiments import run_sampling_validation, run_trap
-from approxsub.sets import as_oracle
 
 print("=" * 70)
 print("1. The greedy trap: a deflation override on a thin set family")
@@ -42,8 +41,8 @@ f = CoverageFunction(3 + 10, [[i % 3, 3 + i] for i in range(10)])
 c = curvature(f)
 print(f"coverage fixture with curvature c = {float(c)}")
 for eps in (0.1, 0.25):
-    bound = curvature_bound(float(c), eps).ratio
-    F = consistent_noise(f, eps, seed=5)
+    bound = curvature_bound(float(c), eps)
+    F = ConsistentNoiseOracle(f, eps, seed=5)
     res = curvature_topk(F, f.n, k=4)
     opt = brute_force(F, f.n, 4)
     ratio = float(res.value) / float(opt.value)

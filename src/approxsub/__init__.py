@@ -30,30 +30,19 @@ from .functions import (
     FunctionInstance,
     SumFunction,
     curvature,
-    evaluate_instance,
     instance_from_dict,
     instance_to_dict,
     marginal,
 )
-from .matroids import Matroid, PartitionMatroid, UniformMatroid, is_independent, rank
+from .matroids import Matroid, PartitionMatroid, UniformMatroid
 from .noise import (
     ConsistentNoiseOracle,
     InconsistentNoiseOracle,
     SamplingEstimator,
-    consistent_noise,
     required_samples,
 )
-from .sets import (
-    FunctionOracle,
-    GroundSet,
-    Subset,
-    ValueOracle,
-    as_oracle,
-    query,
-    subset_encode,
-)
+from .sets import Subset, ValueOracle
 from .solvers import (
-    BoundReport,
     SolveResult,
     brute_force,
     curvature_bound,

@@ -25,7 +25,6 @@ from .adversarial import (
 )
 from .functions import CoverageFunction, instance_from_dict
 from .noise import noise_from_dict
-from .sets import ValueOracle
 from .verify import check_concentration, check_monotone, check_sandwich, check_submodular
 
 EXIT_PASS = 0
@@ -104,9 +103,6 @@ def _cmd_verify(args) -> int:
             f = instance_from_dict(cfg.pop("instance"))
             noise = cfg.pop("noise")
             F = noise_from_dict(f, noise)
-            if not isinstance(F, ValueOracle):
-                raise ValueError("an inconsistent noise block needs 'm' or 'B' for the "
-                                 "sandwich check (a sampled estimator)")
             epsilon, n = noise["epsilon"], f.n
         report = check_sandwich(F, f, epsilon, n, **{
             "mode": args.mode or "exhaustive", "trials": args.trials, "seed": args.seed, **cfg,

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .sets import Subset, iter_bits
+from .sets import Subset, ValueOracle, iter_bits
 
 # Every exact table keeps |entry| below this, so the checkers' int64 second
 # differences (four entries) cannot overflow.
@@ -20,14 +20,12 @@ TABLE_LIMIT = 1 << 61
 _EXACT_TYPES = (int, bool, Fraction)
 
 
-class FunctionInstance:
-    """Base for exact evaluable set functions over {0..n-1}."""
+class FunctionInstance(ValueOracle):
+    """Base for exact evaluable set functions over {0..n-1}: each is its own
+    counted oracle.  Subclasses set ``n`` and implement ``value``."""
 
     kind = "abstract"
     n: int
-
-    def value(self, s: Subset):
-        raise NotImplementedError
 
     def exact_table(self, n: int):
         """``(T, D)``, an int64 array over all 2^n masks and a positive int
@@ -276,11 +274,6 @@ class SumFunction(FunctionInstance):
         return total, den
 
 
-def evaluate_instance(inst: FunctionInstance, s: Subset):
-    """Evaluate an instance at a subset (exact per the instance's formula)."""
-    return inst.value(s)
-
-
 def exact_table(fn, n: int):
     """``fn.exact_table(n)`` for an object that has one, else None."""
     table = getattr(fn, "exact_table", None)
@@ -365,10 +358,26 @@ def instance_to_dict(inst: FunctionInstance) -> dict:
     raise TypeError(f"cannot serialize instance of kind {inst.kind!r}")
 
 
+_INSTANCE_KEYS = {
+    "additive": {"kind", "weights"},
+    "budget_additive": {"kind", "weights", "budget"},
+    "coverage": {"kind", "universe_size", "covers"},
+    "concave_cardinality": {"kind", "table"},
+    "sum": {"kind", "terms"},
+}
+
+
 def instance_from_dict(d: dict) -> FunctionInstance:
+    """Build an instance from its tagged object; any key its kind does not
+    read is rejected."""
     if not isinstance(d, dict):
         raise ValueError(f"an instance must be a JSON object, got {type(d).__name__}")
     kind = d.get("kind")
+    if not isinstance(kind, str) or kind not in _INSTANCE_KEYS:
+        raise ValueError(f"unknown instance kind {kind!r}")
+    stray = d.keys() - _INSTANCE_KEYS[kind]
+    if stray:
+        raise ValueError(f"unknown keys in an instance of kind {kind!r}: {sorted(stray)}")
     if kind == "additive":
         return AdditiveFunction([_num_from_obj(w) for w in d["weights"]])
     if kind == "budget_additive":
@@ -379,6 +388,4 @@ def instance_from_dict(d: dict) -> FunctionInstance:
         return CoverageFunction(d["universe_size"], d["covers"])
     if kind == "concave_cardinality":
         return ConcaveCardinalityFunction([_num_from_obj(v) for v in d["table"]])
-    if kind == "sum":
-        return SumFunction([instance_from_dict(t) for t in d["terms"]])
-    raise ValueError(f"unknown instance kind {kind!r}")
+    return SumFunction([instance_from_dict(t) for t in d["terms"]])

@@ -78,14 +78,6 @@ class PartitionMatroid(Matroid):
         )
 
 
-def is_independent(matroid: Matroid, s: Subset) -> bool:
-    return matroid.is_independent(s)
-
-
-def rank(matroid: Matroid) -> int:
-    return matroid.rank()
-
-
 def matroid_to_dict(m: Matroid) -> dict:
     if isinstance(m, UniformMatroid):
         return {"kind": "uniform", "n": m.n, "k": m.k}

@@ -75,11 +75,6 @@ class ConsistentNoiseOracle(ValueOracle):
         return self.xi(s) * v
 
 
-def consistent_noise(f, epsilon: float, seed: int) -> ConsistentNoiseOracle:
-    """Wrap an exact function in persistent multiplicative noise."""
-    return ConsistentNoiseOracle(f, epsilon, seed)
-
-
 class InconsistentNoiseOracle:
     """Unbiased noisy oracle: each query is a fresh draw with mean f(S).
 
@@ -152,7 +147,7 @@ def required_samples(B, b, n, epsilon: float, confidence_constant: float = 3.0) 
 
 class SamplingEstimator(ValueOracle):
     """Consistent face over an inconsistent source: mean of m draws per set,
-    computed once and cached under the subset's canonical key."""
+    computed once and cached under the subset's mask."""
 
     def __init__(self, source: InconsistentNoiseOracle, m: int):
         if not 1 <= m <= MAX_SAMPLES:
@@ -160,19 +155,19 @@ class SamplingEstimator(ValueOracle):
         super().__init__(source.n)
         self.source = source
         self.m = m
-        self._cache: dict[tuple[int, ...], float] = {}
+        self._cache: dict[int, float] = {}
 
     def value(self, s: Subset) -> float:
-        key = s.key()
-        cached = self._cache.get(key)
+        cached = self._cache.get(s.mask)
         if cached is not None:
             return cached
         est = float(np.mean(self.source.sample_batch(s, self.m)))
-        self._cache[key] = est
+        self._cache[s.mask] = est
         return est
 
-    def cached_sets(self) -> list[tuple[int, ...]]:
-        return list(self._cache.keys())
+    def cached_sets(self) -> list[int]:
+        """Masks of the sets estimated so far, in first-query order."""
+        return list(self._cache)
 
 
 _NOISE_KEYS = {"consistent": {"kind", "epsilon", "seed"}}
@@ -186,7 +181,8 @@ def noise_from_dict(base, cfg: dict):
     Consistent: {"kind": "consistent", "epsilon": e, "seed": s}
     Inconsistent source: {"kind": "inconsistent", "family": ..., "width": w, "seed": s}
     Sampled estimator: inconsistent block plus either "m" or
-    {"B": ..., "b": ..., "epsilon": ..., "confidence_constant": ...}.
+    {"B": ..., "b": ..., "epsilon": ..., "confidence_constant": ...}, which an
+    inconsistent block needs: a bare source is no consistent oracle.
     Any other key is rejected.
     """
     if not isinstance(cfg, dict):
@@ -199,16 +195,16 @@ def noise_from_dict(base, cfg: dict):
         raise ValueError(f"unknown keys in a {kind} noise block: {sorted(stray)}")
     seed = operator.index(cfg.get("seed", 0))  # None would draw OS entropy
     if kind == "consistent":
-        return consistent_noise(base, cfg["epsilon"], seed)
+        return ConsistentNoiseOracle(base, cfg["epsilon"], seed)
     source = InconsistentNoiseOracle(
         base, cfg.get("family", "uniform-relative"), cfg["width"], seed
     )
     if "m" in cfg:
         return SamplingEstimator(source, cfg["m"])
-    if "B" in cfg:
-        m = required_samples(
-            cfg["B"], cfg["b"], base.n, cfg["epsilon"],
-            cfg.get("confidence_constant", 3.0),
-        )
-        return SamplingEstimator(source, m)
-    return source
+    if "B" not in cfg:
+        raise ValueError("an inconsistent noise block needs 'm' or 'B' for the "
+                         "sandwich check (a sampled estimator)")
+    m = required_samples(
+        cfg["B"], cfg["b"], base.n, cfg["epsilon"], cfg.get("confidence_constant", 3.0),
+    )
+    return SamplingEstimator(source, m)

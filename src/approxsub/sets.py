@@ -1,22 +1,9 @@
-"""Ground sets, bitmask subsets, and query-counted value oracles."""
+"""Bitmask subsets and query-counted value oracles."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 _BLOCK_BITS = 64
 _BLOCK_MASK = (1 << _BLOCK_BITS) - 1
-
-
-@dataclass(frozen=True)
-class GroundSet:
-    """Dense ground set with elements 0..n-1."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"ground set needs at least one element, got n={self.n}")
 
 
 def iter_bits(mask: int):
@@ -146,31 +133,20 @@ class Subset:
         return f"Subset(n={self.n}, elements={self.elements()})"
 
 
-def subset_encode(elements, ground) -> Subset:
-    """Encode a list of element ids (duplicates allowed) as a canonical Subset."""
-    n = ground.n if isinstance(ground, GroundSet) else int(ground)
-    return Subset.from_elements(elements, n)
-
-
-def mask_from_key(blocks) -> int:
-    """Rebuild a mask from its canonical 64-bit block sequence."""
-    mask = 0
-    for i, b in enumerate(blocks):
-        mask |= b << (i * _BLOCK_BITS)
-    return mask
-
-
 class ValueOracle:
     """Black-box access to a set function with query accounting.
 
     Subclasses implement :meth:`value`, a pure function of the subset (and
     the oracle's state at construction).  :meth:`query` is the counted entry
     point used by solvers; the counter increments by exactly one per call.
+    The class-level count of 0 lets a subclass that sets ``n`` itself skip
+    ``__init__``, as the exact function kinds do.
     """
+
+    _queries = 0
 
     def __init__(self, n: int):
         self.n = n
-        self._queries = 0
 
     def value(self, s: Subset):
         raise NotImplementedError
@@ -184,26 +160,3 @@ class ValueOracle:
     @property
     def query_count(self) -> int:
         return self._queries
-
-
-class FunctionOracle(ValueOracle):
-    """Counting wrapper around an exact function instance."""
-
-    def __init__(self, fn):
-        super().__init__(fn.n)
-        self.fn = fn
-
-    def value(self, s: Subset):
-        return self.fn.value(s)
-
-
-def as_oracle(obj) -> ValueOracle:
-    """Wrap a function instance in a counting oracle; pass oracles through."""
-    if isinstance(obj, ValueOracle):
-        return obj
-    return FunctionOracle(obj)
-
-
-def query(oracle: ValueOracle, s: Subset):
-    """Issue one counted value query."""
-    return oracle.query(s)

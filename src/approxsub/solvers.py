@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .matroids import Matroid
-from .sets import Subset, ValueOracle, as_oracle
+from .sets import Subset, ValueOracle
 
 
 @dataclass
@@ -25,17 +25,6 @@ class SolveResult:
     value: object
     trace: list[tuple[int, int]] = field(default_factory=list)
     queries_used: int = 0
-
-
-@dataclass
-class BoundReport:
-    """Worst-case approximation ratio from a closed-form guarantee."""
-
-    kind: str
-    ratio: float
-    k: int | None = None
-    epsilon: float | None = None
-    c: float | None = None
 
 
 def greedy_cardinality(F: ValueOracle, n: int, k: int) -> SolveResult:
@@ -121,7 +110,7 @@ def curvature_topk(F: ValueOracle, n: int, k: int) -> SolveResult:
     return SolveResult(chosen, val, trace, F.query_count - start)
 
 
-def brute_force(F, n: int, constraint) -> SolveResult:
+def brute_force(F: ValueOracle, n: int, constraint) -> SolveResult:
     """Exact maximizer by enumeration; the reference oracle for every ratio
     claim.
 
@@ -135,14 +124,13 @@ def brute_force(F, n: int, constraint) -> SolveResult:
     """
     if n > 24:
         raise ValueError(f"brute force guarded at n <= 24, got {n}")
-    oracle = as_oracle(F)
-    if oracle.n != n:
-        raise ValueError(f"ground set mismatch: oracle n={oracle.n}, n={n}")
+    if F.n != n:
+        raise ValueError(f"ground set mismatch: oracle n={F.n}, n={n}")
     matroid = constraint if isinstance(constraint, Matroid) else None
     limit = n if matroid is not None else int(constraint)
     if limit < 0:  # no feasible set; the jump would stall at mask 0
         return SolveResult(None, None, [], 0)
-    start = oracle.query_count
+    start = F.query_count
     best = None
     best_val = None
     end = 1 << n
@@ -154,14 +142,14 @@ def brute_force(F, n: int, constraint) -> SolveResult:
             continue
         s = Subset._raw(n, mask, size)
         if matroid is None or matroid.is_independent(s):
-            v = oracle.query(s)
+            v = F.query(s)
             if best_val is None or v > best_val:
                 best, best_val = s, v
         mask += 1
-    return SolveResult(best, best_val, [], oracle.query_count - start)
+    return SolveResult(best, best_val, [], F.query_count - start)
 
 
-def greedy_bound(k: int, epsilon: float) -> BoundReport:
+def greedy_bound(k: int, epsilon: float) -> float:
     """Worst-case ratio of greedy under a cardinality budget at error level
     epsilon: 1/(1 + 4 k e/(1-e)^2) * (1 - ((1-e)/(1+e))^(2k) (1 - 1/k)^k)."""
     if k < 1:
@@ -169,15 +157,14 @@ def greedy_bound(k: int, epsilon: float) -> BoundReport:
     if not 0 <= epsilon < 1:
         raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
     r = (1 - epsilon) / (1 + epsilon)
-    ratio = (
+    return (
         1.0
         / (1.0 + 4.0 * k * epsilon / (1.0 - epsilon) ** 2)
         * (1.0 - r ** (2 * k) * (1.0 - 1.0 / k) ** k)
     )
-    return BoundReport(kind="greedy-cardinality", ratio=ratio, k=k, epsilon=epsilon)
 
 
-def matroid_bound(k: int, epsilon: float) -> BoundReport:
+def matroid_bound(k: int, epsilon: float) -> float:
     """Worst-case ratio of matroid greedy at error level epsilon, measured
     against the representative's optimum over independent sets:
     (1/2) ((1-e)/(1+e)) / (1 + k e/(1-e))."""
@@ -185,19 +172,17 @@ def matroid_bound(k: int, epsilon: float) -> BoundReport:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0 <= epsilon < 1:
         raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
-    ratio = 0.5 * (1 - epsilon) / (1 + epsilon) / (1.0 + k * epsilon / (1.0 - epsilon))
-    return BoundReport(kind="greedy-matroid", ratio=ratio, k=k, epsilon=epsilon)
+    return 0.5 * (1 - epsilon) / (1 + epsilon) / (1.0 + k * epsilon / (1.0 - epsilon))
 
 
-def curvature_bound(c: float, epsilon: float) -> BoundReport:
+def curvature_bound(c: float, epsilon: float) -> float:
     """Worst-case ratio of the singleton-surrogate solver for a representative
     with curvature c: (1 - c) ((1-e)/(1+e))^2."""
     if not 0 <= c <= 1:
         raise ValueError(f"curvature must be in [0, 1], got {c}")
     if not 0 <= epsilon < 1:
         raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
-    ratio = (1.0 - c) * ((1.0 - epsilon) / (1.0 + epsilon)) ** 2
-    return BoundReport(kind="curvature", ratio=ratio, c=c, epsilon=epsilon)
+    return (1.0 - c) * ((1.0 - epsilon) / (1.0 + epsilon)) ** 2
 
 
 def expected_greedy_queries(n: int, k: int) -> int:

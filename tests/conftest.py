@@ -8,7 +8,30 @@ from itertools import combinations
 import numpy as np
 from hypothesis import strategies as st
 
-from approxsub.sets import Subset
+from approxsub.sets import Subset, ValueOracle
+
+
+# ---------------------------------------------------------------------------
+# The wrapper layer every function went through before each function became
+# its own counted oracle, verbatim: the reference for solver runs.
+# ---------------------------------------------------------------------------
+
+class FunctionOracle(ValueOracle):
+    """Counting wrapper around an exact function instance."""
+
+    def __init__(self, fn):
+        super().__init__(fn.n)
+        self.fn = fn
+
+    def value(self, s: Subset):
+        return self.fn.value(s)
+
+
+def as_oracle(obj) -> ValueOracle:
+    """Wrap a function instance in a counting oracle; pass oracles through."""
+    if isinstance(obj, ValueOracle):
+        return obj
+    return FunctionOracle(obj)
 
 
 class TableFunction:

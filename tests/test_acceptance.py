@@ -28,8 +28,8 @@ from approxsub.experiments import (
 )
 from approxsub.functions import CoverageFunction, curvature
 from approxsub.matroids import PartitionMatroid
-from approxsub.noise import consistent_noise
-from approxsub.sets import Subset, as_oracle
+from approxsub.noise import ConsistentNoiseOracle
+from approxsub.sets import Subset
 from approxsub.solvers import (
     brute_force,
     curvature_bound,
@@ -106,7 +106,7 @@ def test_criterion_02_sandwich_validity():
     picks = [next(i for i in corpus if i.n == n) for n in (8, 10, 12)]
     for inst in picks:
         for eps in (0.1, 0.25):
-            F = consistent_noise(inst, eps, seed=7)
+            F = ConsistentNoiseOracle(inst, eps, seed=7)
             ok = ok and check_sandwich(F, inst, eps, inst.n).passed
     # Trap override sets at n=64, exact rational comparisons.
     trap = build_greedy_trap(16, 0.5, 64)
@@ -183,9 +183,9 @@ def test_criterion_05_greedy_guarantee():
     for idx, inst in enumerate(corpus):
         k = (2, 4, 6)[idx % 3]
         for eps in (0.0, 0.5 / k, 1.0 / k):
-            bound = greedy_bound(k, eps).ratio
+            bound = greedy_bound(k, eps)
             for seed in range(10):
-                F = consistent_noise(inst, eps, seed)
+                F = ConsistentNoiseOracle(inst, eps, seed)
                 res = greedy_cardinality(F, inst.n, k)
                 opt = brute_force(F, inst.n, k)
                 runs += 1
@@ -193,7 +193,7 @@ def test_criterion_05_greedy_guarantee():
                 if float(res.value) < floor - 1e-12 * max(1.0, abs(floor)):
                     failures += 1
     grid_ok = all(
-        greedy_bound(k, (i / 50) / k).ratio >= 1 - 1 / math.e - 16 * (i / 50)
+        greedy_bound(k, (i / 50) / k) >= 1 - 1 / math.e - 16 * (i / 50)
         for k in (2, 4, 6) for i in range(50)
     )
     ok = failures == 0 and grid_ok
@@ -226,9 +226,9 @@ def test_criterion_06_matroid_guarantee():
         for f in bases:
             opt_f = brute_force(f, n, matroid)  # representative's optimum
             for eps in (0.0, 0.5 / k, 1.0 / k):
-                bound = matroid_bound(k, eps).ratio
+                bound = matroid_bound(k, eps)
                 for seed in range(10):
-                    F = consistent_noise(f, eps, seed)
+                    F = ConsistentNoiseOracle(f, eps, seed)
                     res = greedy_matroid(F, matroid)
                     runs += 1
                     floor = bound * float(opt_f.value)
@@ -259,9 +259,9 @@ def test_criterion_07_curvature_route():
         assert c < 1
         k = max(2, n // 3)
         for eps in (0.1, 0.25):
-            bound = curvature_bound(float(c), eps).ratio
+            bound = curvature_bound(float(c), eps)
             for seed in range(3):
-                F = consistent_noise(f, eps, seed)
+                F = ConsistentNoiseOracle(f, eps, seed)
                 res = curvature_topk(F, n, k)
                 opt = brute_force(F, n, k)
                 runs += 1
@@ -269,7 +269,7 @@ def test_criterion_07_curvature_route():
                 if float(res.value) < floor - 1e-12 * max(1.0, abs(floor)):
                     failures += 1
             # Two-sided additive-surrogate sandwich, exhaustive.
-            F = consistent_noise(f, eps, 11)
+            F = ConsistentNoiseOracle(f, eps, 11)
             singles = [F.value(Subset(n, 1 << a)) for a in range(n)]
             lo = (1 - eps) / (1 + eps)
             hi = (1 / (1 - float(c))) * (1 + eps) / (1 - eps)

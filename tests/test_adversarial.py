@@ -14,7 +14,7 @@ from approxsub.adversarial import (
     gap_bound,
     power_law_params,
 )
-from approxsub.sets import Subset, subset_encode
+from approxsub.sets import Subset
 from approxsub.verify import (
     check_monotone,
     check_sandwich,
@@ -106,7 +106,7 @@ def _pair100():
 def test_monotone_pair_small_set_regime():
     params, hidden, pair = _pair100()
     inside = hidden.subset.elements()[:5]
-    s = subset_encode(inside, 100)
+    s = Subset.from_elements(inside, 100)
     assert pair.fh.value(s) == 5
     assert pair.g.value(s) == 5
 
@@ -115,7 +115,7 @@ def test_monotone_pair_mixed_set():
     params, hidden, pair = _pair100()
     inside = hidden.subset.elements()[:2]
     outside = hidden.subset.complement().elements()[:10]
-    s = subset_encode(inside + outside, 100)
+    s = Subset.from_elements(inside + outside, 100)
     assert pair.fh.value(s) == 2 + Fraction(15, 4)  # 2 + min(10, 3.75)
     assert pair.g.value(s) == Fraction(27, 4)  # min(12, 6.75)
 
@@ -179,8 +179,8 @@ def test_coverage_pair_closed_forms():
     pair = build_coverage_pair(params, hidden)
     inside = hidden.subset.elements()[:3]
     outside = hidden.subset.complement().elements()[:7]
-    assert pair.fh.value(subset_encode(inside, 100)) == 8
-    s10 = subset_encode(inside + outside, 100)
+    assert pair.fh.value(Subset.from_elements(inside, 100)) == 8
+    s10 = Subset.from_elements(inside + outside, 100)
     assert pair.g.value(s10) == Fraction(15, 2)  # 10 * 25/100 + 5
     empty = Subset.empty(100)
     assert pair.fh.value(empty) == 0
@@ -203,7 +203,7 @@ def test_coverage_pair_unscaled_equality_at_divisible_sizes():
     params = HardPairParams(n=12, h=4, alpha=3, k=4, epsilon=0.25)
     hidden = draw_hidden_set(12, 4, 9)
     pair = build_coverage_pair(params, hidden, realize_explicitly=True)
-    s = subset_encode([0, 1, 2], 12)
+    s = Subset.from_elements([0, 1, 2], 12)
     assert pair.g.value(s) == 4
     assert pair.g_cov.value(s) == 12 * 4
 
@@ -238,7 +238,7 @@ def test_sandwich_returns_decoy_when_equal():
     params, hidden, pair = _pair100()
     sw = build_sandwich(pair)
     inside = hidden.subset.elements()[:4]
-    s = subset_encode(inside, 100)
+    s = Subset.from_elements(inside, 100)
     assert pair.fh.value(s) == pair.g.value(s)
     assert sw.value(s) == pair.g.value(s)
     assert sw.value(Subset.empty(100)) == 0
@@ -249,7 +249,7 @@ def test_sandwich_reveals_planted_outside_band():
     hidden = draw_hidden_set(64, 16, 6)
     pair = build_monotone_pair(params, hidden)
     sw = build_sandwich(pair)
-    planted = subset_encode(hidden.subset.elements()[:16], 64)
+    planted = Subset.from_elements(hidden.subset.elements()[:16], 64)
     # decoy value 5.5 sits below (1 - eps) * 16, so the oracle reveals 16
     assert pair.g.value(planted) == Fraction(11, 2)
     assert sw.value(planted) == 16
@@ -304,7 +304,7 @@ def test_trap_canonical_blocks():
     assert trap.epsilon == Fraction(1, 4)
     assert len(trap.a_elements) == 2
     assert len(trap.b_elements) == len(trap.c_elements) == 31
-    a = subset_encode(trap.a_elements, 64)
+    a = Subset.from_elements(trap.a_elements, 64)
     assert trap.f.value(a) == 4  # == 1/eps
     assert trap.claimed_greedy_value() == Fraction(135, 32)  # 4 + 14/64
 
@@ -324,13 +324,13 @@ def test_trap_override_band_exact():
 
 def test_trap_differs_only_on_override_family():
     trap = build_greedy_trap(16, 0.5, 64)
-    a = subset_encode(trap.a_elements, 64)
+    a = Subset.from_elements(trap.a_elements, 64)
     b0, c0, c1 = trap.b_elements[0], trap.c_elements[0], trap.c_elements[1]
     assert trap.value(a) == trap.f.value(a)
     assert trap.value(a.add(b0)) == trap.f.value(a.add(b0))
     assert trap.value(a.add(c0)) == 4 != trap.f.value(a.add(c0))
     assert trap.value(a.add(c0).add(c1)) == trap.f.value(a.add(c0).add(c1))
-    assert trap.value(subset_encode([c0], 64)) == 1
+    assert trap.value(Subset.from_elements([c0], 64)) == 1
     assert trap.value(a.add(b0).add(c0)) == trap.f.value(a.add(b0).add(c0))
 
 

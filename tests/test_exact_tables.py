@@ -46,12 +46,12 @@ from approxsub.functions import (
 )
 from approxsub.matroids import PartitionMatroid, UniformMatroid, matroid_from_dict, matroid_to_dict
 from approxsub.noise import (
+    ConsistentNoiseOracle,
     InconsistentNoiseOracle,
     SamplingEstimator,
-    consistent_noise,
     required_samples,
 )
-from approxsub.sets import Subset, mask_from_key
+from approxsub.sets import Subset
 from approxsub.solvers import expected_greedy_queries, greedy_cardinality
 from approxsub.verify import (
     CheckReport,
@@ -188,8 +188,7 @@ def reference_run_sampling_validation(
         est = SamplingEstimator(source, m)
         greedy_cardinality(est, n, k)
         violations = 0
-        for key in est.cached_sets():
-            mk = mask_from_key(key)
+        for mk in est.cached_sets():
             s = Subset._raw(n, mk, mk.bit_count())
             if not band.float_holds(est.value(s), f.value(s)):
                 violations += 1
@@ -425,7 +424,7 @@ def test_corpus_reports_equal_generic(seed, fn, other):
     assert_same_report(check_monotone(fn, n), reference_check_monotone(fn, n))
     # Both sides tabulated (a pass), another instance as F (usually an early
     # failure), and, at n = 8 to keep the hash cost down, a float-valued noisy F.
-    cases = [(fn, 0.3), (other, 0.5)] + [(consistent_noise(fn, 0.25, seed), 0.25)] * (n == 8)
+    cases = [(fn, 0.3), (other, 0.5)] + [(ConsistentNoiseOracle(fn, 0.25, seed), 0.25)] * (n == 8)
     for F, eps in cases:
         assert_same_report(check_sandwich(F, fn, eps, n), reference_check_sandwich(F, fn, eps, n))
 
@@ -448,7 +447,7 @@ def test_hard_pair_sandwiches_equal_generic(seed):
     # A float F against g's table, whose denominator is 2: a pass and a failure.
     assert pair.g.exact_table(12)[1] == 2
     for band_eps in (0.25, 0.1):
-        noisy = consistent_noise(pair.g, 0.25, seed)
+        noisy = ConsistentNoiseOracle(pair.g, 0.25, seed)
         assert_same_report(check_sandwich(noisy, pair.g, band_eps, 12),
                            reference_check_sandwich(noisy, pair.g, band_eps, 12))
     for fn in (pair.fh, pair.g):

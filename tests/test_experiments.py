@@ -151,7 +151,7 @@ def test_noise_sweep_coverage_corpus_k8():
     coverage = [inst for inst in instance_corpus(1)
                 if isinstance(inst, CoverageFunction) and inst.n >= 10][:3]
     rows = run_noise_sweep(coverage, k=8, delta_grid=[0.5], seeds=list(range(20)))
-    floor = greedy_bound(8, 0.5 / 8).ratio
+    floor = greedy_bound(8, 0.5 / 8)
     assert min(r["ratio"] for r in rows) >= floor - 1e-12
     # Seed-major row order.
     seeds = [r["seed"] for r in rows]
@@ -571,6 +571,19 @@ def _deep_sum(depth):
                  id="submodular-sum-depth-2000"),
     pytest.param(["verify", "--property", "submodular"], _deep_sum(450),
                  id="submodular-sum-depth-450"),
+    # instance objects once dropped the keys their kind does not read and exited 0
+    (["verify", "--property", "monotone"], '{"kind": "additive", "weights": [1, 2], "budget": 3}'),
+    (["verify", "--property", "submodular"],
+     json.dumps({"kind": "sum", "terms": [{"kind": "coverage", "universe_size": 2,
+                                           "covers": [[0], [1]], "weights": [1, 2]}]})),
+    (["verify", "--property", "monotone"],
+     '{"kind": "concave_cardinality", "table": [0, 1, 1], "n": 2}'),
+    (["sweep"], '{"instances": [{"kind": "additive", "weights": [1, 2], "n": 2}], "k": 1}'),
+    (["sample"], json.dumps({"instance": {"kind": "budget_additive", "weights": [1, 2],
+                                          "budget": 2, "cap": 1}, "trials": 1, "k": 1})),
+    (["verify", "--property", "sandwich"],
+     json.dumps({"instance": {"kind": "additive", "weights": [1, 2], "weight": 3},
+                 "noise": {"kind": "consistent", "epsilon": 0.3}})),
 ])
 def test_cli_rejects_malformed_input(tmp_path, capsys, argv, text):
     """Each input once exited 0 or 1, with or without a traceback."""
@@ -647,6 +660,7 @@ _BASES = {  # command: (valid small config, fields to spoil as (block or None, k
                         "mode": "sampled", "trials": 5, "seed": 1},
                        [("noise", f) for f in ("kind", "family", "width", "epsilon", "m", "seed",
                                                "B", "b", "confidence_constant", _STRAY)]
+                       + [("instance", f) for f in ("kind", "weights", _STRAY)]
                        + [(None, f) for f in ("mode", "trials", "seed", _STRAY)]),
 }
 

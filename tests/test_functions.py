@@ -9,27 +9,26 @@ from approxsub.functions import (
     CoverageFunction,
     SumFunction,
     curvature,
-    evaluate_instance,
     instance_from_dict,
     instance_to_dict,
     marginal,
 )
-from approxsub.sets import Subset, subset_encode
+from approxsub.sets import Subset
 from approxsub.verify import check_monotone, check_submodular
 
 
 def test_coverage_union_is_universe():
     # covers {1,2} and {2,3} over universe {1,2,3}, relabeled to 0-based
     f = CoverageFunction(3, [[0, 1], [1, 2]])
-    assert f.value(subset_encode([0, 1], 2)) == 3
-    assert f.value(subset_encode([0], 2)) == 2
+    assert f.value(Subset.from_elements([0, 1], 2)) == 3
+    assert f.value(Subset.from_elements([0], 2)) == 2
     assert f.value(Subset.empty(2)) == 0
 
 
 def test_budget_additive_cap_binds():
     f = BudgetAdditiveFunction([1, 1, 1, 1], 2.5)
-    assert f.value(subset_encode([0, 1, 2], 4)) == 2.5
-    assert f.value(subset_encode([0, 1], 4)) == 2
+    assert f.value(Subset.from_elements([0, 1, 2], 4)) == 2.5
+    assert f.value(Subset.from_elements([0, 1], 4)) == 2
 
 
 def test_concave_cardinality_formula():
@@ -51,15 +50,9 @@ def test_concave_table_validation():
 
 def test_sum_function():
     f = SumFunction([AdditiveFunction([1, 2]), BudgetAdditiveFunction([1, 1], 1)])
-    assert f.value(subset_encode([0, 1], 2)) == 4
+    assert f.value(Subset.from_elements([0, 1], 2)) == 4
     with pytest.raises(ValueError):
         SumFunction([AdditiveFunction([1]), AdditiveFunction([1, 2])])
-
-
-def test_evaluate_instance_matches_value():
-    f = AdditiveFunction([3, 1])
-    s = subset_encode([0], 2)
-    assert evaluate_instance(f, s) == f.value(s) == 3
 
 
 def test_marginal_additive():
@@ -69,18 +62,18 @@ def test_marginal_additive():
 
 def test_marginal_coverage():
     f = CoverageFunction(3, [[0, 1], [1, 2]])
-    assert marginal(f, subset_encode([0], 2), 1) == 1
+    assert marginal(f, Subset.from_elements([0], 2), 1) == 1
 
 
 def test_marginal_saturated_budget():
     f = BudgetAdditiveFunction([2, 2, 2], 2)
-    assert marginal(f, subset_encode([0], 3), 1) == 0
+    assert marginal(f, Subset.from_elements([0], 3), 1) == 0
 
 
 def test_marginal_rejects_member():
     f = AdditiveFunction([1, 2])
     with pytest.raises(ValueError):
-        marginal(f, subset_encode([1], 2), 1)
+        marginal(f, Subset.from_elements([1], 2), 1)
 
 
 def test_curvature_additive_is_zero():
@@ -161,3 +154,25 @@ def test_serialization_fraction_weights():
 def test_serialization_unknown_kind():
     with pytest.raises(ValueError):
         instance_from_dict({"kind": "mystery"})
+    for kind in (None, ["additive"], {"a": 1}):
+        with pytest.raises(ValueError, match="unknown instance kind"):
+            instance_from_dict({"kind": kind, "weights": [1]})
+
+
+_ADDITIVE = {"kind": "additive", "weights": [1, 2]}
+
+
+@pytest.mark.parametrize("d", [
+    {**_ADDITIVE, "budget": 3},  # once built an additive function and dropped the budget
+    {**_ADDITIVE, "weigths": [1]},
+    {"kind": "budget_additive", "weights": [1, 2], "budget": 2, "cap": 1},
+    {"kind": "coverage", "universe_size": 2, "covers": [[0], [1]], "weights": [1, 2]},
+    {"kind": "concave_cardinality", "table": [0, 1, 1], "n": 2},
+    {"kind": "sum", "terms": [_ADDITIVE], "weights": [1, 2]},
+    {"kind": "sum", "terms": [_ADDITIVE, {"kind": "coverage", "universe_size": 2,
+                                          "covers": [[0], [1]], "weights": [1, 2]}]},
+])
+def test_instance_rejects_stray_keys(d):
+    with pytest.raises(ValueError, match="unknown keys in an instance"):
+        instance_from_dict(d)
+

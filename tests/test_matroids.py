@@ -7,34 +7,32 @@ from approxsub.functions import AdditiveFunction
 from approxsub.matroids import (
     PartitionMatroid,
     UniformMatroid,
-    is_independent,
     matroid_from_dict,
     matroid_to_dict,
-    rank,
 )
-from approxsub.sets import Subset, as_oracle, subset_encode
+from approxsub.sets import Subset
 from approxsub.solvers import brute_force, greedy_matroid
 
 
 def test_uniform_membership():
     m = UniformMatroid(6, 3)
-    assert is_independent(m, subset_encode([0, 1, 2], 6))
-    assert not is_independent(m, subset_encode([0, 1, 2, 3], 6))
-    assert is_independent(m, Subset.empty(6))
+    assert m.is_independent(Subset.from_elements([0, 1, 2], 6))
+    assert not m.is_independent(Subset.from_elements([0, 1, 2, 3], 6))
+    assert m.is_independent(Subset.empty(6))
 
 
 def test_partition_membership():
     m = PartitionMatroid([0, 0, 1, 1], [1, 1])
-    assert is_independent(m, subset_encode([0, 2], 4))
-    assert not is_independent(m, subset_encode([0, 1], 4))
-    assert is_independent(m, Subset.empty(4))
+    assert m.is_independent(Subset.from_elements([0, 2], 4))
+    assert not m.is_independent(Subset.from_elements([0, 1], 4))
+    assert m.is_independent(Subset.empty(4))
 
 
 def test_ranks():
-    assert rank(UniformMatroid(10, 4)) == 4
-    assert rank(PartitionMatroid([0, 0, 1, 1], [1, 1])) == 2
+    assert UniformMatroid(10, 4).rank() == 4
+    assert PartitionMatroid([0, 0, 1, 1], [1, 1]).rank() == 2
     # Capacity beyond the block size cannot be used.
-    assert rank(PartitionMatroid([0, 0, 1], [5, 1])) == 3
+    assert PartitionMatroid([0, 0, 1], [5, 1]).rank() == 3
 
 
 def _all_matroids_n8():
@@ -87,7 +85,7 @@ def test_greedy_on_additive_is_optimal():
         caps = [int(c) for c in rng.integers(1, 3, size=3)]
         m = PartitionMatroid(blocks, caps)
         f = AdditiveFunction([int(w) for w in rng.integers(1, 20, size=n)])
-        res = greedy_matroid(as_oracle(f), m)
+        res = greedy_matroid(f, m)
         opt = brute_force(f, n, m)
         assert res.value == opt.value, trial
 

@@ -16,7 +16,6 @@ from approxsub.noise import (
     ConsistentNoiseOracle,
     InconsistentNoiseOracle,
     SamplingEstimator,
-    consistent_noise,
     noise_from_dict,
     required_samples,
 )
@@ -31,7 +30,7 @@ def _random_subsets(n, count, seed):
 
 def test_zero_epsilon_is_exact_identity():
     f = AdditiveFunction([Fraction(1, 3), 2, Fraction(5, 7)])
-    F = consistent_noise(f, 0.0, 99)
+    F = ConsistentNoiseOracle(f, 0.0, 99)
     for mask in range(8):
         s = Subset(3, mask)
         assert F.value(s) == f.value(s)
@@ -40,16 +39,16 @@ def test_zero_epsilon_is_exact_identity():
 
 def test_same_seed_agrees_everywhere():
     f = AdditiveFunction(list(range(1, 31)))
-    a = consistent_noise(f, 0.3, 1234)
-    b = consistent_noise(f, 0.3, 1234)
+    a = ConsistentNoiseOracle(f, 0.3, 1234)
+    b = ConsistentNoiseOracle(f, 0.3, 1234)
     for s in _random_subsets(30, 10_000, 7):
         assert a.value(s) == b.value(s)
 
 
 def test_different_seed_differs_somewhere():
     f = AdditiveFunction(list(range(1, 31)))
-    a = consistent_noise(f, 0.3, 1)
-    b = consistent_noise(f, 0.3, 2)
+    a = ConsistentNoiseOracle(f, 0.3, 1)
+    b = ConsistentNoiseOracle(f, 0.3, 2)
     assert any(a.value(s) != b.value(s) for s in _random_subsets(30, 100, 8))
 
 
@@ -85,14 +84,14 @@ seeds = st.integers(0, 2**64 - 1)
 @settings(max_examples=150, deadline=None)
 @given(exact_instances(), st.floats(0, 0.9), seeds)
 def test_consistent_noise_stays_in_band(f, eps, seed):
-    report = check_sandwich(consistent_noise(f, eps, seed), f, eps, f.n)
+    report = check_sandwich(ConsistentNoiseOracle(f, eps, seed), f, eps, f.n)
     assert report.passed, report
 
 
 @settings(max_examples=100, deadline=None)
 @given(exact_instances(), st.floats(0, 0.9), seeds)
 def test_consistent_noise_is_reproducible(f, eps, seed):
-    a, b = consistent_noise(f, eps, seed), consistent_noise(f, eps, seed)
+    a, b = ConsistentNoiseOracle(f, eps, seed), ConsistentNoiseOracle(f, eps, seed)
     for mask in range(1 << f.n):
         s = Subset(f.n, mask)
         first = a.query(s)
@@ -106,13 +105,13 @@ def test_consistent_noise_depends_on_seed(f, eps, seed, other):
     assume(seed != other)
     sets = [Subset(f.n, mask) for mask in range(1 << f.n)]
     assume(any(f.value(s) != 0 for s in sets))
-    a, b = consistent_noise(f, eps, seed), consistent_noise(f, eps, other)
+    a, b = ConsistentNoiseOracle(f, eps, seed), ConsistentNoiseOracle(f, eps, other)
     assert any(a.value(s) != b.value(s) for s in sets)
 
 
 def test_ratio_range_and_mean():
     f = AdditiveFunction([1] * 30)
-    F = consistent_noise(f, 0.2, 42)
+    F = ConsistentNoiseOracle(f, 0.2, 42)
     total = 0.0
     count = 0
     for s in _random_subsets(30, 100_000, 3):
@@ -126,12 +125,12 @@ def test_ratio_range_and_mean():
 
 
 def test_noise_preserves_normalization():
-    F = consistent_noise(AdditiveFunction([4, 5]), 0.5, 0)
+    F = ConsistentNoiseOracle(AdditiveFunction([4, 5]), 0.5, 0)
     assert F.value(Subset.empty(2)) == 0
 
 
 def test_repeated_query_consistency_and_counting():
-    F = consistent_noise(AdditiveFunction([1, 2, 3]), 0.25, 5)
+    F = ConsistentNoiseOracle(AdditiveFunction([1, 2, 3]), 0.25, 5)
     s = Subset.from_elements([0, 2], 3)
     v1 = F.query(s)
     v2 = F.query(s)
@@ -141,7 +140,7 @@ def test_repeated_query_consistency_and_counting():
 
 def test_epsilon_validation():
     with pytest.raises(ValueError):
-        consistent_noise(AdditiveFunction([1]), 1.0, 0)
+        ConsistentNoiseOracle(AdditiveFunction([1]), 1.0, 0)
 
 
 def test_required_samples_plugin():
@@ -183,6 +182,9 @@ def test_estimator_caches_and_counts():
     assert src.query_count == 10  # cache hit costs no source queries
     est.value(Subset.from_elements([1], 3))
     assert src.query_count == 20
+    est.value(Subset.empty(3))
+    est.value(s)
+    assert est.cached_sets() == [0b001, 0b010, 0b000]  # masks, in first-query order
 
 
 def test_estimators_with_different_seeds_differ():
@@ -235,6 +237,16 @@ def test_noise_from_dict_estimator_with_range():
     })
     assert isinstance(est, SamplingEstimator)
     assert est.m == required_samples(3, 1, 2, 0.2, 3)
+
+
+def test_noise_from_dict_needs_a_sampled_estimator():
+    """A bare inconsistent source is no consistent oracle: the block is
+    rejected once the source is built, so a bad width keeps its own error."""
+    block = {"kind": "inconsistent", "width": 0.5, "epsilon": 0.3, "seed": 1}
+    with pytest.raises(ValueError, match="needs 'm' or 'B'"):
+        noise_from_dict(AdditiveFunction([1, 2]), block)
+    with pytest.raises(ValueError, match="width must be"):
+        noise_from_dict(AdditiveFunction([1, 2]), {**block, "width": -1})
 
 
 def test_noise_from_dict_unknown_kind():

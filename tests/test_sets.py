@@ -2,51 +2,46 @@ import pytest
 from hypothesis import given, strategies as st
 
 from approxsub.functions import AdditiveFunction
-from approxsub.sets import (
-    FunctionOracle,
-    GroundSet,
-    Subset,
-    mask_from_key,
-    query,
-    subset_encode,
-)
+from approxsub.sets import Subset
 
 
 def test_encode_empty():
-    s = subset_encode([], GroundSet(4))
+    s = Subset.from_elements([], 4)
     assert s.mask == 0 and s.size == 0
 
 
 def test_encode_duplicates_and_order():
-    s = subset_encode([2, 0, 2], GroundSet(4))
+    s = Subset.from_elements([2, 0, 2], 4)
     assert s.mask == 0b0101
     assert s.size == 2
 
 
 def test_encode_full_set():
-    s = subset_encode(list(range(14)), 14)
+    s = Subset.from_elements(list(range(14)), 14)
     assert s == Subset.full(14)
     assert s.size == 14
 
 
 def test_encode_out_of_range():
     with pytest.raises(ValueError):
-        subset_encode([4], GroundSet(4))
+        Subset.from_elements([4], 4)
     with pytest.raises(ValueError):
-        subset_encode([-1], GroundSet(4))
+        Subset.from_elements([-1], 4)
 
 
 @given(st.lists(st.integers(0, 9), max_size=30), st.permutations(range(3)))
 def test_encode_order_and_multiplicity_invariant(elements, _perm):
-    a = subset_encode(elements, 10)
-    b = subset_encode(list(reversed(elements)) + elements, 10)
+    a = Subset.from_elements(elements, 10)
+    b = Subset.from_elements(list(reversed(elements)) + elements, 10)
     assert a == b
     assert a.size == len(set(elements))
 
 
 def test_ground_set_validation():
     with pytest.raises(ValueError):
-        GroundSet(0)
+        Subset(0)
+    with pytest.raises(ValueError):
+        Subset.from_elements([], 0)
 
 
 def test_subset_ops():
@@ -74,37 +69,36 @@ def test_canonical_key_trims_trailing_blocks():
     assert Subset.from_elements([3], 200).key() == (8,)
     wide = Subset.from_elements([0, 70, 130], 200)
     blocks = wide.key()
-    assert len(blocks) == 3
-    assert mask_from_key(blocks) == wide.mask
+    assert blocks == (1, 1 << 6, 1 << 2)
     # An element only in the low block leaves high blocks absent.
     assert len(Subset.from_elements([63], 200).key()) == 1
 
 
 def test_query_counts_and_values():
-    f = FunctionOracle(AdditiveFunction([1, 2, 3]))
-    s = subset_encode([0, 2], 3)
+    f = AdditiveFunction([1, 2, 3])
+    s = Subset.from_elements([0, 2], 3)
     assert f.query_count == 0
-    assert query(f, s) == 4
+    assert f.query(s) == 4
     assert f.query_count == 1
-    assert query(f, s) == 4
+    assert f.query(s) == 4
     assert f.query_count == 2
 
 
 def test_query_empty_is_zero():
-    f = FunctionOracle(AdditiveFunction([5, 7]))
-    assert query(f, Subset.empty(2)) == 0
+    f = AdditiveFunction([5, 7])
+    assert f.query(Subset.empty(2)) == 0
 
 
 def test_query_ground_mismatch():
-    f = FunctionOracle(AdditiveFunction([1, 2, 3]))
+    f = AdditiveFunction([1, 2, 3])
     with pytest.raises(ValueError):
-        query(f, Subset.empty(4))
+        f.query(Subset.empty(4))
 
 
 def test_query_counter_is_exact_over_sequences():
-    f = FunctionOracle(AdditiveFunction(list(range(6))))
+    f = AdditiveFunction(list(range(6)))
     for q in range(50):
-        query(f, Subset(6, q % 64))
+        f.query(Subset(6, q % 64))
     assert f.query_count == 50
 
 
@@ -114,11 +108,11 @@ def test_wide_ground_sets():
     assert s.size == 3
     assert s.complement().size == n - 3
     assert len(s.key()) == n // 64
-    assert mask_from_key(s.key()) == s.mask
+    assert sum(b << (64 * i) for i, b in enumerate(s.key())) == s.mask
 
 
 def test_query_count_serial():
-    f = FunctionOracle(AdditiveFunction([1] * 8))
+    f = AdditiveFunction([1] * 8)
     full, empty = Subset.full(8), Subset.empty(8)
     assert f.query_count == 0
     for i in range(1, 6):

@@ -24,11 +24,11 @@ from approxsub.functions import (
     SumFunction,
 )
 from approxsub.matroids import Matroid, PartitionMatroid, UniformMatroid
-from approxsub.noise import InconsistentNoiseOracle, SamplingEstimator, consistent_noise
-from approxsub.sets import Subset, ValueOracle, as_oracle
+from approxsub.noise import ConsistentNoiseOracle, InconsistentNoiseOracle, SamplingEstimator
+from approxsub.sets import Subset, ValueOracle
 from approxsub.solvers import SolveResult, brute_force, greedy_cardinality
 
-from conftest import TableFunction
+from conftest import TableFunction, as_oracle
 
 
 def reference_greedy_cardinality(F: ValueOracle, n: int, k: int) -> SolveResult:
@@ -145,7 +145,7 @@ def _oracle_factories(n):
     return {
         "int": lambda: exact_int,
         "fraction": lambda: exact_frac,
-        "consistent-noise": lambda: consistent_noise(exact_int, 0.3, n),
+        "consistent-noise": lambda: ConsistentNoiseOracle(exact_int, 0.3, n),
         "tied-coverage": lambda: coverage,
         "constant": lambda: TableFunction(n, [5] * (1 << n)),
         "zero-one": lambda: TableFunction(n, zero_one),

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from approxsub.adversarial import build_greedy_trap
-from approxsub.functions import AdditiveFunction, CoverageFunction, curvature
+from approxsub.functions import AdditiveFunction, CoverageFunction, FunctionInstance, curvature
 from approxsub.matroids import PartitionMatroid, UniformMatroid
-from approxsub.noise import consistent_noise
-from approxsub.sets import Subset, as_oracle, subset_encode
+from approxsub.noise import ConsistentNoiseOracle
+from approxsub.sets import Subset
 from approxsub.solvers import (
     brute_force,
     curvature_bound,
@@ -22,9 +22,9 @@ from approxsub.experiments import instance_corpus
 
 
 def test_greedy_additive_topk():
-    F = as_oracle(AdditiveFunction([5, 4, 3, 2, 1]))
+    F = AdditiveFunction([5, 4, 3, 2, 1])
     res = greedy_cardinality(F, 5, 2)
-    assert res.chosen == subset_encode([0, 1], 5)
+    assert res.chosen == Subset.from_elements([0, 1], 5)
     assert res.value == 9
     assert res.queries_used == 5 + 4 == expected_greedy_queries(5, 2)
     assert [e for e, _ in res.trace] == [0, 1]
@@ -32,20 +32,20 @@ def test_greedy_additive_topk():
 
 def test_greedy_rejects_oversized_budget():
     with pytest.raises(ValueError):
-        greedy_cardinality(as_oracle(AdditiveFunction([1, 2])), 2, 3)
+        greedy_cardinality(AdditiveFunction([1, 2]), 2, 3)
 
 
 def test_greedy_fills_budget_on_zero_marginals():
-    F = as_oracle(AdditiveFunction([0, 0, 0, 0]))
+    F = AdditiveFunction([0, 0, 0, 0])
     res = greedy_cardinality(F, 4, 3)
     assert res.chosen.size == 3
-    assert res.chosen == subset_encode([0, 1, 2], 4)  # ties toward small ids
+    assert res.chosen == Subset.from_elements([0, 1, 2], 4)  # ties toward small ids
 
 
 def test_greedy_determinism():
     f = instance_corpus(3)[5]
-    F1 = consistent_noise(f, 0.2, 7)
-    F2 = consistent_noise(f, 0.2, 7)
+    F1 = ConsistentNoiseOracle(f, 0.2, 7)
+    F2 = ConsistentNoiseOracle(f, 0.2, 7)
     r1 = greedy_cardinality(F1, f.n, 4)
     r2 = greedy_cardinality(F2, f.n, 4)
     assert r1.chosen == r2.chosen and r1.trace == r2.trace and r1.value == r2.value
@@ -55,7 +55,7 @@ def test_greedy_classical_ratio_exact_oracle():
     # Exact submodular input: value >= (1 - (1 - 1/k)^k) * optimum.
     for f in instance_corpus(11)[:6]:
         k = 3
-        res = greedy_cardinality(as_oracle(f), f.n, k)
+        res = greedy_cardinality(f, f.n, k)
         opt = brute_force(f, f.n, k)
         floor = (1 - (1 - 1 / k) ** k) * float(opt.value)
         assert float(res.value) >= floor - 1e-12
@@ -63,7 +63,7 @@ def test_greedy_classical_ratio_exact_oracle():
 
 def test_greedy_trap_measured_value():
     trap = build_greedy_trap(16, 0.5, 64)
-    res = greedy_cardinality(as_oracle(trap), 64, 16)
+    res = greedy_cardinality(trap, 64, 16)
     # After both A elements, one filler pick reveals C, and greedy escapes:
     # value = 4 + 1/64 + 13 (13 more elements of C).
     assert res.value == Fraction(4) + Fraction(1, 64) + 13
@@ -75,17 +75,17 @@ def test_greedy_trap_measured_value():
 
 def test_matroid_greedy_uniform_matches_cardinality():
     f = instance_corpus(13)[2]
-    res_m = greedy_matroid(as_oracle(f), UniformMatroid(f.n, 3))
-    res_c = greedy_cardinality(as_oracle(f), f.n, 3)
+    res_m = greedy_matroid(f, UniformMatroid(f.n, 3))
+    res_c = greedy_cardinality(f, f.n, 3)
     assert res_m.chosen == res_c.chosen
     assert res_m.value == res_c.value
 
 
 def test_matroid_greedy_hand_trace():
     m = PartitionMatroid([0, 0, 1, 1], [1, 1])
-    F = as_oracle(AdditiveFunction([5, 4, 3, 2]))
+    F = AdditiveFunction([5, 4, 3, 2])
     res = greedy_matroid(F, m)
-    assert res.chosen == subset_encode([0, 2], 4)
+    assert res.chosen == Subset.from_elements([0, 2], 4)
     assert res.value == 8
     # Pool shrinks by one per round: n + (n-1) + ... + 1 queries.
     assert res.queries_used == 4 + 3 + 2 + 1
@@ -96,15 +96,15 @@ def test_matroid_greedy_half_ratio_exact_oracle():
     for f in instance_corpus(17)[:4]:
         if f.n != 8:
             continue
-        res = greedy_matroid(as_oracle(f), m)
+        res = greedy_matroid(f, m)
         opt = brute_force(f, 8, m)
         assert float(res.value) >= 0.5 * float(opt.value) - 1e-12
 
 
 def test_curvature_topk_additive_matches_greedy():
     f = AdditiveFunction([3, 9, 1, 7, 5])
-    a = curvature_topk(as_oracle(f), 5, 2)
-    b = greedy_cardinality(as_oracle(f), 5, 2)
+    a = curvature_topk(f, 5, 2)
+    b = greedy_cardinality(f, 5, 2)
     assert a.chosen == b.chosen
     assert a.queries_used == 5 + 1
 
@@ -112,8 +112,8 @@ def test_curvature_topk_additive_matches_greedy():
 def test_curvature_topk_coverage_example():
     # covers {1,2}, {2,3}, {5} over a 4-point universe (relabeled)
     f = CoverageFunction(4, [[0, 1], [1, 2], [3]])
-    res = curvature_topk(as_oracle(f), 3, 2)
-    assert res.chosen == subset_encode([0, 1], 3)
+    res = curvature_topk(f, 3, 2)
+    assert res.chosen == Subset.from_elements([0, 1], 3)
     assert res.value == 3
     assert res.queries_used == 3 + 1
 
@@ -122,22 +122,22 @@ def test_curvature_topk_ties_go_to_smaller_ids():
     # Equal singleton values of different types (3, Fraction(3), 3.0) tie;
     # the sort keeps them in id order, so the budget cuts the larger id 6.
     f = AdditiveFunction([1, 3, Fraction(3), 3.0, 2, Fraction(5, 2), 3, 0.5])
-    res = curvature_topk(as_oracle(f), 8, 3)
-    assert res.chosen == subset_encode([1, 2, 3], 8)
+    res = curvature_topk(f, 8, 3)
+    assert res.chosen == Subset.from_elements([1, 2, 3], 8)
     assert res.trace == [(1, 9), (2, 9), (3, 9)]
     assert res.value == 9.0 and type(res.value) is float
     assert res.queries_used == 9
 
     g = AdditiveFunction([Fraction(1, 2), 2, Fraction(4, 2), 1, 2, True])
-    res = curvature_topk(as_oracle(g), 6, 2)
-    assert res.chosen == subset_encode([1, 2], 6)
+    res = curvature_topk(g, 6, 2)
+    assert res.chosen == Subset.from_elements([1, 2], 6)
     assert res.trace == [(1, 7), (2, 7)]
     assert res.value == 4 and type(res.value) is Fraction
 
     # An all-tied ground set keeps the k smallest ids.
     h = AdditiveFunction([Fraction(1, 3)] * 5)
-    res = curvature_topk(as_oracle(h), 5, 2)
-    assert res.chosen == subset_encode([0, 1], 5)
+    res = curvature_topk(h, 5, 2)
+    assert res.chosen == Subset.from_elements([0, 1], 5)
     assert res.trace == [(0, 6), (1, 6)]
 
 
@@ -157,7 +157,7 @@ def test_brute_force_on_planted_pair():
     res = brute_force(pair.fh, 12, 4)
     assert res.value == 4
     # Any budget-sized subset of the hidden set attains the maximum.
-    assert pair.fh.value(subset_encode(hidden.subset.elements()[:4], 12)) == 4
+    assert pair.fh.value(Subset.from_elements(hidden.subset.elements()[:4], 12)) == 4
     # Tie break: smallest mask among all maximizers.
     smallest = min(
         m for m in range(1 << 12)
@@ -170,7 +170,7 @@ def test_brute_force_matroid_constraint():
     f = AdditiveFunction([5, 4, 3, 2])
     m = PartitionMatroid([0, 0, 1, 1], [1, 1])
     res = brute_force(f, 4, m)
-    assert res.chosen == subset_encode([0, 2], 4)
+    assert res.chosen == Subset.from_elements([0, 2], 4)
     assert res.value == 8
 
 
@@ -179,7 +179,7 @@ def test_brute_force_guard():
         brute_force(AdditiveFunction([1] * 25), 25, 2)
 
 
-class BandAdversary:
+class BandAdversary(FunctionInstance):
     """Exact worst-case member of the band around f: deflate every set that
     meets f's optimum O by (1 - eps) and inflate every other set by (1 + eps),
     so greedy is steered away from O."""
@@ -203,11 +203,11 @@ def band_adversary_ratios(k):
     for f in instance_corpus(0, sizes=(8, 10)):
         optimum = brute_force(f, f.n, k).chosen.mask
         for eps in (Fraction(0), Fraction(1, 2 * k), Fraction(1, k)):
-            F = as_oracle(BandAdversary(f, eps, optimum))
+            F = BandAdversary(f, eps, optimum)
             res = greedy_cardinality(F, f.n, k)
             best = brute_force(F, f.n, k).value
             assert type(res.value) is type(best) is Fraction
-            out.append((float(res.value) / float(best), greedy_bound(k, float(eps)).ratio))
+            out.append((float(res.value) / float(best), greedy_bound(k, float(eps))))
     return out
 
 
@@ -224,40 +224,40 @@ def test_greedy_guarantee_under_band_adversary(k):
 # ---------------------------------------------------------------------------
 
 def test_greedy_bound_exact_cases():
-    assert greedy_bound(2, 0.0).ratio == 0.75
-    assert math.isclose(greedy_bound(10, 0.01).ratio, 0.5441837959729957, rel_tol=1e-15)
+    assert greedy_bound(2, 0.0) == 0.75
+    assert math.isclose(greedy_bound(10, 0.01), 0.5441837959729957, rel_tol=1e-15)
 
 
 def test_greedy_bound_delta_grid_floor():
     for k in (2, 3, 4, 6, 10, 16, 64):
         for i in range(50):
             delta = i / 50
-            ratio = greedy_bound(k, delta / k).ratio
+            ratio = greedy_bound(k, delta / k)
             assert ratio >= 1 - 1 / math.e - 16 * delta
 
 
 def test_greedy_bound_nonincreasing_in_epsilon():
     for k in (1, 2, 5, 10):
-        grid = [greedy_bound(k, e / 200).ratio for e in range(0, 180)]
+        grid = [greedy_bound(k, e / 200) for e in range(0, 180)]
         assert all(a >= b - 1e-15 for a, b in zip(grid, grid[1:]))
 
 
 def test_matroid_bound_exact_cases():
-    assert matroid_bound(4, 0.0).ratio == 0.5
-    assert math.isclose(matroid_bound(8, 1 / 16).ratio, 0.2877237851662404, rel_tol=1e-15)
+    assert matroid_bound(4, 0.0) == 0.5
+    assert math.isclose(matroid_bound(8, 1 / 16), 0.2877237851662404, rel_tol=1e-15)
 
 
 def test_matroid_bound_delta_grid_floor():
     for k in (2, 4, 8, 64):
         for i in range(50):
             delta = i / 50
-            assert matroid_bound(k, delta / k).ratio >= 0.5 - 2 * delta
+            assert matroid_bound(k, delta / k) >= 0.5 - 2 * delta
 
 
 def test_curvature_bound_cases():
-    assert curvature_bound(0.0, 0.0).ratio == 1.0
-    assert curvature_bound(1.0, 0.3).ratio == 0.0
-    assert math.isclose(curvature_bound(0.2, 0.1).ratio, 0.8 * (0.9 / 1.1) ** 2,
+    assert curvature_bound(0.0, 0.0) == 1.0
+    assert curvature_bound(1.0, 0.3) == 0.0
+    assert math.isclose(curvature_bound(0.2, 0.1), 0.8 * (0.9 / 1.1) ** 2,
                         rel_tol=1e-15)
 
 
@@ -280,7 +280,7 @@ def test_surrogate_sandwich_two_sided():
     c = float(curvature(f))
     assert c < 1
     eps = 0.25
-    F = consistent_noise(f, eps, 3)
+    F = ConsistentNoiseOracle(f, eps, 3)
     singles = [F.value(Subset(n, 1 << e)) for e in range(n)]
     lo = (1 - eps) / (1 + eps)
     hi = (1 / (1 - c)) * (1 + eps) / (1 - eps)

@@ -15,7 +15,7 @@ import approxsub
 from approxsub.adversarial import HardPairParams, build_monotone_pair, build_sandwich, draw_hidden_set
 from approxsub.experiments import sampling_union_bound
 from approxsub.functions import AdditiveFunction, CoverageFunction
-from approxsub.noise import consistent_noise
+from approxsub.noise import ConsistentNoiseOracle
 from approxsub.sets import Subset
 from approxsub.verify import (
     _hypergeom_mass,
@@ -166,13 +166,13 @@ def test_check_guards():
 
 def test_sandwich_consistent_noise_passes():
     f = AdditiveFunction([2, 3, 1, 5, 4, 2, 7, 1, 3, 2])
-    F = consistent_noise(f, 0.25, 9)
+    F = ConsistentNoiseOracle(f, 0.25, 9)
     assert check_sandwich(F, f, 0.25, 10).passed
 
 
 def test_sandwich_narrower_band_fails():
     f = AdditiveFunction([2, 3, 1, 5, 4, 2, 7, 1, 3, 2])
-    F = consistent_noise(f, 0.25, 9)
+    F = ConsistentNoiseOracle(f, 0.25, 9)
     report = check_sandwich(F, f, 0.01, 10)
     assert not report.passed
 

@@ -180,7 +180,7 @@ def traced_run(monkeypatch, fn, *args, reference=False):
         return trap
 
     def record(F, n, k):
-        assert isinstance(F.fn.f, ReferenceAdditive) == reference
+        assert isinstance(F.f, ReferenceAdditive) == reference
         res = greedy(F, n, k)
         runs.append((res.chosen.mask, res.trace, res.queries_used, res.value, type(res.value)))
         return res
