@@ -47,6 +47,14 @@ def _scaled(values, den: int) -> list[int]:
     return [v.numerator * (den // v.denominator) for v in values]
 
 
+def _mask_of(elements, n: int) -> int:
+    """Bit mask of elements in range(n), set byte by byte in linear time."""
+    bits = bytearray((n + 7) >> 3)
+    for e in elements:
+        bits[e >> 3] |= 1 << (e & 7)
+    return int.from_bytes(bits, "little")
+
+
 class _WeightSum:
     """Sum of weights over a mask's set bits, equal in value and type to
     adding them to 0 one by one in increasing element order.
@@ -59,28 +67,47 @@ class _WeightSum:
     T // D is exact.  Other weights (float, numpy scalars, subclasses that may
     redefine +) are summed unscaled in element order, as float rounding
     depends on the order.
+
+    Exact weights are also grouped by scaled value into ``classes``, pairs
+    (t, mask of the elements weighing t) with zero weights dropped, so that
+    T = sum of t * popcount(mask & class mask).  A call walks whichever is
+    shorter, the set's bits or the classes.  At most 64 classes are kept, as
+    64 n-bit masks already weigh as much as the term list's n pointers.
     """
 
-    __slots__ = ("terms", "den", "frac_mask")
+    __slots__ = ("terms", "den", "frac_mask", "classes")
 
     def __init__(self, weights):
         self.terms = weights
-        self.den = None
+        self.den = self.classes = None
         if all(type(w) in (int, bool, Fraction) for w in weights):
+            n = len(weights)
             self.den = math.lcm(*(w.denominator for w in weights))
             self.terms = _scaled(weights, self.den)
-            self.frac_mask = sum(1 << e for e, w in enumerate(weights) if type(w) is Fraction)
+            self.frac_mask = _mask_of((e for e, w in enumerate(weights) if type(w) is Fraction), n)
+            groups = {}
+            for e, t in enumerate(self.terms):
+                if t:
+                    groups.setdefault(t, []).append(e)
+            if len(groups) <= 64:
+                self.classes = [(t, _mask_of(es, n)) for t, es in groups.items()]
 
     def __call__(self, mask: int):
-        terms = self.terms
-        total = 0
-        m = mask
-        while m:
-            low = m & -m
-            total += terms[low.bit_length() - 1]
-            m ^= low
-        if self.den is None:
-            return total
+        classes = self.classes
+        if classes is not None and mask.bit_count() > len(classes):
+            total = 0
+            for t, c in classes:
+                total += t * (mask & c).bit_count()
+        else:
+            terms = self.terms
+            total = 0
+            m = mask
+            while m:
+                low = m & -m
+                total += terms[low.bit_length() - 1]
+                m ^= low
+            if self.den is None:
+                return total
         return Fraction(total, self.den) if mask & self.frac_mask else total // self.den
 
 
@@ -328,6 +355,8 @@ def _num_to_obj(x):
 
 def _num_from_obj(o):
     if isinstance(o, dict):
+        if o.keys() != {"num", "den"}:
+            raise ValueError(f"a number object needs exactly the keys 'num' and 'den', got {o}")
         if o["den"] == 0:
             raise ValueError(f"zero denominator in {o}")
         return Fraction(o["num"], o["den"])

@@ -299,16 +299,24 @@ def exact_band_probability(n: int, h: int, set_size: int, epsilon: float) -> flo
     return float(_hypergeom_mass(n, h, set_size, *_band_indices(n, h, set_size, epsilon)))
 
 
+_MC_CHUNK = 1 << 20
+
+
 def mc_band_probability(
     n: int, h: int, set_size: int, epsilon: float, trials: int, seed: int
 ) -> float:
-    """Monte-Carlo estimate of the same band probability."""
+    """Monte-Carlo estimate of the same band probability.  The variates come
+    from one seeded stream in chunks of at most ``_MC_CHUNK``, so memory does
+    not grow with ``trials``; the in-band count is an exact int."""
     if trials < 1:
         raise ValueError(f"Monte-Carlo estimate needs trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    draws = rng.hypergeometric(h, n - h, set_size, size=trials)
     lo, hi = _band_indices(n, h, set_size, epsilon)
-    return float(np.mean((draws >= lo) & (draws <= hi)))
+    hits = 0
+    for start in range(0, trials, _MC_CHUNK):
+        draws = rng.hypergeometric(h, n - h, set_size, size=min(_MC_CHUNK, trials - start))
+        hits += int(np.count_nonzero((draws >= lo) & (draws <= hi)))
+    return hits / trials
 
 
 def check_concentration(

@@ -583,7 +583,9 @@ def _deep_sum(depth):
                                           "budget": 2, "cap": 1}, "trials": 1, "k": 1})),
     (["verify", "--property", "sandwich"],
      json.dumps({"instance": {"kind": "additive", "weights": [1, 2], "weight": 3},
-                 "noise": {"kind": "consistent", "epsilon": 0.3}})),
+                 "noise": {"kind": "consistent", "epsilon": 0.3}})),    # a stray key in a number object was once ignored
+    (["verify", "--property", "monotone"],
+     '{"kind": "additive", "weights": [{"num": 1, "den": 2, "dne": 7}, 1]}'),
 ])
 def test_cli_rejects_malformed_input(tmp_path, capsys, argv, text):
     """Each input once exited 0 or 1, with or without a traceback."""

@@ -176,3 +176,15 @@ def test_instance_rejects_stray_keys(d):
     with pytest.raises(ValueError, match="unknown keys in an instance"):
         instance_from_dict(d)
 
+
+@pytest.mark.parametrize("d", [
+    # the stray key was once ignored and the weight read as 1/2
+    {"kind": "additive", "weights": [{"num": 1, "den": 2, "dne": 7}, 1]},
+    {"kind": "additive", "weights": [{"num": 1}]},
+    {"kind": "budget_additive", "weights": [1], "budget": {"num": 1, "den": 2, "n": 1}},
+    {"kind": "concave_cardinality", "table": [0, {"den": 1}]},
+])
+def test_number_objects_need_exactly_num_and_den(d):
+    with pytest.raises(ValueError, match="exactly the keys 'num' and 'den'"):
+        instance_from_dict(d)
+

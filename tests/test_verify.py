@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import approxsub
+from approxsub import verify
 from approxsub.adversarial import HardPairParams, build_monotone_pair, build_sandwich, draw_hidden_set
 from approxsub.experiments import sampling_union_bound
 from approxsub.functions import AdditiveFunction, CoverageFunction
@@ -325,6 +327,41 @@ def test_hypergeom_mass_equals_direct_comb_sums():
 def test_exact_band_probability_stays_a_probability_at_scale():
     # The float pmf sum gave 1.0000000000000036 here.
     assert exact_band_probability(10**5, 50000, 40000, 0.05) <= 1
+
+
+# (h, n - h, |S|, eps) cases for the chunked Monte-Carlo draws.
+_MC_CASES = [(50, 50, 40, 0.5), (3, 97, 60, 0.9), (200, 800, 500, 0.1), (1, 9, 9, 0.5)]
+
+
+def _one_shot_mc(n, h, set_size, epsilon, trials, seed):
+    """The estimate as one draw of all ``trials`` variates, as it was first written."""
+    rng = np.random.default_rng(seed)
+    draws = rng.hypergeometric(h, n - h, set_size, size=trials)
+    lo, hi = verify._band_indices(n, h, set_size, epsilon)
+    return float(np.mean((draws >= lo) & (draws <= hi)))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
+def test_mc_band_probability_chunks_keep_the_stream(monkeypatch, chunk):
+    monkeypatch.setattr(verify, "_MC_CHUNK", chunk)
+    for h, rest, size, eps in _MC_CASES:
+        n = h + rest
+        for trials in (1, chunk, chunk + 1, 3 * chunk - 1, 1001):
+            got = mc_band_probability(n, h, size, eps, trials, seed=trials)
+            assert type(got) is float
+            assert got == _one_shot_mc(n, h, size, eps, trials, seed=trials)
+
+
+def test_mc_band_probability_memory_does_not_grow_with_trials(monkeypatch):
+    monkeypatch.setattr(verify, "_MC_CHUNK", 1 << 10)
+    peaks = []
+    for trials in (1 << 12, 1 << 16):
+        tracemalloc.start()
+        mc_band_probability(100, 50, 40, 0.5, trials, seed=0)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    # a one-shot draw of 2^16 variates holds at least 512 KiB of int64
+    assert max(peaks) < 64 << 10, peaks
 
 
 def test_mc_band_probability_rejects_no_trials():
