@@ -38,7 +38,7 @@ pair = build_monotone_pair(params, hidden)
 print("=" * 70)
 print(f"Hard pair at n={n}, h={h}, alpha={alpha}, k={k}, eps={eps}")
 print("=" * 70)
-print(f"hidden set H = {hidden.subset.elements()}")
+print(f"hidden set H = {hidden.elements()}")
 
 print("\nBoth functions are monotone submodular (exhaustively checked):")
 for name, fn in [("planted", pair.fh), ("decoy", pair.g)]:
@@ -48,8 +48,8 @@ for name, fn in [("planted", pair.fh), ("decoy", pair.g)]:
           f"monotone={mono.passed}")
 
 print("\nOn small sets the two coincide; they split once the budget piece caps:")
-inside = hidden.subset.elements()
-outside = hidden.subset.complement().elements()
+inside = hidden.elements()
+outside = hidden.complement().elements()
 for elems in ([inside[0]], inside[:3], inside[:2] + outside[:4], inside[:4] + outside[:5]):
     s = Subset.from_elements(elems, n)
     print(f"  |S|={s.size}: planted={float(pair.fh.value(s)):6.3f}   "

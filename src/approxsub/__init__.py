@@ -9,11 +9,8 @@ claim exactly.
 """
 
 from .adversarial import (
-    GreedyTrapInstance,
     HardPair,
     HardPairParams,
-    HiddenSet,
-    SandwichFunction,
     build_coverage_pair,
     build_greedy_trap,
     build_monotone_pair,
@@ -25,25 +22,16 @@ from .adversarial import (
 from .functions import (
     AdditiveFunction,
     BudgetAdditiveFunction,
-    ConcaveCardinalityFunction,
     CoverageFunction,
-    FunctionInstance,
-    SumFunction,
     curvature,
     instance_from_dict,
     instance_to_dict,
     marginal,
 )
-from .matroids import Matroid, PartitionMatroid, UniformMatroid
-from .noise import (
-    ConsistentNoiseOracle,
-    InconsistentNoiseOracle,
-    SamplingEstimator,
-    required_samples,
-)
+from .matroids import PartitionMatroid
+from .noise import ConsistentNoiseOracle
 from .sets import Subset, ValueOracle
 from .solvers import (
-    SolveResult,
     brute_force,
     curvature_bound,
     curvature_topk,
@@ -53,8 +41,6 @@ from .solvers import (
     matroid_bound,
 )
 from .verify import (
-    CheckReport,
-    ConcentrationReport,
     check_concentration,
     check_monotone,
     check_sandwich,

@@ -27,11 +27,18 @@ from .functions import (
     AdditiveFunction,
     BudgetAdditiveFunction,
     ConcaveCardinalityFunction,
-    CoverageFunction,
     FunctionInstance,
     SumFunction,
 )
 from .sets import Subset
+
+MAX_N = 1 << 14  # the planted-set draw and the trap build O(n) lists
+
+
+def check_ground_size(n: int) -> None:
+    """Refuse a ground set above :data:`MAX_N` before anything is built."""
+    if n > MAX_N:
+        raise ValueError(f"ground set guarded at n <= {MAX_N}, got n={n}")
 
 
 @dataclass(frozen=True)
@@ -86,8 +93,10 @@ def power_law_params(n: int, beta: float) -> HardPairParams:
     alpha = ceil(n^(1-beta)), epsilon = n^(beta-1/2).
 
     Requires 0 < beta < 1/2 and n large enough (roughly n >= 2^(2/beta))
-    for the rounded values to satisfy the pair invariants.
+    for the rounded values to satisfy the pair invariants, and n <= MAX_N:
+    every use draws a planted set over the ground set.
     """
+    check_ground_size(n)
     if not 0 < beta < 0.5:
         raise ValueError(f"beta must be in (0, 1/2), got {beta}")
     h = math.ceil(_exact_or_float_pow(n, 1 - beta / 2))
@@ -105,21 +114,10 @@ def power_law_params(n: int, beta: float) -> HardPairParams:
     return HardPairParams(n=n, h=h, alpha=alpha, k=h, epsilon=epsilon)
 
 
-@dataclass(frozen=True)
-class HiddenSet:
-    """A planted subset together with the seed that drew it."""
-
-    subset: Subset
-    seed: int
-
-    @property
-    def h(self) -> int:
-        return self.subset.size
-
-
-def draw_hidden_set(n: int, h: int, seed: int) -> HiddenSet:
+def draw_hidden_set(n: int, h: int, seed: int) -> Subset:
     """Uniform size-h subset of {0..n-1} via a seeded partial Fisher-Yates
     shuffle (first h positions of the permutation)."""
+    check_ground_size(n)
     if not 0 < h <= n:
         raise ValueError(f"need 0 < h <= n, got h={h}, n={n}")
     rng = np.random.default_rng(seed)
@@ -132,38 +130,31 @@ def draw_hidden_set(n: int, h: int, seed: int) -> HiddenSet:
     mask = 0
     for e in arr[:h]:
         mask |= 1 << e
-    return HiddenSet(Subset._raw(n, mask, h), seed)
+    return Subset._raw(n, mask, h)
 
 
 @dataclass(frozen=True)
 class HardPair:
-    """A planted function fh, its cardinality-only decoy g, and the draw
-    that planted them.
-
-    ``fh_cov``/``g_cov`` are optional explicit coverage realizations scaled
-    by ``scale``: ``fh_cov.value(S) == scale * fh.value(S)``, likewise g.
-    """
+    """A planted function fh, its cardinality-only decoy g, and the planted
+    set H they were built from."""
 
     fh: SumFunction
     g: ConcaveCardinalityFunction
     params: HardPairParams
-    hidden: HiddenSet
-    fh_cov: CoverageFunction | None = None
-    g_cov: CoverageFunction | None = None
-    scale: int | None = None
+    hidden: Subset
 
 
-def _membership(params: HardPairParams, hidden: HiddenSet) -> list[int]:
+def _membership(params: HardPairParams, hidden: Subset) -> list[int]:
     """0/1 indicator of the hidden set, after checking it fits the params."""
-    if hidden.subset.n != params.n:
+    if hidden.n != params.n:
         raise ValueError("hidden set drawn over a different ground set")
-    if hidden.h != params.h:
-        raise ValueError(f"hidden set size {hidden.h} != h = {params.h}")
-    mask = hidden.subset.mask
+    if hidden.size != params.h:
+        raise ValueError(f"hidden set size {hidden.size} != h = {params.h}")
+    mask = hidden.mask
     return [mask >> e & 1 for e in range(params.n)]
 
 
-def build_monotone_pair(params: HardPairParams, hidden: HiddenSet) -> HardPair:
+def build_monotone_pair(params: HardPairParams, hidden: Subset) -> HardPair:
     """fh(S) = |S inter H| + min(|S minus H|, cap), g(S) = min(|S|, |S| h/n + cap).
 
     fh is additive on H plus budget-additive off H (budget cap); g is concave
@@ -178,43 +169,19 @@ def build_monotone_pair(params: HardPairParams, hidden: HiddenSet) -> HardPair:
     return HardPair(fh=fh, g=g, params=params, hidden=hidden)
 
 
-def build_coverage_pair(
-    params: HardPairParams, hidden: HiddenSet, realize_explicitly: bool = False
-) -> HardPair:
+def build_coverage_pair(params: HardPairParams, hidden: Subset) -> HardPair:
     """fh(S) = |S inter H| + alpha and g(S) = |S| h/n + alpha on nonempty S,
     both 0 at the empty set: additive on H plus a step of height alpha, and
-    concave of cardinality.
-
-    With ``realize_explicitly`` (n <= 20) both are also built as coverage
-    functions scaled by n, so every universe cardinality is an integer: every
-    ground element covers one shared block of n alpha universe elements (the
-    +alpha step), members of H add n private elements each to fh, and every
-    element adds h private elements to g.
+    concave of cardinality.  Scaled by n, both are coverage functions (a
+    shared block of n alpha universe elements for the step, n private
+    elements per member of H in fh, h private elements per element in g).
     """
     member = _membership(params, hidden)
     n, h, alpha = params.n, params.h, params.alpha
     fh = SumFunction([AdditiveFunction(member),
                       ConcaveCardinalityFunction([0] + [alpha] * n)])
     g = ConcaveCardinalityFunction([0] + [Fraction(i * h, n) + alpha for i in range(1, n + 1)])
-    if not realize_explicitly:
-        return HardPair(fh=fh, g=g, params=params, hidden=hidden)
-    if n > 20:
-        raise ValueError(f"explicit realization supported only for n <= 20, got {n}")
-    shared = (1 << (n * alpha)) - 1
-    covers_fh, covers_g = [], []
-    offset_fh = offset_g = n * alpha
-    for e in range(n):
-        mask = shared
-        if member[e]:
-            mask |= ((1 << n) - 1) << offset_fh
-            offset_fh += n
-        covers_fh.append(mask)
-        covers_g.append(shared | (((1 << h) - 1) << offset_g))
-        offset_g += h
-    universe = n * alpha + n * h
-    return HardPair(fh=fh, g=g, params=params, hidden=hidden,
-                    fh_cov=CoverageFunction(universe, covers_fh),
-                    g_cov=CoverageFunction(universe, covers_g), scale=n)
+    return HardPair(fh=fh, g=g, params=params, hidden=hidden)
 
 
 class Band:
@@ -224,7 +191,9 @@ class Band:
     ints q - p, q and q + p.  For int and Fraction values, clearing the
     positive denominators makes the test (q - p) f.num F.den <= q F.num f.den
     <= (q + p) f.num F.den: :meth:`holds` compares ints and builds no Fraction.
-    :meth:`near` and :meth:`float_holds` are the float forms for noisy values.
+    :meth:`near` and :meth:`float_holds` are the float forms for noisy values;
+    they differ on purpose, and a value just past a rounded edge passes the
+    first and fails the second.
     """
 
     __slots__ = ("q", "q_lo", "q_hi", "lo", "hi")
@@ -260,12 +229,21 @@ class Band:
         return self.lo * f <= F <= self.hi * f
 
     def near(self, F, f) -> bool:
-        """Float band test with a 1e-12 relative slack at each edge."""
+        """Float band test with a 1e-12 relative slack at each edge.
+
+        ``check_sandwich`` uses it on a float F built to lie in the band,
+        such as consistent noise xi * f with xi in [1 - eps, 1 + eps]: the
+        product is rounded, so a value the construction puts on an edge can
+        land just past it, and that is no counterexample."""
         low, high, F = float(self.lo * f), float(self.hi * f), float(F)
         return low - 1e-12 * max(1.0, abs(low)) <= F <= high + 1e-12 * max(1.0, abs(high))
 
     def float_holds(self, F: float, f) -> bool:
-        """Float F against the band edges rounded to floats, no slack."""
+        """Float F against the band edges rounded to floats, no slack.
+
+        ``sample`` uses it to count the estimates that leave the band.  An
+        average of noisy draws is not built to sit on an edge, and without
+        slack the count never falls below the one :meth:`near` would give."""
         return float(self.lo * f) <= F <= float(self.hi * f)
 
 
@@ -419,12 +397,14 @@ class GreedyTrapInstance(FunctionInstance):
 
 
 def build_greedy_trap(k: int, beta: float, n: int) -> GreedyTrapInstance:
-    """Trap instance at error level eps = k^(beta-1); requires eps < 1/2,
+    """Trap instance at error level eps = k^(beta-1); requires 0 < beta < 1
+    (beta >= 1 gives eps >= 1, or 0 once k^(1-beta) underflows), eps < 1/2,
     integral block sizes, and enough non-A elements to fill the budget."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if k < 1 or n < 2:
-        raise ValueError(f"need k >= 1 and n >= 2, got k={k}, n={n}")
+    check_ground_size(n)
+    if not 0 < beta < 1:
+        raise ValueError(f"beta must be in (0, 1), got {beta}")
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     eps_pow = _exact_or_float_pow(k, 1 - beta)
     epsilon = Fraction(1, eps_pow) if isinstance(eps_pow, int) else Fraction(1 / eps_pow)
     if not epsilon < Fraction(1, 2):

@@ -77,21 +77,3 @@ class PartitionMatroid(Matroid):
             for mask, cap in zip(self._block_masks, self.capacities)
         )
 
-
-def matroid_to_dict(m: Matroid) -> dict:
-    if isinstance(m, UniformMatroid):
-        return {"kind": "uniform", "n": m.n, "k": m.k}
-    if isinstance(m, PartitionMatroid):
-        return {"kind": "partition", "blocks": m.blocks, "capacities": m.capacities}
-    raise TypeError("cannot serialize this matroid type")
-
-
-def matroid_from_dict(d: dict) -> Matroid:
-    if not isinstance(d, dict):
-        raise ValueError(f"a matroid must be a JSON object, got {type(d).__name__}")
-    kind = d.get("kind")
-    if kind == "uniform":
-        return UniformMatroid(d["n"], d["k"])
-    if kind == "partition":
-        return PartitionMatroid(d["blocks"], d["capacities"])
-    raise ValueError(f"unknown matroid kind {kind!r}")

@@ -139,7 +139,10 @@ def required_samples(B, b, n, epsilon: float, confidence_constant: float = 3.0) 
     if not 0 < confidence_constant < math.inf:
         raise ValueError(
             f"confidence_constant must be positive and finite, got {confidence_constant}")
-    m = confidence_constant * B * math.log(n) / (b * epsilon * epsilon)
+    denominator = b * epsilon * epsilon
+    if not denominator > 0:
+        raise ValueError(f"b * eps^2 underflows to 0 at b={b}, eps={epsilon}")
+    m = confidence_constant * B * math.log(n) / denominator
     if not m < math.inf:
         raise ValueError(f"sample count {m} is not finite")
     return max(1, math.ceil(m))

@@ -83,17 +83,9 @@ class Subset:
         m = self.mask & other.mask
         return Subset._raw(self.n, m, m.bit_count())
 
-    def difference(self, other: "Subset") -> "Subset":
-        self._check_same_ground(other)
-        m = self.mask & ~other.mask
-        return Subset._raw(self.n, m, m.bit_count())
-
     def complement(self) -> "Subset":
         m = ~self.mask & ((1 << self.n) - 1)
         return Subset._raw(self.n, m, self.n - self.size)
-
-    def intersection_size(self, other: "Subset") -> int:
-        return (self.mask & other.mask).bit_count()
 
     def elements(self) -> list[int]:
         return list(iter_bits(self.mask))

@@ -14,6 +14,7 @@ from approxsub.adversarial import (
     gap_bound,
     power_law_params,
 )
+from approxsub.functions import CoverageFunction
 from approxsub.sets import Subset
 from approxsub.verify import (
     check_monotone,
@@ -66,9 +67,9 @@ def test_params_invariants():
 # ---------------------------------------------------------------------------
 
 def test_hidden_set_full_and_deterministic():
-    assert draw_hidden_set(7, 7, 123).subset == Subset.full(7)
-    a = draw_hidden_set(40, 11, 5).subset
-    b = draw_hidden_set(40, 11, 5).subset
+    assert draw_hidden_set(7, 7, 123) == Subset.full(7)
+    a = draw_hidden_set(40, 11, 5)
+    b = draw_hidden_set(40, 11, 5)
     assert a == b
     assert a.size == 11
 
@@ -77,7 +78,7 @@ def test_hidden_set_uniform_inclusion_frequency():
     n, h, trials = 20, 5, 100_000
     counts = np.zeros(n)
     for seed in range(trials):
-        mask = draw_hidden_set(n, h, seed).subset.mask
+        mask = draw_hidden_set(n, h, seed).mask
         for e in range(n):
             if mask >> e & 1:
                 counts[e] += 1
@@ -105,7 +106,7 @@ def _pair100():
 
 def test_monotone_pair_small_set_regime():
     params, hidden, pair = _pair100()
-    inside = hidden.subset.elements()[:5]
+    inside = hidden.elements()[:5]
     s = Subset.from_elements(inside, 100)
     assert pair.fh.value(s) == 5
     assert pair.g.value(s) == 5
@@ -113,8 +114,8 @@ def test_monotone_pair_small_set_regime():
 
 def test_monotone_pair_mixed_set():
     params, hidden, pair = _pair100()
-    inside = hidden.subset.elements()[:2]
-    outside = hidden.subset.complement().elements()[:10]
+    inside = hidden.elements()[:2]
+    outside = hidden.complement().elements()[:10]
     s = Subset.from_elements(inside + outside, 100)
     assert pair.fh.value(s) == 2 + Fraction(15, 4)  # 2 + min(10, 3.75)
     assert pair.g.value(s) == Fraction(27, 4)  # min(12, 6.75)
@@ -177,8 +178,8 @@ def test_coverage_pair_closed_forms():
     params = HardPairParams(n=100, h=25, alpha=5, k=25, epsilon=0.25)
     hidden = draw_hidden_set(100, 25, 0)
     pair = build_coverage_pair(params, hidden)
-    inside = hidden.subset.elements()[:3]
-    outside = hidden.subset.complement().elements()[:7]
+    inside = hidden.elements()[:3]
+    outside = hidden.complement().elements()[:7]
     assert pair.fh.value(Subset.from_elements(inside, 100)) == 8
     s10 = Subset.from_elements(inside + outside, 100)
     assert pair.g.value(s10) == Fraction(15, 2)  # 10 * 25/100 + 5
@@ -187,31 +188,56 @@ def test_coverage_pair_closed_forms():
     assert pair.g.value(empty) == 0
 
 
+def realize_coverage_pair(pair):
+    """The coverage pair as two coverage functions scaled by n, so every
+    universe cardinality is an integer (n <= 20): every ground element covers
+    one shared block of n alpha universe elements (the +alpha step), members
+    of H add n private elements each to fh, and every element adds h private
+    elements to g.  Returns (fh_cov, g_cov)."""
+    n, h, alpha = pair.params.n, pair.params.h, pair.params.alpha
+    if n > 20:
+        raise ValueError(f"explicit realization supported only for n <= 20, got {n}")
+    shared = (1 << (n * alpha)) - 1
+    covers_fh, covers_g = [], []
+    offset_fh = offset_g = n * alpha
+    for e in range(n):
+        mask = shared
+        if e in pair.hidden:
+            mask |= ((1 << n) - 1) << offset_fh
+            offset_fh += n
+        covers_fh.append(mask)
+        covers_g.append(shared | (((1 << h) - 1) << offset_g))
+        offset_g += h
+    universe = n * alpha + n * h
+    return CoverageFunction(universe, covers_fh), CoverageFunction(universe, covers_g)
+
+
 def test_coverage_pair_explicit_realization_matches_scaled():
     params = HardPairParams(n=12, h=4, alpha=3, k=4, epsilon=0.25)
     hidden = draw_hidden_set(12, 4, 9)
-    pair = build_coverage_pair(params, hidden, realize_explicitly=True)
-    assert pair.scale == 12
+    pair = build_coverage_pair(params, hidden)
+    fh_cov, g_cov = realize_coverage_pair(pair)
     for mask in range(1 << 12):
         s = Subset(12, mask)
-        assert pair.fh_cov.value(s) == 12 * pair.fh.value(s)
-        assert pair.g_cov.value(s) == 12 * pair.g.value(s)
+        assert fh_cov.value(s) == 12 * pair.fh.value(s)
+        assert g_cov.value(s) == 12 * pair.g.value(s)
 
 
 def test_coverage_pair_unscaled_equality_at_divisible_sizes():
     # With n=12, h=4, the decoy is integral exactly when 3 divides |S|.
     params = HardPairParams(n=12, h=4, alpha=3, k=4, epsilon=0.25)
     hidden = draw_hidden_set(12, 4, 9)
-    pair = build_coverage_pair(params, hidden, realize_explicitly=True)
+    pair = build_coverage_pair(params, hidden)
+    _, g_cov = realize_coverage_pair(pair)
     s = Subset.from_elements([0, 1, 2], 12)
     assert pair.g.value(s) == 4
-    assert pair.g_cov.value(s) == 12 * 4
+    assert g_cov.value(s) == 12 * 4
 
 
 def test_coverage_pair_realization_guard():
     params = HardPairParams(n=50, h=20, alpha=4, k=10, epsilon=0.25)
     with pytest.raises(ValueError):
-        build_coverage_pair(params, draw_hidden_set(50, 20, 0), realize_explicitly=True)
+        realize_coverage_pair(build_coverage_pair(params, draw_hidden_set(50, 20, 0)))
 
 
 def test_coverage_pair_gap_brute_force():
@@ -237,7 +263,7 @@ def test_coverage_pair_functions_are_monotone_submodular():
 def test_sandwich_returns_decoy_when_equal():
     params, hidden, pair = _pair100()
     sw = build_sandwich(pair)
-    inside = hidden.subset.elements()[:4]
+    inside = hidden.elements()[:4]
     s = Subset.from_elements(inside, 100)
     assert pair.fh.value(s) == pair.g.value(s)
     assert sw.value(s) == pair.g.value(s)
@@ -249,7 +275,7 @@ def test_sandwich_reveals_planted_outside_band():
     hidden = draw_hidden_set(64, 16, 6)
     pair = build_monotone_pair(params, hidden)
     sw = build_sandwich(pair)
-    planted = Subset.from_elements(hidden.subset.elements()[:16], 64)
+    planted = Subset.from_elements(hidden.elements()[:16], 64)
     # decoy value 5.5 sits below (1 - eps) * 16, so the oracle reveals 16
     assert pair.g.value(planted) == Fraction(11, 2)
     assert sw.value(planted) == 16

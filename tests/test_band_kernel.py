@@ -15,7 +15,6 @@ import pytest
 
 from approxsub.adversarial import (
     HardPairParams,
-    HiddenSet,
     PairBand,
     draw_hidden_set,
     power_law_params,
@@ -42,8 +41,8 @@ def _sandwich_band_state(params: HardPairParams):
 def reference_sandwich_greedy(params: HardPairParams, hidden) -> tuple[int, Fraction, int, int]:
     n, h, k = params.n, params.h, params.k
     cap, lo, hi, g_table = _sandwich_band_state(params)
-    in_ids = hidden.subset.elements()
-    out_ids = hidden.subset.complement().elements()
+    in_ids = hidden.elements()
+    out_ids = hidden.complement().elements()
     p_in = p_out = 0
     s1 = s0 = 0
     escapes = 0
@@ -84,7 +83,7 @@ def reference_sandwich_greedy(params: HardPairParams, hidden) -> tuple[int, Frac
     return chosen_mask, value, escapes, expected_greedy_queries(n, k)
 
 
-def reference_draw_hidden_set(n: int, h: int, seed: int) -> HiddenSet:
+def reference_draw_hidden_set(n: int, h: int, seed: int) -> Subset:
     rng = np.random.default_rng(seed)
     arr = np.arange(n)
     for i in range(h):
@@ -93,7 +92,7 @@ def reference_draw_hidden_set(n: int, h: int, seed: int) -> HiddenSet:
     mask = 0
     for e in arr[:h]:
         mask |= 1 << int(e)
-    return HiddenSet(Subset._raw(n, mask, h), seed)
+    return Subset._raw(n, mask, h)
 
 
 def reference_planted_optimum_escapes(params: HardPairParams) -> bool:

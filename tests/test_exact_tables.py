@@ -44,7 +44,6 @@ from approxsub.functions import (
     instance_from_dict,
     instance_to_dict,
 )
-from approxsub.matroids import PartitionMatroid, UniformMatroid, matroid_from_dict, matroid_to_dict
 from approxsub.noise import (
     ConsistentNoiseOracle,
     InconsistentNoiseOracle,
@@ -309,34 +308,10 @@ def test_instance_dict_round_trip(drawn):
         assert v == w and type(v) is type(w)
 
 
-@st.composite
-def matroids(draw):
-    n = draw(st.integers(1, 7))
-    if draw(st.booleans()):
-        return UniformMatroid(n, draw(st.integers(0, n)))
-    nblocks = draw(st.integers(1, 3))
-    blocks = draw(st.lists(st.integers(0, nblocks - 1), min_size=n, max_size=n))
-    caps = draw(st.lists(st.integers(0, 3), min_size=nblocks, max_size=nblocks))
-    return PartitionMatroid(blocks, caps)
-
-
-@settings(max_examples=100, deadline=None)
-@given(matroids())
-def test_matroid_dict_round_trip(m):
-    d = matroid_to_dict(m)
-    back = matroid_from_dict(json.loads(json.dumps(d)))
-    assert matroid_to_dict(back) == d and back.rank() == m.rank()
-    for mask in range(1 << m.n):
-        s = Subset(m.n, mask)
-        assert back.is_independent(s) == m.is_independent(s)
-
-
 @pytest.mark.parametrize("node", [5, [1], "additive", None])
 def test_from_dict_rejects_non_object_nodes(node):
     with pytest.raises(ValueError, match="JSON object"):
         instance_from_dict({"kind": "sum", "terms": [node]})
-    with pytest.raises(ValueError, match="JSON object"):
-        matroid_from_dict(node)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import approxsub.cli as cli
-from approxsub import experiments
+from approxsub import adversarial, experiments
 from approxsub.adversarial import (
     HardPairParams,
     build_coverage_pair,
+    build_greedy_trap,
     build_monotone_pair,
     build_sandwich,
     draw_hidden_set,
+    power_law_params,
 )
 from approxsub.cli import EXIT_COUNTEREXAMPLE, EXIT_PASS, _emit, _load_json
 from approxsub.experiments import (
@@ -25,7 +27,6 @@ from approxsub.experiments import (
     emit_report,
     instance_corpus,
     planted_optimum_escapes,
-    read_report,
     run_distinguishability,
     run_noise_sweep,
     run_sampling_validation,
@@ -118,8 +119,6 @@ def test_distinguishability_runner():
 
 
 def run_params(n, beta):
-    from approxsub.adversarial import power_law_params
-
     return power_law_params(n, beta)
 
 
@@ -253,7 +252,8 @@ def test_structured_report_round_trip(tmp_path):
     rows, _ = run_trap(16, 0.5, 64)
     path = tmp_path / "r.json"
     emit_report(rows, path, "structured")
-    back = read_report(path)
+    doc = json.loads(path.read_text())
+    back = [dict(zip(doc["columns"], r)) for r in doc["rows"]]
     assert len(back) == len(rows)
     for col in REPORT_COLUMNS:
         orig = rows[0].get(col)
@@ -475,6 +475,81 @@ def test_cli_sample_rejects_large_ground_set(tmp_path, capsys, n):
     _assert_rejected(capsys, ["sample", "--config", str(path)])
 
 
+@pytest.mark.parametrize("argv", [
+    # --curve alone parses to [], which once fell through to the default trap
+    ["trap", "--curve"],
+    # k^(1 - beta) underflows to 0, and the trap once built Fraction(1, 0)
+    ["trap", "--beta", "1e9"],
+    ["generate", "--construction", "trap", "--n", "64", "--beta", "1e9"],
+    # k^(1 - beta) and n^(1 - beta/2) once overflowed converting k or n to a float
+    ["trap", "--k", "1" + "0" * 400],
+    ["generate", "--construction", "monotone", "--n", "1" + "0" * 400, "--beta", "0.25"],
+], ids=["trap-empty-curve", "trap-beta", "generate-trap-beta", "trap-huge-k", "generate-huge-n"])
+def test_cli_rejects_degenerate_construction(capsys, argv):
+    _assert_rejected(capsys, argv)
+
+
+_GUARDED = {  # each path builds O(n) lists once past the ground-set guard
+    "trap": ["trap", "--k", "16", "--n", "64"],
+    "trap-curve": ["trap", "--curve", "16"],
+    "generate-monotone": ["generate", "--construction", "monotone", "--n", "256",
+                          "--beta", "0.45"],
+    "generate-coverage": ["generate", "--construction", "coverage", "--n", "256",
+                          "--beta", "0.45"],
+    "generate-trap": ["generate", "--construction", "trap", "--n", "64", "--beta", "0.5"],
+    "distinguish": ["distinguish", "--n", "256", "--beta", "0.45", "--trials", "1"],
+    "distinguish-no-trials": ["distinguish", "--n", "256", "--beta", "0.45", "--trials", "0"],
+    "sandwich": ["verify", "--property", "sandwich"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GUARDED))
+def test_cli_ground_set_guard_covers_every_path(tmp_path, capsys, monkeypatch, case):
+    """One constant guards every path; a small value stands in for 2^14."""
+    argv = _GUARDED[case]
+    if case == "sandwich":
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"construction": {"n": 12, "h": 5, "alpha": 2, "k": 5,
+                                                     "epsilon": 0.3}}))
+        argv = argv + ["--config", str(path)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(adversarial, "MAX_N", 8)
+    _assert_rejected(capsys, argv)
+
+
+def test_ground_set_guard_sits_at_2_14():
+    assert adversarial.MAX_N == 1 << 14
+    power_law_params(1 << 14, 0.45)
+    for build in (lambda n: power_law_params(n, 0.45), lambda n: draw_hidden_set(n, 1, 0),
+                  lambda n: build_greedy_trap(16, 0.5, n)):
+        with pytest.raises(ValueError, match="guarded"):
+            build((1 << 14) + 1)
+
+
+def _distinguish_on_bound(monkeypatch, capsys, below):
+    """Run ``distinguish`` with the gap bound moved onto the trial's exact
+    greedy value, or an exact 10^-30 below it."""
+    params = power_law_params(256, 0.45)
+    _, value, escapes, _ = _sandwich_greedy_fast(params, draw_hidden_set(256, params.h, 0))
+    assert escapes == 0
+    ratio = value / params.k - (Fraction(1, 10 ** 30) if below else 0)
+    monkeypatch.setattr(experiments, "gap_bound", lambda p: ratio)
+    rows, _ = run_distinguishability(256, 0.45, 1, 0)
+    code = cli.main(["distinguish", "--n", "256", "--beta", "0.45", "--trials", "1"])
+    capsys.readouterr()
+    return rows[0]["ok"], code
+
+
+def test_distinguish_row_exactly_on_the_bound_passes(monkeypatch, capsys):
+    assert _distinguish_on_bound(monkeypatch, capsys, below=False) == (True, EXIT_PASS)
+
+
+def test_distinguish_decides_the_bound_exactly(monkeypatch, capsys):
+    """A value 10^-30 over the bound once passed inside the float rule's 1e-12 slack."""
+    assert _distinguish_on_bound(monkeypatch, capsys, below=True) == (False, EXIT_COUNTEREXAMPLE)
+
+
 def test_zero_trials_report_empty_summaries():
     rows, summary = run_distinguishability(256, 0.45, trials=0, seed=0)
     assert rows == [] and summary["trials"] == 0
@@ -586,6 +661,8 @@ def _deep_sum(depth):
                  "noise": {"kind": "consistent", "epsilon": 0.3}})),    # a stray key in a number object was once ignored
     (["verify", "--property", "monotone"],
      '{"kind": "additive", "weights": [{"num": 1, "den": 2, "dne": 7}, 1]}'),
+    # b * eps^2 underflows to 0 and once raised ZeroDivisionError
+    (["sample"], '{"epsilon": 1e-320}'),
 ])
 def test_cli_rejects_malformed_input(tmp_path, capsys, argv, text):
     """Each input once exited 0 or 1, with or without a traceback."""

@@ -5,6 +5,7 @@ classes.  Verbatim copies of them are kept here as references: the zoo-built
 pair must give the same value, of the same type, on every set.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ class _CoverageFormPlanted(FunctionInstance):
         self._check_ground(s)
         if s.size == 0:
             return 0
-        return s.intersection_size(self._hidden) + self._alpha
+        return s.intersection(self._hidden).size + self._alpha
 
 
 class _CoverageFormDecoy(FunctionInstance):
@@ -63,7 +64,7 @@ FIXTURES = [(2, 1, 1, 0), (8, 3, 1, 1), (9, 4, 2, 2), (10, 5, 5, 3), (12, 6, 2, 
 def _pair(n, h, alpha, seed):
     params = HardPairParams(n=n, h=h, alpha=alpha, k=h, epsilon=0.25)
     hidden = draw_hidden_set(n, h, seed)
-    refs = (_CoverageFormPlanted(hidden.subset, alpha), _CoverageFormDecoy(n, h, alpha))
+    refs = (_CoverageFormPlanted(hidden, alpha), _CoverageFormDecoy(n, h, alpha))
     return build_coverage_pair(params, hidden), refs
 
 
@@ -87,7 +88,7 @@ def test_coverage_pair_matches_closed_forms_at_scale(seed):
     n = 100
     pair, (fh_ref, g_ref) = _pair(n, 25 + seed, 5 + seed, seed)
     rng = random.Random(seed)
-    sets = [Subset.empty(n), Subset.full(n), pair.hidden.subset]
+    sets = [Subset.empty(n), Subset.full(n), pair.hidden]
     sets += [Subset.from_elements(rng.sample(range(n), rng.randrange(n + 1)), n)
              for _ in range(1000)]
     for s in sets:
@@ -114,7 +115,7 @@ def test_both_builders_return_one_pair_model(build):
     pair = build(params, hidden)
     assert type(pair) is HardPair
     assert pair.params is params and pair.hidden is hidden
-    assert (pair.fh_cov, pair.g_cov, pair.scale) == (None, None, None)
+    assert [f.name for f in dataclasses.fields(pair)] == ["fh", "g", "params", "hidden"]
     assert pair.fh.n == pair.g.n == 12
 
 

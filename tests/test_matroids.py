@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from approxsub.functions import AdditiveFunction
-from approxsub.matroids import (
-    PartitionMatroid,
-    UniformMatroid,
-    matroid_from_dict,
-    matroid_to_dict,
-)
+from approxsub.matroids import PartitionMatroid, UniformMatroid
 from approxsub.sets import Subset
 from approxsub.solvers import brute_force, greedy_matroid
 
@@ -90,18 +85,8 @@ def test_greedy_on_additive_is_optimal():
         assert res.value == opt.value, trial
 
 
-def test_serialization_round_trip():
-    for m in [UniformMatroid(5, 2), PartitionMatroid([0, 1, 0], [1, 1])]:
-        back = matroid_from_dict(matroid_to_dict(m))
-        for mask in range(1 << m.n):
-            s = Subset(m.n, mask)
-            assert back.is_independent(s) == m.is_independent(s)
-
-
 def test_validation():
     with pytest.raises(ValueError):
         UniformMatroid(4, 5)
     with pytest.raises(ValueError):
         PartitionMatroid([0, 2], [1, 1])
-    with pytest.raises(ValueError):
-        matroid_from_dict({"kind": "graphic"})

@@ -162,6 +162,13 @@ def test_required_samples_rejects_zero_floor():
         required_samples(1, 0, 10, 0.1)
 
 
+@pytest.mark.parametrize("b, epsilon", [(1, 1e-320), (1e-300, 1e-20)])
+def test_required_samples_rejects_underflowing_denominator(b, epsilon):
+    """b * eps^2 rounds to 0 and once raised ZeroDivisionError."""
+    with pytest.raises(ValueError, match="underflows"):
+        required_samples(1, b, 10, epsilon)
+
+
 def test_estimator_zero_variance_recovers_exactly():
     f = AdditiveFunction([2, 3, 4])
     src = InconsistentNoiseOracle(f, "uniform-relative", 0.0, 7)

@@ -157,7 +157,7 @@ def test_brute_force_on_planted_pair():
     res = brute_force(pair.fh, 12, 4)
     assert res.value == 4
     # Any budget-sized subset of the hidden set attains the maximum.
-    assert pair.fh.value(Subset.from_elements(hidden.subset.elements()[:4], 12)) == 4
+    assert pair.fh.value(Subset.from_elements(hidden.elements()[:4], 12)) == 4
     # Tie break: smallest mask among all maximizers.
     smallest = min(
         m for m in range(1 << 12)
