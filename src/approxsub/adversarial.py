@@ -27,10 +27,9 @@ from .functions import (
     AdditiveFunction,
     BudgetAdditiveFunction,
     ConcaveCardinalityFunction,
-    FunctionInstance,
     SumFunction,
 )
-from .sets import Subset
+from .sets import Subset, ValueOracle
 
 MAX_N = 1 << 14  # the planted-set draw and the trap build O(n) lists
 
@@ -97,6 +96,8 @@ def power_law_params(n: int, beta: float) -> HardPairParams:
     every use draws a planted set over the ground set.
     """
     check_ground_size(n)
+    if n < 2:  # n^(beta - 1/2) divides by zero at n = 0
+        raise ValueError(f"n must be at least 2, got {n}")
     if not 0 < beta < 0.5:
         raise ValueError(f"beta must be in (0, 1/2), got {beta}")
     h = math.ceil(_exact_or_float_pow(n, 1 - beta / 2))
@@ -289,7 +290,7 @@ def gap_bound(params: HardPairParams) -> Fraction:
     return Fraction(params.alpha, params.k) + Fraction(params.h, params.n)
 
 
-class SandwichFunction(FunctionInstance):
+class SandwichFunction(ValueOracle):
     """Adversarial oracle: returns the decoy g(S) whenever g(S) lies within
     the multiplicative (1 +- eps) band around the planted fh(S), and fh(S)
     otherwise.  By construction the result is always within the band around
@@ -328,7 +329,7 @@ def build_sandwich(pair, epsilon: float | None = None) -> SandwichFunction:
     return SandwichFunction(pair.fh, pair.g, epsilon)
 
 
-class GreedyTrapInstance(FunctionInstance):
+class GreedyTrapInstance(ValueOracle):
     """Additive function with a deflation override on a thin set family.
 
     The ground set splits into blocks A (1/(2 eps) elements of value 2),

@@ -28,9 +28,8 @@ from .functions import (
     ConcaveCardinalityFunction,
     CoverageFunction,
     SumFunction,
-    exact_table,
 )
-from .noise import ConsistentNoiseOracle, InconsistentNoiseOracle, SamplingEstimator, required_samples
+from .noise import ConsistentNoiseOracle, SamplingEstimator, required_samples
 from .sets import Subset
 from .solvers import brute_force, expected_greedy_queries, greedy_bound, greedy_cardinality
 from .verify import chernoff_tails
@@ -390,7 +389,7 @@ def run_sampling_validation(
     n = f.n
     if n > SAMPLE_MAX_N:
         raise ValueError(f"sampling validation guarded at n <= {SAMPLE_MAX_N}, got {n}")
-    table = exact_table(f, n)
+    table = f.exact_table()
     if table is None:
         vals = [f.value(Subset._raw(n, m_, m_.bit_count())) for m_ in range(1, 1 << n)]
         b, B = float(min(vals)), float(max(vals))
@@ -405,8 +404,7 @@ def run_sampling_validation(
     rel_b = 1.0 if family == "uniform-relative" else b
     prediction = sampling_union_bound(n_sets, m, epsilon, width, rel_b)
     for t in range(trials):
-        source = InconsistentNoiseOracle(f, family, width, seed + t)
-        est = SamplingEstimator(source, m)
+        est = SamplingEstimator(f, family, width, seed + t, m)
         greedy_cardinality(est, n, k)
         violations = 0
         for mk in est.cached_sets():
@@ -421,7 +419,7 @@ def run_sampling_validation(
             "solver": f"estimator(m={m},{family},w={width})",
             "value": violations, "baseline": n_sets,
             "ratio": violations / n_sets, "bound": prediction,
-            "queries": source.query_count, "band_escapes": violations,
+            "queries": est.samples, "band_escapes": violations,
         })
     summary = {
         "m": m, "trials": trials, "queried_sets_per_trial": n_sets,

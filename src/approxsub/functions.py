@@ -2,7 +2,10 @@
 concave-of-cardinality, and sums thereof, plus exact curvature.
 
 Values stay in whatever number type the construction uses (int, Fraction,
-float), so integral and rational instances evaluate exactly.
+float), so integral and rational instances evaluate exactly.  Each kind is a
+counted ``ValueOracle`` whose ``exact_table()`` builds its whole value table
+in numpy where its data allow; :func:`int_table` is the one rescaler of
+exact values to such a table.
 """
 
 from __future__ import annotations
@@ -20,31 +23,22 @@ TABLE_LIMIT = 1 << 61
 _EXACT_TYPES = (int, bool, Fraction)
 
 
-class FunctionInstance(ValueOracle):
-    """Base for exact evaluable set functions over {0..n-1}: each is its own
-    counted oracle.  Subclasses set ``n`` and implement ``value``."""
-
-    kind = "abstract"
-    n: int
-
-    def exact_table(self, n: int):
-        """``(T, D)``, an int64 array over all 2^n masks and a positive int
-        with ``value(S) == Fraction(T[S.mask], D)`` on every set, or None.
-
-        None means the caller evaluates ``value()`` set by set: the kind has
-        no table form, n is not the instance's ground set, some datum is not
-        exactly an int, bool or Fraction, or an entry could reach 2^61.
-        """
-        return None
-
-    def _check_ground(self, s: Subset):
-        if s.n != self.n:
-            raise ValueError(f"ground set mismatch: instance n={self.n}, subset n={s.n}")
-
-
 def _scaled(values, den: int) -> list[int]:
     """den * v for exact values v whose denominators divide den."""
     return [v.numerator * (den // v.denominator) for v in values]
+
+
+def int_table(values):
+    """``(T, D)``: D the least common denominator of the values and T the
+    int64 array of D * v, or None if some value is not exactly an int, bool
+    or Fraction, or some |D * v| reaches the limit."""
+    if any(type(v) not in _EXACT_TYPES for v in values):
+        return None
+    den = math.lcm(*{v.denominator for v in values})
+    scaled = _scaled(values, den)
+    if max(map(abs, scaled), default=0) >= TABLE_LIMIT:
+        return None
+    return np.array(scaled, dtype=np.int64), den
 
 
 def _mask_of(elements, n: int) -> int:
@@ -127,7 +121,7 @@ def _weight_table(weights, n: int):
     return _doubling(n, np.int64, lambda t, i: t + weights[i])
 
 
-class AdditiveFunction(FunctionInstance):
+class AdditiveFunction(ValueOracle):
     """value(S) = sum of per-element weights over S."""
 
     kind = "additive"
@@ -143,14 +137,14 @@ class AdditiveFunction(FunctionInstance):
         self._check_ground(s)
         return self._sum(s.mask)
 
-    def exact_table(self, n: int):
-        if n != self.n or self._sum.den is None:
+    def exact_table(self):
+        if self._sum.den is None:
             return None
-        t = _weight_table(self._sum.terms, n)
+        t = _weight_table(self._sum.terms, self.n)
         return None if t is None else (t, self._sum.den)
 
 
-class BudgetAdditiveFunction(FunctionInstance):
+class BudgetAdditiveFunction(ValueOracle):
     """value(S) = min(sum of weights over S, budget)."""
 
     kind = "budget_additive"
@@ -169,18 +163,18 @@ class BudgetAdditiveFunction(FunctionInstance):
         self._check_ground(s)
         return min(self._sum(s.mask), self.budget)
 
-    def exact_table(self, n: int):
-        if n != self.n or self._sum.den is None or type(self.budget) not in _EXACT_TYPES:
+    def exact_table(self):
+        if self._sum.den is None or type(self.budget) not in _EXACT_TYPES:
             return None
         den = math.lcm(self._sum.den, self.budget.denominator)
         budget, = _scaled([self.budget], den)
-        t = _weight_table(_scaled(self.weights, den), n)
+        t = _weight_table(_scaled(self.weights, den), self.n)
         if t is None or budget >= TABLE_LIMIT:
             return None
         return np.minimum(t, budget), den
 
 
-class CoverageFunction(FunctionInstance):
+class CoverageFunction(ValueOracle):
     """value(S) = size of the union of the universe sets covered by S.
 
     The universe is a dense integer range; per-element covers are stored as
@@ -217,15 +211,15 @@ class CoverageFunction(FunctionInstance):
             covered |= self.covers[e]
         return covered.bit_count()
 
-    def exact_table(self, n: int):
-        if n != self.n or self.universe_size > 63:
+    def exact_table(self):
+        if self.universe_size > 63:
             return None
         covers = np.array(self.covers, dtype=np.uint64)
-        covered = _doubling(n, np.uint64, lambda t, i: t | covers[i])
+        covered = _doubling(self.n, np.uint64, lambda t, i: t | covers[i])
         return np.bitwise_count(covered).astype(np.int64), 1
 
 
-class ConcaveCardinalityFunction(FunctionInstance):
+class ConcaveCardinalityFunction(ValueOracle):
     """value(S) = G(|S|) for a tabulated nondecreasing concave G on {0..n}.
 
     The table is validated at construction: entries nondecreasing and the
@@ -252,19 +246,16 @@ class ConcaveCardinalityFunction(FunctionInstance):
         self._check_ground(s)
         return self.table[s.size]
 
-    def exact_table(self, n: int):
-        if n != self.n or any(type(v) not in _EXACT_TYPES for v in self.table):
+    def exact_table(self):
+        table = int_table(self.table)
+        if table is None:
             return None
-        den = math.lcm(*(v.denominator for v in self.table))
-        scaled = _scaled(self.table, den)
-        if max(map(abs, scaled)) >= TABLE_LIMIT:
-            return None
-        sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint64))
-        return np.array(scaled, dtype=np.int64)[sizes], den
+        sizes = np.bitwise_count(np.arange(1 << self.n, dtype=np.uint64))
+        return table[0][sizes], table[1]
 
 
-class SumFunction(FunctionInstance):
-    """Pointwise sum of function instances over a common ground set."""
+class SumFunction(ValueOracle):
+    """Pointwise sum of set functions over a common ground set."""
 
     kind = "sum"
 
@@ -284,37 +275,29 @@ class SumFunction(FunctionInstance):
             total += t.value(s)
         return total
 
-    def exact_table(self, n: int):
-        if n != self.n:
-            return None
-        tables = [exact_table(t, n) for t in self.terms]
+    def exact_table(self):
+        tables = [t.exact_table() for t in self.terms]
         if None in tables:
             return None
         den = math.lcm(*(d for _, d in tables))
         # Triangle bound over the terms; it also bounds every partial sum below.
         if sum(int(np.abs(t).max()) * (den // d) for t, d in tables) >= TABLE_LIMIT:
             return None
-        total = np.zeros(1 << n, dtype=np.int64)
+        total = np.zeros(1 << self.n, dtype=np.int64)
         for t, d in tables:
             if t.any():  # an all-zero term's factor den // d may not fit int64
                 total += t * (den // d)
         return total, den
 
 
-def exact_table(fn, n: int):
-    """``fn.exact_table(n)`` for an object that has one, else None."""
-    table = getattr(fn, "exact_table", None)
-    return None if table is None else table(n)
-
-
-def marginal(inst: FunctionInstance, s: Subset, a: int):
+def marginal(inst: ValueOracle, s: Subset, a: int):
     """Marginal value of adding element ``a`` to ``s``; requires a not in s."""
     if s.contains(a):
         raise ValueError(f"element {a} already in the set")
     return inst.value(s.add(a)) - inst.value(s)
 
 
-def curvature(inst: FunctionInstance):
+def curvature(inst: ValueOracle):
     """Exact curvature: 1 - min over elements of (last marginal / singleton value).
 
     Computed from 2n + 1 evaluations; raises if some singleton has value 0,
@@ -365,7 +348,7 @@ def _num_from_obj(o):
     return o
 
 
-def instance_to_dict(inst: FunctionInstance) -> dict:
+def instance_to_dict(inst: ValueOracle) -> dict:
     if isinstance(inst, AdditiveFunction):
         return {"kind": inst.kind, "weights": [_num_to_obj(w) for w in inst.weights]}
     if isinstance(inst, BudgetAdditiveFunction):
@@ -384,7 +367,7 @@ def instance_to_dict(inst: FunctionInstance) -> dict:
         return {"kind": inst.kind, "table": [_num_to_obj(v) for v in inst.table]}
     if isinstance(inst, SumFunction):
         return {"kind": inst.kind, "terms": [instance_to_dict(t) for t in inst.terms]}
-    raise TypeError(f"cannot serialize instance of kind {inst.kind!r}")
+    raise TypeError(f"cannot serialize a {type(inst).__name__}")
 
 
 _INSTANCE_KEYS = {
@@ -396,7 +379,7 @@ _INSTANCE_KEYS = {
 }
 
 
-def instance_from_dict(d: dict) -> FunctionInstance:
+def instance_from_dict(d: dict) -> ValueOracle:
     """Build an instance from its tagged object; any key its kind does not
     read is rejected."""
     if not isinstance(d, dict):

@@ -1,5 +1,6 @@
-"""Independence systems for constrained maximization: uniform and partition
-matroids, plus the oracle interface arbitrary user matroids can implement."""
+"""Independence systems for constrained maximization: partition matroids
+(one block of capacity k is the uniform matroid of rank k), plus the oracle
+interface arbitrary user matroids can implement."""
 
 from __future__ import annotations
 
@@ -21,23 +22,6 @@ class Matroid:
     def _check_ground(self, s: Subset):
         if s.n != self.n:
             raise ValueError(f"ground set mismatch: matroid n={self.n}, subset n={s.n}")
-
-
-class UniformMatroid(Matroid):
-    """S independent iff |S| <= k."""
-
-    def __init__(self, n: int, k: int):
-        if not 0 <= k <= n:
-            raise ValueError(f"rank k={k} outside 0..{n}")
-        self.n = n
-        self.k = k
-
-    def is_independent(self, s: Subset) -> bool:
-        self._check_ground(s)
-        return s.size <= self.k
-
-    def rank(self) -> int:
-        return self.k
 
 
 class PartitionMatroid(Matroid):

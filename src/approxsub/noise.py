@@ -1,4 +1,4 @@
-"""Noise wrappers around exact functions.
+"""Noise wrappers around exact functions; both are counted value oracles.
 
 Two models:
 
@@ -6,9 +6,9 @@ Two models:
   on every re-query of a set.  Implemented statelessly with a keyed 64-bit
   mixing hash over the subset's canonical blocks, so no per-set table is
   stored and identity holds across runs and processes.
-* inconsistent noise: every query is a fresh unbiased draw; a sampling
-  estimator averages m draws per set (computed once and cached) to present
-  a consistent oracle again.
+* inconsistent noise: every query is a fresh unbiased draw; the sampling
+  estimator draws m per set from its own seeded stream and caches their mean
+  to present a consistent oracle again.
 """
 
 from __future__ import annotations
@@ -75,49 +75,6 @@ class ConsistentNoiseOracle(ValueOracle):
         return self.xi(s) * v
 
 
-class InconsistentNoiseOracle:
-    """Unbiased noisy oracle: each query is a fresh draw with mean f(S).
-
-    Families:
-
-    * ``uniform-relative``: F(S) = f(S) * U[1-width, 1+width]
-    * ``additive-bounded``: F(S) = f(S) + U[-width, +width]
-
-    Not a consistent oracle; use :class:`SamplingEstimator` to feed solvers.
-    """
-
-    FAMILIES = ("uniform-relative", "additive-bounded")
-
-    def __init__(self, base, family: str, width: float, seed: int):
-        if family not in self.FAMILIES:
-            raise ValueError(f"unknown noise family {family!r}")
-        if not 0 <= width < math.inf:
-            raise ValueError(f"width must be nonnegative and finite, got {width}")
-        self.base = base
-        self.n = base.n
-        self.family = family
-        self.width = float(width)
-        self.seed = seed
-        self._rng = np.random.default_rng(seed)
-        self._queries = 0
-
-    @property
-    def query_count(self) -> int:
-        return self._queries
-
-    def sample_batch(self, s: Subset, m: int) -> np.ndarray:
-        """m independent draws for the same set; counts m queries."""
-        if m < 1:
-            raise ValueError("need at least one sample")
-        v = float(self.base.value(s))
-        self._queries += m
-        u = self._rng.random(m)
-        shift = self.width * (2.0 * u - 1.0)
-        if self.family == "uniform-relative":
-            return v * (1.0 + shift)
-        return v + shift
-
-
 def required_samples(B, b, n, epsilon: float, confidence_constant: float = 3.0) -> int:
     """Samples per set so the averaged oracle is within (1 +- eps) of f w.h.p.
 
@@ -148,23 +105,54 @@ def required_samples(B, b, n, epsilon: float, confidence_constant: float = 3.0) 
     return max(1, math.ceil(m))
 
 
-class SamplingEstimator(ValueOracle):
-    """Consistent face over an inconsistent source: mean of m draws per set,
-    computed once and cached under the subset's mask."""
+FAMILIES = ("uniform-relative", "additive-bounded")
 
-    def __init__(self, source: InconsistentNoiseOracle, m: int):
+
+def _check_draws(family: str, width: float) -> None:
+    if family not in FAMILIES:
+        raise ValueError(f"unknown noise family {family!r}")
+    if not 0 <= width < math.inf:
+        raise ValueError(f"width must be nonnegative and finite, got {width}")
+
+
+class SamplingEstimator(ValueOracle):
+    """Consistent oracle over inconsistent noise: the mean of m draws per
+    set, taken in first-query order from one stream seeded by ``seed`` and
+    cached under the subset's mask; ``samples`` counts the draws.  A draw is
+
+    * ``uniform-relative``: f(S) * U[1-width, 1+width], or
+    * ``additive-bounded``: f(S) + U[-width, +width].
+
+    A mean that is not finite (a draw overflowed) is an error, not an estimate.
+    """
+
+    def __init__(self, base, family: str, width: float, seed: int, m: int):
+        _check_draws(family, width)
         if not 1 <= m <= MAX_SAMPLES:
             raise ValueError(f"need 1 <= m <= {MAX_SAMPLES} samples per set, got {m}")
-        super().__init__(source.n)
-        self.source = source
+        super().__init__(base.n)
+        self.base = base
+        self.family = family
+        self.width = float(width)
         self.m = m
+        self.samples = 0
+        self._rng = np.random.default_rng(seed)
         self._cache: dict[int, float] = {}
 
     def value(self, s: Subset) -> float:
         cached = self._cache.get(s.mask)
         if cached is not None:
             return cached
-        est = float(np.mean(self.source.sample_batch(s, self.m)))
+        v = float(self.base.value(s))
+        self.samples += self.m
+        shift = self.width * (2.0 * self._rng.random(self.m) - 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            est = float(np.mean(v * (1.0 + shift) if self.family == "uniform-relative"
+                                else v + shift))
+        # A draw that is not finite leaves the mean inf or nan.
+        if not math.isfinite(est):
+            raise ValueError(f"sampled estimate {est} of {s} is not finite "
+                             f"(f = {v}, width = {self.width}, m = {self.m})")
         self._cache[s.mask] = est
         return est
 
@@ -182,10 +170,9 @@ def noise_from_dict(base, cfg: dict):
     """Build a noise wrapper from a config block.
 
     Consistent: {"kind": "consistent", "epsilon": e, "seed": s}
-    Inconsistent source: {"kind": "inconsistent", "family": ..., "width": w, "seed": s}
-    Sampled estimator: inconsistent block plus either "m" or
-    {"B": ..., "b": ..., "epsilon": ..., "confidence_constant": ...}, which an
-    inconsistent block needs: a bare source is no consistent oracle.
+    Sampled estimator: {"kind": "inconsistent", "family": ..., "width": w,
+    "seed": s} plus either "m" or {"B": ..., "b": ..., "epsilon": ...,
+    "confidence_constant": ...}, which sets m by :func:`required_samples`.
     Any other key is rejected.
     """
     if not isinstance(cfg, dict):
@@ -199,15 +186,15 @@ def noise_from_dict(base, cfg: dict):
     seed = operator.index(cfg.get("seed", 0))  # None would draw OS entropy
     if kind == "consistent":
         return ConsistentNoiseOracle(base, cfg["epsilon"], seed)
-    source = InconsistentNoiseOracle(
-        base, cfg.get("family", "uniform-relative"), cfg["width"], seed
-    )
+    family, width = cfg.get("family", "uniform-relative"), cfg["width"]
+    _check_draws(family, width)  # a bad family or width reports before m's errors
     if "m" in cfg:
-        return SamplingEstimator(source, cfg["m"])
-    if "B" not in cfg:
+        m = cfg["m"]
+    elif "B" in cfg:
+        m = required_samples(
+            cfg["B"], cfg["b"], base.n, cfg["epsilon"], cfg.get("confidence_constant", 3.0),
+        )
+    else:
         raise ValueError("an inconsistent noise block needs 'm' or 'B' for the "
                          "sandwich check (a sampled estimator)")
-    m = required_samples(
-        cfg["B"], cfg["b"], base.n, cfg["epsilon"], cfg.get("confidence_constant", 3.0),
-    )
-    return SamplingEstimator(source, m)
+    return SamplingEstimator(base, family, width, seed, m)

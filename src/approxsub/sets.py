@@ -126,7 +126,8 @@ class Subset:
 
 
 class ValueOracle:
-    """Black-box access to a set function with query accounting.
+    """Black-box access to a set function with query accounting: the one base
+    class of every set function in the package.
 
     Subclasses implement :meth:`value`, a pure function of the subset (and
     the oracle's state at construction).  :meth:`query` is the counted entry
@@ -143,8 +144,22 @@ class ValueOracle:
     def value(self, s: Subset):
         raise NotImplementedError
 
-    def query(self, s: Subset):
+    def exact_table(self):
+        """``(T, D)``, an int64 array over all 2^n masks and a positive int
+        with ``value(S) == Fraction(T[S.mask], D)`` on every set, or None.
+
+        None, the default, means a reader evaluates ``value()`` set by set:
+        the function has no table form, some datum is not exactly an int,
+        bool or Fraction, or an entry could reach 2^61.
+        """
+        return None
+
+    def _check_ground(self, s: Subset):
         if s.n != self.n:
+            raise ValueError(f"ground set mismatch: oracle n={self.n}, subset n={s.n}")
+
+    def query(self, s: Subset):
+        if s.n != self.n:  # _check_ground inline: one call less per query
             raise ValueError(f"ground set mismatch: oracle n={self.n}, subset n={s.n}")
         self._queries += 1
         return self.value(s)

@@ -1,14 +1,13 @@
 """Exhaustive and statistical property checkers.
 
-Exhaustive checks (submodularity, monotonicity, multiplicative sandwich) work
-on a full table of values indexed by subset mask.  A function whose
-``exact_table(n)`` gives an int64 table T over a denominator D (the five exact
-kinds in ``functions``) is read from it: T / D is every value, so comparisons
-on T are exact.  Any other function, or one whose ``exact_table`` returns None
-(floats, numpy scalars, entries that could reach 2^61), is evaluated set by
-set; when every value is an int or Fraction the table is rescaled to integers
-and compared exactly, otherwise comparisons are float with the stated
-tolerances.
+Exhaustive checks (submodularity, monotonicity, multiplicative sandwich) take
+``ValueOracle``s over the checked ground set and work on a full table of
+values indexed by subset mask.  A function whose ``exact_table()`` gives an
+int64 table T over a denominator D (the five exact kinds in ``functions``) is
+read from it: T / D is every value, so comparisons on T are exact.  Any other
+function (floats, numpy scalars, entries that could reach 2^61) is evaluated
+set by set; ``functions.int_table`` rescales the values to integers when all
+are exact, otherwise comparisons are float with the stated tolerances.
 
 Submodularity of an exact table is certified by the local form
 f(S+a) + f(S+b) >= f(S+a+b) + f(S), equivalent to the pair form in exact
@@ -37,8 +36,8 @@ from fractions import Fraction
 import numpy as np
 
 from .adversarial import Band, PairBand
-from .functions import TABLE_LIMIT, exact_table
-from .sets import Subset
+from .functions import int_table
+from .sets import Subset, ValueOracle
 
 _SUBMODULAR_TOL = 1e-9
 
@@ -91,37 +90,24 @@ def tabulate(fn, n: int) -> list:
     return [fn.value(Subset._raw(n, m, m.bit_count())) for m in range(1 << n)]
 
 
-def _exact_int_table(values) -> np.ndarray | None:
-    """Rescale rational values to a common-denominator int64 table, or None
-    if any value is not rational or the scale would overflow."""
-    if not all(isinstance(v, (int, Fraction)) for v in values):
-        return None
-    scale = math.lcm(*{v.denominator for v in values})
-    # Each denominator divides scale: v * scale, with no Fraction built.
-    scaled = [v.numerator * (scale // v.denominator) for v in values]
-    if max(map(abs, scaled), default=0) >= TABLE_LIMIT:
-        return None
-    return np.array(scaled, dtype=np.int64)
+def _check_ground(n: int, *fns: ValueOracle) -> None:
+    for fn in fns:
+        if fn.n != n:
+            raise ValueError(f"ground set mismatch: function n={fn.n}, checked n={n}")
 
 
-def _table_of(fn, n: int):
-    """(table, tolerance) for the exhaustive checkers: fn's exact table with
-    zero tolerance when it has one, else :func:`_tables` of its values."""
-    exact = exact_table(fn, n)
-    if exact is not None:
-        return exact[0], 0
-    return _tables(tabulate(fn, n))
-
-
-def _tables(values):
-    """(table, tolerance) pair: exact int64 with zero tolerance when possible,
-    else float64 with a relative tolerance."""
-    exact = _exact_int_table(values)
-    if exact is not None:
-        return exact, 0
-    tab = np.array([float(v) for v in values], dtype=np.float64)
-    tol = _SUBMODULAR_TOL * max(1.0, float(np.max(np.abs(tab))))
-    return tab, tol
+def _table_of(fn: ValueOracle, n: int):
+    """(table, tolerance) for the exhaustive checkers: int64 with zero
+    tolerance from fn's exact table or its rescaled values, else float64 with
+    a relative tolerance."""
+    exact = fn.exact_table()
+    if exact is None:
+        values = tabulate(fn, n)
+        exact = int_table(values)
+        if exact is None:
+            tab = np.array([float(v) for v in values], dtype=np.float64)
+            return tab, _SUBMODULAR_TOL * max(1.0, float(np.max(np.abs(tab))))
+    return exact[0], 0
 
 
 def _marginal_rises(tab: np.ndarray, n: int, b: int) -> bool:
@@ -139,7 +125,7 @@ def _marginal_rises(tab: np.ndarray, n: int, b: int) -> bool:
     return False
 
 
-def check_submodular(fn, n: int) -> CheckReport:
+def check_submodular(fn: ValueOracle, n: int) -> CheckReport:
     """Exhaustively test value(S|T) + value(S&T) <= value(S) + value(T) over
     all mask pairs S <= T; reports the lexicographically smallest violation.
     ``examined`` is all 2^n (2^n + 1) / 2 pairs on a pass, else the pairs the
@@ -150,6 +136,7 @@ def check_submodular(fn, n: int) -> CheckReport:
     strided comparisons of their halves."""
     if n > 14:
         raise ValueError(f"exhaustive pair check guarded at n <= 14, got {n}")
+    _check_ground(n, fn)
     tab, tol = _table_of(fn, n)
     size = 1 << n
     if tol == 0 and not any(_marginal_rises(tab, n, b) for b in range(n - 1)):
@@ -169,7 +156,7 @@ def check_submodular(fn, n: int) -> CheckReport:
     return CheckReport("submodular", _describe(fn), True, None, examined)
 
 
-def check_monotone(fn, n: int) -> CheckReport:
+def check_monotone(fn: ValueOracle, n: int) -> CheckReport:
     """Test value(S + a) >= value(S) for every set and missing element;
     sufficient for monotonicity by transitivity.  For each element a one
     strided view of the table pairs every mask without a, in increasing
@@ -178,6 +165,7 @@ def check_monotone(fn, n: int) -> CheckReport:
     counts 2^(n-1) sets per element tested."""
     if n > 20:
         raise ValueError(f"exhaustive extension check guarded at n <= 20, got {n}")
+    _check_ground(n, fn)
     tab, tol = _table_of(fn, n)
     for a in range(n):
         v = tab.reshape(-1, 2, 1 << a)
@@ -191,7 +179,7 @@ def check_monotone(fn, n: int) -> CheckReport:
 
 
 def check_sandwich(
-    F, f, epsilon: float, n: int, mode: str = "exhaustive",
+    F: ValueOracle, f: ValueOracle, epsilon: float, n: int, mode: str = "exhaustive",
     trials: int | None = None, seed: int | None = None,
 ) -> CheckReport:
     """Test (1 - eps) f(S) <= F(S) <= (1 + eps) f(S).
@@ -202,6 +190,7 @@ def check_sandwich(
     functions return rationals, otherwise float with a 1e-12 relative slack
     for noise paths.  A witness carries both sides' own ``value()``.
     """
+    _check_ground(n, F, f)
     name = "sandwich"
     desc = f"{_describe(F)} vs {_describe(f)} @ eps={epsilon}"
     band = Band(float(epsilon))
@@ -211,7 +200,7 @@ def check_sandwich(
             raise ValueError(f"exhaustive sandwich check guarded at n <= 20, got {n}")
         masks = range(1 << n)
         total = 1 << n
-        F_tab, f_tab = exact_table(F, n), exact_table(f, n)
+        F_tab, f_tab = F.exact_table(), f.exact_table()
     elif mode == "sampled":
         if trials is None or not trials >= 1 or seed is None:
             raise ValueError(f"sampled mode needs trials >= 1 and a seed, got trials={trials}")

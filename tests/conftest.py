@@ -1,13 +1,17 @@
-"""Shared test helpers: table-backed functions and naive reference checkers."""
+"""Shared test helpers: table-backed functions, naive reference checkers, and
+verbatim copies of deleted code that equivalence tests compare against."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 from hypothesis import strategies as st
 
+from approxsub.functions import TABLE_LIMIT
+from approxsub.noise import MAX_SAMPLES
 from approxsub.sets import Subset, ValueOracle
 
 
@@ -34,14 +38,117 @@ def as_oracle(obj) -> ValueOracle:
     return FunctionOracle(obj)
 
 
-class TableFunction:
+# ---------------------------------------------------------------------------
+# Deleted code, verbatim: the references for equivalence tests.  The int-table
+# rescaler and the table/tolerance pair the checkers once built from a
+# function's values (``verify._exact_int_table``, ``verify._tables``), and the
+# inconsistent-noise source with the estimator that read it
+# (``noise.InconsistentNoiseOracle``, ``noise.SamplingEstimator``).
+# ---------------------------------------------------------------------------
+
+_SUBMODULAR_TOL = 1e-9
+
+
+def _exact_int_table(values) -> np.ndarray | None:
+    """Rescale rational values to a common-denominator int64 table, or None
+    if any value is not rational or the scale would overflow."""
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        return None
+    scale = math.lcm(*{v.denominator for v in values})
+    # Each denominator divides scale: v * scale, with no Fraction built.
+    scaled = [v.numerator * (scale // v.denominator) for v in values]
+    if max(map(abs, scaled), default=0) >= TABLE_LIMIT:
+        return None
+    return np.array(scaled, dtype=np.int64)
+
+
+def _tables(values):
+    """(table, tolerance) pair: exact int64 with zero tolerance when possible,
+    else float64 with a relative tolerance."""
+    exact = _exact_int_table(values)
+    if exact is not None:
+        return exact, 0
+    tab = np.array([float(v) for v in values], dtype=np.float64)
+    tol = _SUBMODULAR_TOL * max(1.0, float(np.max(np.abs(tab))))
+    return tab, tol
+
+
+class InconsistentNoiseOracle:
+    """Unbiased noisy oracle: each query is a fresh draw with mean f(S).
+
+    Families:
+
+    * ``uniform-relative``: F(S) = f(S) * U[1-width, 1+width]
+    * ``additive-bounded``: F(S) = f(S) + U[-width, +width]
+
+    Not a consistent oracle; use :class:`SamplingEstimator` to feed solvers.
+    """
+
+    FAMILIES = ("uniform-relative", "additive-bounded")
+
+    def __init__(self, base, family: str, width: float, seed: int):
+        if family not in self.FAMILIES:
+            raise ValueError(f"unknown noise family {family!r}")
+        if not 0 <= width < math.inf:
+            raise ValueError(f"width must be nonnegative and finite, got {width}")
+        self.base = base
+        self.n = base.n
+        self.family = family
+        self.width = float(width)
+        self.seed = seed
+        self._rng = np.random.default_rng(seed)
+        self._queries = 0
+
+    @property
+    def query_count(self) -> int:
+        return self._queries
+
+    def sample_batch(self, s: Subset, m: int) -> np.ndarray:
+        """m independent draws for the same set; counts m queries."""
+        if m < 1:
+            raise ValueError("need at least one sample")
+        v = float(self.base.value(s))
+        self._queries += m
+        u = self._rng.random(m)
+        shift = self.width * (2.0 * u - 1.0)
+        if self.family == "uniform-relative":
+            return v * (1.0 + shift)
+        return v + shift
+
+
+class ReferenceSamplingEstimator(ValueOracle):
+    """Consistent face over an inconsistent source: mean of m draws per set,
+    computed once and cached under the subset's mask."""
+
+    def __init__(self, source: InconsistentNoiseOracle, m: int):
+        if not 1 <= m <= MAX_SAMPLES:
+            raise ValueError(f"need 1 <= m <= {MAX_SAMPLES} samples per set, got {m}")
+        super().__init__(source.n)
+        self.source = source
+        self.m = m
+        self._cache: dict[int, float] = {}
+
+    def value(self, s: Subset) -> float:
+        cached = self._cache.get(s.mask)
+        if cached is not None:
+            return cached
+        est = float(np.mean(self.source.sample_batch(s, self.m)))
+        self._cache[s.mask] = est
+        return est
+
+    def cached_sets(self) -> list[int]:
+        """Masks of the sets estimated so far, in first-query order."""
+        return list(self._cache)
+
+
+class TableFunction(ValueOracle):
     """Arbitrary set function given by a value table indexed by mask."""
 
     kind = "table"
 
     def __init__(self, n, table):
         assert len(table) == 1 << n
-        self.n = n
+        super().__init__(n)
         self.table = list(table)
 
     def value(self, s: Subset):

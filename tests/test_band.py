@@ -4,7 +4,9 @@ Each reference below is the earlier implementation, kept verbatim: the
 rational test in ``SandwichFunction.value``, ``verify._band_holds`` with the
 ``check_sandwich`` loop around it, the override check in ``run_trap``, the
 ``PairBand`` constructor, and the ``Fraction`` scaling in
-``verify._exact_int_table``.
+``verify._exact_int_table``.  ``functions.int_table``, which replaced
+``verify._exact_int_table`` as the checkers' one rescaler, is tested against
+both that scaling and ``_exact_int_table`` itself (verbatim in ``conftest``).
 """
 
 import math
@@ -25,9 +27,10 @@ from approxsub.adversarial import (
     build_sandwich,
     draw_hidden_set,
 )
+from approxsub.functions import int_table
 from approxsub.sets import Subset
-from approxsub.verify import CheckReport, _describe, _exact_int_table, check_sandwich
-from conftest import TableFunction
+from approxsub.verify import CheckReport, _describe, check_sandwich
+from conftest import TableFunction, _exact_int_table
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +367,21 @@ def test_holds_equals_fraction_arithmetic(eps, F, f, edge):
     [Fraction(1, 2), np.int64(1)],
 ])
 def test_exact_int_table_matches_fraction_scaling(table):
-    got, want = _exact_int_table(table), reference_exact_int_table(table)
+    got = int_table(table)
+    assert_same_int_table(got, reference_exact_int_table(table), table)
+    assert_same_int_table(got, _exact_int_table(table), table)
+
+
+def assert_same_int_table(got, want, values):
+    """int_table's T equals the reference table, over D the values' least
+    common denominator."""
     if want is None:
         assert got is None
     else:
-        assert got.dtype == want.dtype == np.int64
-        assert np.array_equal(got, want)
+        T, D = got
+        assert T.dtype == want.dtype == np.int64
+        assert np.array_equal(T, want)
+        assert type(D) is int and D == math.lcm(*(v.denominator for v in values))
 
 
 def test_exact_int_table_matches_on_random_mixed_tables():
@@ -377,7 +389,6 @@ def test_exact_int_table_matches_on_random_mixed_tables():
     for _ in range(300):
         table = [rng.choice([rng.randint(-50, 50), Fraction(rng.randint(-50, 50), rng.randint(1, 12)),
                              rng.random() < 0.5]) for _ in range(rng.randint(1, 64))]
-        got, want = _exact_int_table(table), reference_exact_int_table(table)
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert np.array_equal(got, want)
+        got = int_table(table)
+        assert_same_int_table(got, reference_exact_int_table(table), table)
+        assert_same_int_table(got, _exact_int_table(table), table)

@@ -1,4 +1,4 @@
-"""Whole exact tables (``FunctionInstance.exact_table``) and the checkers that
+"""Whole exact tables (``ValueOracle.exact_table``) and the checkers that
 read them.
 
 A table must equal ``value()`` on every mask, and the kinds that cannot give
@@ -7,7 +7,10 @@ copies of the per-mask code they replaced (``reference_*`` below): reports
 must be equal, witnesses included, and ``run_sampling_validation`` must give
 equal rows and summary.  ``check_monotone``'s strided views are also compared
 with ``previous_check_monotone``, the gather loop over exact tables they
-replaced.
+replaced.  The checkers are also compared with their ``parent_*`` copies from
+before ``exact_table`` lost its ground-set argument; the deleted helpers the
+references read (``_tables``, ``_exact_int_table``, the inconsistent-noise
+source and its estimator) are kept verbatim in ``conftest``.
 """
 
 import json
@@ -23,6 +26,7 @@ import approxsub.cli as cli
 from approxsub.adversarial import (
     Band,
     HardPairParams,
+    build_coverage_pair,
     build_greedy_trap,
     build_monotone_pair,
     build_sandwich,
@@ -43,27 +47,32 @@ from approxsub.functions import (
     SumFunction,
     instance_from_dict,
     instance_to_dict,
+    int_table,
 )
-from approxsub.noise import (
-    ConsistentNoiseOracle,
-    InconsistentNoiseOracle,
-    SamplingEstimator,
-    required_samples,
-)
-from approxsub.sets import Subset
+from approxsub.noise import ConsistentNoiseOracle, SamplingEstimator, required_samples
+from approxsub.sets import Subset, ValueOracle
 from approxsub.solvers import expected_greedy_queries, greedy_cardinality
 from approxsub.verify import (
     CheckReport,
     _describe,
-    _exact_int_table,
+    _marginal_rises,
     _table_of,
-    _tables,
     check_monotone,
     check_sandwich,
     check_submodular,
     tabulate,
 )
-from conftest import EDGE_TABLES, TOP, TableFunction, coverage_table, value_tables
+from conftest import (
+    EDGE_TABLES,
+    TOP,
+    InconsistentNoiseOracle,
+    ReferenceSamplingEstimator,
+    TableFunction,
+    _exact_int_table,
+    _tables,
+    coverage_table,
+    value_tables,
+)
 
 # ---------------------------------------------------------------------------
 # The generic per-mask checkers, verbatim as they stood before the tables.
@@ -184,7 +193,7 @@ def reference_run_sampling_validation(
     prediction = sampling_union_bound(n_sets, m, epsilon, width, rel_b)
     for t in range(trials):
         source = InconsistentNoiseOracle(f, family, width, seed + t)
-        est = SamplingEstimator(source, m)
+        est = ReferenceSamplingEstimator(source, m)
         greedy_cardinality(est, n, k)
         violations = 0
         for mk in est.cached_sets():
@@ -216,6 +225,136 @@ def assert_same_report(got: CheckReport, ref: CheckReport):
     if got.property_name == "sandwich" and got.counterexample is not None:
         # The witness values keep the types their own value() gives.
         assert [type(v) for v in got.counterexample] == [type(v) for v in ref.counterexample]
+
+
+# ---------------------------------------------------------------------------
+# The checkers as they stood when each function kind had its own
+# ``exact_table(n)``, verbatim but for the ``parent_`` names.  The helper they
+# called read ``fn.exact_table(n)``, None for any n but fn's own ground set;
+# ``parent_exact_table`` keeps that rule over the argument-free method.
+# ---------------------------------------------------------------------------
+
+def parent_exact_table(fn, n: int):
+    table = getattr(fn, "exact_table", None)
+    return None if table is None or n != fn.n else table()
+
+
+def parent_table_of(fn, n: int):
+    """(table, tolerance) for the exhaustive checkers: fn's exact table with
+    zero tolerance when it has one, else :func:`_tables` of its values."""
+    exact = parent_exact_table(fn, n)
+    if exact is not None:
+        return exact[0], 0
+    return _tables(tabulate(fn, n))
+
+
+def parent_check_submodular(fn, n: int) -> CheckReport:
+    """Exhaustively test value(S|T) + value(S&T) <= value(S) + value(T) over
+    all mask pairs S <= T; reports the lexicographically smallest violation.
+    ``examined`` is all 2^n (2^n + 1) / 2 pairs on a pass, else the pairs the
+    scan compared through the witness's row.
+
+    An exact table passes on the local certificate: n - 1 first-difference
+    arrays of 2^(n-1) int64 values, one alive at a time, and n (n - 1) / 2
+    strided comparisons of their halves."""
+    if n > 14:
+        raise ValueError(f"exhaustive pair check guarded at n <= 14, got {n}")
+    tab, tol = parent_table_of(fn, n)
+    size = 1 << n
+    if tol == 0 and not any(_marginal_rises(tab, n, b) for b in range(n - 1)):
+        return CheckReport("submodular", _describe(fn), True, None, size * (size + 1) // 2)
+    all_masks = np.arange(size, dtype=np.int64)
+    examined = 0
+    for s in range(size):
+        ts = all_masks[s:]
+        lhs = tab[s | ts] + tab[s & ts]
+        rhs = tab[s] + tab[ts]
+        bad = np.nonzero(lhs > rhs + tol)[0]
+        examined += ts.size
+        if bad.size:
+            t = s + int(bad[0])
+            cx = (Subset(n, s), Subset(n, t))
+            return CheckReport("submodular", _describe(fn), False, cx, examined)
+    return CheckReport("submodular", _describe(fn), True, None, examined)
+
+
+def parent_check_monotone(fn, n: int) -> CheckReport:
+    """Test value(S + a) >= value(S) for every set and missing element;
+    sufficient for monotonicity by transitivity.  For each element a one
+    strided view of the table pairs every mask without a, in increasing
+    order, with its extension; the pass holds one array of 2^(n-1) values at
+    a time, and the first drop is the smallest such mask.  ``examined``
+    counts 2^(n-1) sets per element tested."""
+    if n > 20:
+        raise ValueError(f"exhaustive extension check guarded at n <= 20, got {n}")
+    tab, tol = parent_table_of(fn, n)
+    for a in range(n):
+        v = tab.reshape(-1, 2, 1 << a)
+        drops = v[:, 1] < v[:, 0] - tol
+        if drops.any():
+            i = int(drops.argmax())  # row-major: the smallest mask without a
+            s = (i >> a) << (a + 1) | i & ((1 << a) - 1)
+            cx = (Subset(n, s), a)
+            return CheckReport("monotone", _describe(fn), False, cx, (a + 1) << (n - 1))
+    return CheckReport("monotone", _describe(fn), True, None, n * (1 << n) // 2)
+
+
+def parent_check_sandwich(
+    F, f, epsilon: float, n: int, mode: str = "exhaustive",
+    trials: int | None = None, seed: int | None = None,
+) -> CheckReport:
+    """Test (1 - eps) f(S) <= F(S) <= (1 + eps) f(S).
+
+    ``mode='exhaustive'`` visits all subsets (n <= 20) and reads each side
+    from its exact table when it has one; ``mode='sampled'`` draws ``trials``
+    uniform subsets with the given seed.  Comparisons are exact whenever both
+    functions return rationals, otherwise float with a 1e-12 relative slack
+    for noise paths.  A witness carries both sides' own ``value()``.
+    """
+    name = "sandwich"
+    desc = f"{_describe(F)} vs {_describe(f)} @ eps={epsilon}"
+    band = Band(float(epsilon))
+    F_tab = f_tab = None
+    if mode == "exhaustive":
+        if n > 20:
+            raise ValueError(f"exhaustive sandwich check guarded at n <= 20, got {n}")
+        masks = range(1 << n)
+        total = 1 << n
+        F_tab, f_tab = parent_exact_table(F, n), parent_exact_table(f, n)
+    elif mode == "sampled":
+        if trials is None or not trials >= 1 or seed is None:
+            raise ValueError(f"sampled mode needs trials >= 1 and a seed, got trials={trials}")
+        rng = random.Random(seed)
+        masks = (rng.getrandbits(n) for _ in range(trials))
+        total = trials
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    # A side read from its table is the Python int D * value; the band's ints
+    # absorb each side's D (see Band.scaled), so the test stays exact.
+    F_den, f_den = F_tab[1] if F_tab else 1, f_tab[1] if f_tab else 1
+    exact_band = band.scaled(F_den, f_den)
+    F_ints = F_tab[0].tolist() if F_tab else None
+    f_ints = f_tab[0].tolist() if f_tab else None
+    examined = 0
+    for m in masks:
+        s = Subset._raw(n, m, m.bit_count())
+        Fv = F.value(s) if F_ints is None else F_ints[m]
+        fv = f.value(s) if f_ints is None else f_ints[m]
+        examined += 1
+        if isinstance(Fv, (int, Fraction)) and isinstance(fv, (int, Fraction)):
+            if exact_band.holds(Fv, fv):
+                continue
+        elif band.near(Fv if F_ints is None else Fraction(Fv, F_den),
+                       fv if f_ints is None else Fraction(fv, f_den)):
+            continue
+        # The witness carries each side's own value(), types included.
+        if F_ints is not None:
+            Fv = F.value(s)
+        if f_ints is not None:
+            fv = f.value(s)
+        return CheckReport(name, desc, False, (s, Fv, fv), examined)
+    assert examined == total
+    return CheckReport(name, desc, True, None, examined)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +415,7 @@ def sized_instances(inexact=(0.5, 2.0, np.int64(3))):
 
 
 def assert_table_matches(fn, n):
-    T, D = fn.exact_table(n)
+    T, D = fn.exact_table()
     assert T.dtype == np.int64 and T.shape == (1 << n,)
     assert type(D) is int and D > 0
     for m in range(1 << n):
@@ -290,9 +429,7 @@ def test_exact_table_equals_value_on_every_mask(drawn):
     if has_table:
         assert_table_matches(fn, fn.n)
     else:
-        assert fn.exact_table(fn.n) is None
-    # Another ground set size is never tabulated: value() would reject it.
-    assert fn.exact_table(fn.n + 1) is None
+        assert fn.exact_table() is None
 
 
 @settings(max_examples=200, deadline=None)
@@ -351,9 +488,10 @@ def test_table_falls_back_at_the_edge(fn, has_table):
     if has_table:
         assert_table_matches(fn, n)
     else:
-        assert fn.exact_table(n) is None
+        assert fn.exact_table() is None
     # For one-term kinds the generic rescaling draws the line at the same place.
     if not isinstance(fn, (SumFunction, BudgetAdditiveFunction)):
+        assert (int_table(tabulate(fn, n)) is not None) == has_table
         assert (_exact_int_table(tabulate(fn, n)) is not None) == has_table
     for check, ref in ((check_submodular, reference_check_submodular),
                        (check_monotone, reference_check_monotone)):
@@ -368,14 +506,14 @@ def test_sum_table_is_over_the_lcm_of_its_terms():
         SumFunction([BudgetAdditiveFunction([Fraction(1, 5), 2, True], Fraction(16, 7)),
                      CoverageFunction(4, [[0], [1, 2], [2, 3]])]),
     ])
-    assert fn.exact_table(3)[1] == 2 * 3 * 5 * 7
+    assert fn.exact_table()[1] == 2 * 3 * 5 * 7
     assert_table_matches(fn, 3)
 
 
 def test_coverage_universe_edge():
     covers = [[62], [0, 62], [30]]
     assert_table_matches(CoverageFunction(63, covers), 3)
-    assert CoverageFunction(64, covers).exact_table(3) is None
+    assert CoverageFunction(64, covers).exact_table() is None
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +532,7 @@ def _corpus_cases():
 @pytest.mark.parametrize("seed, fn, other", _corpus_cases())
 def test_corpus_reports_equal_generic(seed, fn, other):
     n = fn.n
-    assert fn.exact_table(n) is not None and other.n == n
+    assert fn.exact_table() is not None and other.n == n
     assert_same_report(check_submodular(fn, n), reference_check_submodular(fn, n))
     assert_same_report(check_monotone(fn, n), reference_check_monotone(fn, n))
     # Both sides tabulated (a pass), another instance as F (usually an early
@@ -420,7 +558,7 @@ def test_hard_pair_sandwiches_equal_generic(seed):
     for F in (pair.fh, pair.g):
         assert_same_report(check_sandwich(F, sw, eps, 12), reference_check_sandwich(F, sw, eps, 12))
     # A float F against g's table, whose denominator is 2: a pass and a failure.
-    assert pair.g.exact_table(12)[1] == 2
+    assert pair.g.exact_table()[1] == 2
     for band_eps in (0.25, 0.1):
         noisy = ConsistentNoiseOracle(pair.g, 0.25, seed)
         assert_same_report(check_sandwich(noisy, pair.g, band_eps, 12),
@@ -451,6 +589,108 @@ def test_sampling_validation_equals_generic(f):
         kwargs = dict(epsilon=0.1, confidence_constant=3.0, trials=4, seed=7,
                       k=3, width=width, family=family)
         assert run_sampling_validation(f, **kwargs) == reference_run_sampling_validation(f, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# Checkers against their parent copies
+# ---------------------------------------------------------------------------
+
+def assert_checks_equal_parent(F, f, eps, n, sandwich_only=False):
+    """Every checker's report on f (and F against f) equals the parent's:
+    verdict, ``examined``, witness masks and witness value types."""
+    if not sandwich_only:
+        if n <= 14:
+            assert_same_report(check_submodular(f, n), parent_check_submodular(f, n))
+        assert_same_report(check_monotone(f, n), parent_check_monotone(f, n))
+    assert_same_report(check_sandwich(F, f, eps, n), parent_check_sandwich(F, f, eps, n))
+
+
+def _estimator(f, seed):
+    return SamplingEstimator(f, "uniform-relative", 0.5, seed, 4)
+
+
+@pytest.mark.parametrize("j", range(len(instance_corpus(0))))
+def test_corpus_checks_equal_parent(j):
+    corpus = instance_corpus(0)
+    f = corpus[j]
+    n = f.n
+    other = next(g for g in corpus[j + 1:] + corpus[:j] if g.n == n)
+    assert_checks_equal_parent(f, f, 0.3, n)
+    assert_checks_equal_parent(other, f, 0.5, n, sandwich_only=True)
+    assert_checks_equal_parent(ConsistentNoiseOracle(f, 0.25, j), f, 0.25, n, sandwich_only=True)
+    # The estimator is stateful: each side gets a fresh one on the same seed.
+    for eps, mode in ((0.3, "exhaustive"), (0.05, "exhaustive"), (0.3, "sampled")):
+        kwargs = dict(mode=mode, trials=50, seed=j) if mode == "sampled" else {}
+        assert_same_report(check_sandwich(_estimator(f, j), f, eps, n, **kwargs),
+                           parent_check_sandwich(_estimator(f, j), f, eps, n, **kwargs))
+    if n == 8:  # float tables: the tolerant pair scan
+        for F in (ConsistentNoiseOracle(f, 0.25, j), _estimator(f, j)):
+            assert_checks_equal_parent(f, F, 0.25, n)
+
+
+@st.composite
+def large_value_tables(draw):
+    """value_tables() with exact entries scaled towards 2^61, so that some
+    tables reach it and fall back to floats."""
+    n, table = draw(value_tables(max_n=8))
+    scale = draw(st.sampled_from([1, 2 ** 55, 2 ** 58, 2 ** 60]))
+    if scale > 1 and all(isinstance(v, (int, Fraction)) for v in table):
+        table = [v * scale for v in table]
+    return n, table
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(value_tables(max_n=8), large_value_tables()),
+       st.sampled_from([1, Fraction(13, 10), Fraction(7, 10), 0.9]))
+def test_random_tables_check_equal_parent(drawn, factor):
+    n, table = drawn
+    f = TableFunction(n, table)
+    F = TableFunction(n, [v * factor for v in table])
+    assert_checks_equal_parent(F, f, 0.25, n)
+    assert_checks_equal_parent(f, F, 0.25, n, sandwich_only=True)
+
+
+@pytest.mark.parametrize("values", [
+    [TOP, TOP - 1, 0, TOP],
+    [TOP + 1, 0, 1, 2],
+    [-(TOP + 1), 0, 0, 0],
+    [2 ** 62, 2 ** 61, 2 ** 61, 0],
+    [Fraction(TOP, 3), Fraction(1, 3), 0, 0],
+    [Fraction(2 ** 61, 3), 0, 0, 1],
+])
+def test_tables_at_the_limit_check_equal_parent(values):
+    f = TableFunction(2, values)
+    assert_checks_equal_parent(f, f, 0.25, 2)
+    assert_checks_equal_parent(TableFunction(2, [v + 1 for v in values]), f, 0.25, 2,
+                               sandwich_only=True)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("build", [build_monotone_pair, build_coverage_pair])
+def test_hard_pair_sandwiches_check_equal_parent(build, seed):
+    params = HardPairParams(12, 5, 2, 5, 0.3)
+    pair = build(params, draw_hidden_set(12, params.h, seed))
+    sw = build_sandwich(pair)
+    eps = params.epsilon
+    assert_checks_equal_parent(sw, pair.fh, eps, 12)
+    assert_checks_equal_parent(sw, pair.g, eps, 12)
+    assert_checks_equal_parent(pair.fh, sw, eps, 12)
+    assert_same_report(check_sandwich(sw, pair.fh, eps, 12, mode="sampled", trials=300, seed=seed),
+                       parent_check_sandwich(sw, pair.fh, eps, 12, mode="sampled", trials=300,
+                                             seed=seed))
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_checkers_reject_another_ground_set(delta):
+    f = instance_corpus(0, sizes=(8,))[0]
+    n = f.n + delta
+    other = TableFunction(n, [0] * (1 << n))
+    for call in (lambda: check_submodular(f, n), lambda: check_monotone(f, n),
+                 lambda: check_sandwich(f, f, 0.3, n),
+                 lambda: check_sandwich(f, f, 0.3, n, mode="sampled", trials=5, seed=0),
+                 lambda: check_sandwich(ConsistentNoiseOracle(f, 0.1, 0), other, 0.3, n)):
+        with pytest.raises(ValueError, match="ground set mismatch"):
+            call()
 
 
 def assert_monotone_same(fn, n):
@@ -487,7 +727,7 @@ def test_monotone_corpus_equal_previous(n):
     for fn in instance_corpus(0, sizes=(n,)):
         weights = [int(w) for w in rng.integers(-12, 1, size=n)]
         for f in (fn, SumFunction([fn, AdditiveFunction(weights)])):
-            assert f.exact_table(n) is not None
+            assert f.exact_table() is not None
             verdicts.add(assert_monotone_same(f, n).passed)
     assert verdicts == {True, False}
 
@@ -498,7 +738,7 @@ def test_monotone_full_magnitude_tables_equal_previous():
     # A monotone table from near -TOP up to exactly TOP, then spoiled.
     table = [TOP - (7 - v) * (2 * TOP // 7) for v in base]
     assert max(base) == 7 and max(table) == TOP and -TOP <= min(table) < 7 - TOP
-    assert _tables(table)[1] == 0
+    assert _table_of(TableFunction(n, table), n)[1] == 0
     assert assert_monotone_same(TableFunction(n, table), n).passed
     for m, v in ((1, TOP), (2, TOP), ((1 << n) - 1, -TOP)):
         nudged = list(table)
@@ -509,17 +749,17 @@ def test_monotone_full_magnitude_tables_equal_previous():
         assert_monotone_same(TableFunction(n, [int(s) * TOP for s in signs]), n)
 
 
-class _PrebuiltTable:
+class _PrebuiltTable(ValueOracle):
     """Serves a table built beforehand, so a checker's traced memory is only
     its own working memory."""
 
     kind = "prebuilt"
 
     def __init__(self, fn, n):
-        self.n = n
-        self._table = fn.exact_table(n)
+        super().__init__(n)
+        self._table = fn.exact_table()
 
-    def exact_table(self, n):
+    def exact_table(self):
         return self._table
 
 

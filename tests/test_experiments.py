@@ -484,7 +484,11 @@ def test_cli_sample_rejects_large_ground_set(tmp_path, capsys, n):
     # k^(1 - beta) and n^(1 - beta/2) once overflowed converting k or n to a float
     ["trap", "--k", "1" + "0" * 400],
     ["generate", "--construction", "monotone", "--n", "1" + "0" * 400, "--beta", "0.25"],
-], ids=["trap-empty-curve", "trap-beta", "generate-trap-beta", "trap-huge-k", "generate-huge-n"])
+    # n^(beta - 1/2) once raised ZeroDivisionError at n = 0, with a traceback
+    ["distinguish", "--n", "0", "--trials", "1"],
+    ["generate", "--construction", "coverage", "--n", "0", "--beta", "0.25"],
+], ids=["trap-empty-curve", "trap-beta", "generate-trap-beta", "trap-huge-k", "generate-huge-n",
+        "distinguish-zero-n", "generate-zero-n"])
 def test_cli_rejects_degenerate_construction(capsys, argv):
     _assert_rejected(capsys, argv)
 
@@ -644,8 +648,11 @@ def _deep_sum(depth):
     pytest.param(["sweep"], '{"instances": [' + _deep_sum(2000) + "]}", id="sweep-sum-depth-2000"),
     pytest.param(["verify", "--property", "submodular"], _deep_sum(2000),
                  id="submodular-sum-depth-2000"),
-    pytest.param(["verify", "--property", "submodular"], _deep_sum(450),
-                 id="submodular-sum-depth-450"),
+    # draws that overflow a float: a nan estimate was once counted as a
+    # counterexample (exit 1), and the sample rows below exited 0; both warned
+    (["verify", "--property", "sandwich"],
+     json.dumps({"instance": {"kind": "additive", "weights": [1, 2]},
+                 "noise": {"kind": "inconsistent", "width": 1e308, "m": 50, "epsilon": 0.3}})),
     # instance objects once dropped the keys their kind does not read and exited 0
     (["verify", "--property", "monotone"], '{"kind": "additive", "weights": [1, 2], "budget": 3}'),
     (["verify", "--property", "submodular"],
@@ -663,13 +670,30 @@ def _deep_sum(depth):
      '{"kind": "additive", "weights": [{"num": 1, "den": 2, "dne": 7}, 1]}'),
     # b * eps^2 underflows to 0 and once raised ZeroDivisionError
     (["sample"], '{"epsilon": 1e-320}'),
+    (["sample"], '{"width": 1e308, "trials": 2}'),
+    (["sample"], '{"width": 1e308, "trials": 2, "family": "additive-bounded"}'),
 ])
+@pytest.mark.filterwarnings("error")
 def test_cli_rejects_malformed_input(tmp_path, capsys, argv, text):
-    """Each input once exited 0 or 1, with or without a traceback."""
+    """Each input once exited 0 or 1, with or without a traceback; none
+    may warn."""
     path = tmp_path / "in.json"
     path.write_text(text)
     flag = "--instance" if argv[-1] in ("monotone", "submodular") else "--config"
     _assert_rejected(capsys, argv + [flag, str(path)])
+
+
+@pytest.mark.parametrize("prop, checks", [("submodular", 10), ("monotone", 4)],
+                         ids=["submodular-sum-depth-450", "monotone-sum-depth-450"])
+def test_cli_gives_deep_sums_a_verdict(tmp_path, capsys, prop, checks):
+    """A one-term sum 450 deep once exited 2 from a RecursionError: reading
+    its exact table took two stack frames per level."""
+    path = tmp_path / "in.json"
+    path.write_text(_deep_sum(450))
+    assert cli.main(["verify", "--property", prop, "--instance", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"{prop} sum(n=2): pass ({checks} checks)\n"
+    assert captured.err == ""
 
 
 _ADDITIVE = {"kind": "additive", "weights": [1, 2, 3]}
@@ -742,14 +766,21 @@ _BASES = {  # command: (valid small config, fields to spoil as (block or None, k
                        + [("instance", f) for f in ("kind", "weights", _STRAY)]
                        + [(None, f) for f in ("mode", "trials", "seed", _STRAY)]),
 }
+# The sampled estimator's other block form, m from the value range B, b.
+_NOISE_RANGE = {"instance": {"kind": "additive", "weights": [1, 2]},
+                "noise": {"kind": "inconsistent", "family": "additive-bounded", "width": 0.5,
+                          "epsilon": 0.5, "B": 3, "b": 1, "confidence_constant": 0.5, "seed": 1}}
+_FUZZ_BASES = {**_BASES, "sandwich-noise-range": (
+    _NOISE_RANGE, [("noise", f) for f in ("family", "width", "m", "B", "b", "epsilon",
+                                          "confidence_constant", _STRAY)])}
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(sorted(_BASES)), st.data())
+@given(st.sampled_from(sorted(_FUZZ_BASES)), st.data())
 def test_cli_never_raises_on_malformed_config(tmp_path_factory, command, data):
     """Whatever the config fields hold, main returns 0, 1 or 2 and raises
     nothing; a config with a stray key returns 2."""
-    base, fields = _BASES[command]
+    base, fields = _FUZZ_BASES[command]
     cfg = json.loads(json.dumps(base))
     spoiled = data.draw(st.lists(st.sampled_from(fields), min_size=1, max_size=3, unique=True))
     for block, key in spoiled:
@@ -762,6 +793,63 @@ def test_cli_never_raises_on_malformed_config(tmp_path_factory, command, data):
     assert code in (0, 1, 2)
     if any(key == _STRAY for _, key in spoiled):
         assert code == 2
+
+
+def _flag_values(*valid):
+    """A flag's value: one of the given valid strings, or junk argparse or
+    the runner must refuse."""
+    return st.sampled_from(list(valid) + ["-1", "0", "nan", "inf", "1e400", "x", ""])
+
+
+_FLAGS = {  # command prefix: flag -> values, None leaving the flag out
+    ("distinguish",): {
+        "--n": _flag_values("2", "16", "64", "256", "16385"),
+        "--beta": _flag_values("0.25", "0.45", "0.5", "1", "1e9"),
+        "--trials": _flag_values("1", "3"),
+        "--seed": st.sampled_from([None, "0", "7", "-3", "x"]),
+    },
+    ("trap",): {
+        "--k": _flag_values("1", "4", "12", "16", "10000000000"),
+        "--n": _flag_values("8", "48", "64", "100", "16385"),
+        "--beta": _flag_values("0.25", "0.5", "0.75", "1e9"),
+        "--curve": st.one_of(st.none(), st.lists(_flag_values("4", "12", "16"), max_size=3)),
+    },
+    ("generate",): {
+        "--construction": st.sampled_from(["monotone", "coverage", "trap", "bogus"]),
+        "--n": _flag_values("64", "256", "4096", "16384", "16385"),
+        "--beta": _flag_values("0.25", "0.45", "0.5", "1e9"),
+        "--k": st.sampled_from([None, "4", "16", "-2", "x"]),
+        "--seed": st.sampled_from([None, "0", "3", "x"]),
+    },
+    ("verify", "--property", "concentration"): {
+        "--mode": st.sampled_from(["mc", "mc", "exact", "bogus"]),
+        "--trials": _flag_values("1", "10", "1000"),
+        "--n": _flag_values("10", "100", "2000"),
+        "--h": _flag_values("5", "50", "500"),
+        "--set-size": _flag_values("4", "40", "400"),
+        "--epsilon": _flag_values("0.5", "0.9", "3"),
+        "--seed": st.sampled_from([None, "0", "5"]),
+    },
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_FLAGS)), st.data())
+def test_cli_never_raises_on_malformed_flags(command, data):
+    """Whatever the flags of distinguish, trap, generate and verify
+    --property concentration hold, the CLI exits 0, 1 or 2 (argparse's own
+    exit for a value it cannot parse) and raises nothing."""
+    argv = list(command)
+    for flag, values in _FLAGS[command].items():
+        value = data.draw(values, label=flag)
+        if value is not None:
+            argv += [flag] + (value if isinstance(value, list) else [value])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
 
 
 # ---------------------------------------------------------------------------
@@ -904,6 +992,7 @@ _VALID_CONFIGS = [  # (command, config or None, extra flags)
                             "seed": 2}, "mode": "sampled", "trials": 40}, []),
     ("sandwich", {"instance": _ADDITIVE, "noise": {"kind": "consistent", "epsilon": 0.3}},
      ["--seed", "6"]),
+    ("sandwich", _NOISE_RANGE, []),
 ]
 
 

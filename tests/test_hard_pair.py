@@ -18,11 +18,10 @@ from approxsub.adversarial import (
     build_monotone_pair,
     draw_hidden_set,
 )
-from approxsub.functions import FunctionInstance, exact_table
-from approxsub.sets import Subset
+from approxsub.sets import Subset, ValueOracle
 
 
-class _CoverageFormPlanted(FunctionInstance):
+class _CoverageFormPlanted(ValueOracle):
     """Closed form |S inter H| + alpha for nonempty S, 0 at the empty set."""
 
     kind = "coverage_pair_planted"
@@ -39,7 +38,7 @@ class _CoverageFormPlanted(FunctionInstance):
         return s.intersection(self._hidden).size + self._alpha
 
 
-class _CoverageFormDecoy(FunctionInstance):
+class _CoverageFormDecoy(ValueOracle):
     """Closed form |S| h/n + alpha for nonempty S, 0 at the empty set."""
 
     kind = "coverage_pair_decoy"
@@ -101,7 +100,7 @@ def test_coverage_pair_has_exact_tables(fixture):
     n = fixture[0]
     pair, refs = _pair(*fixture)
     for fn, ref in zip((pair.fh, pair.g), refs):
-        table = exact_table(fn, n)
+        table = fn.exact_table()
         assert table is not None
         T, D = table
         assert [Fraction(int(t), D) for t in T] == [

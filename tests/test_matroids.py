@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from approxsub.functions import AdditiveFunction
-from approxsub.matroids import PartitionMatroid, UniformMatroid
+from approxsub.matroids import PartitionMatroid
 from approxsub.sets import Subset
 from approxsub.solvers import brute_force, greedy_matroid
 
 
 def test_uniform_membership():
-    m = UniformMatroid(6, 3)
+    m = PartitionMatroid([0] * 6, [3])  # the uniform matroid of rank 3
     assert m.is_independent(Subset.from_elements([0, 1, 2], 6))
     assert not m.is_independent(Subset.from_elements([0, 1, 2, 3], 6))
     assert m.is_independent(Subset.empty(6))
@@ -24,14 +24,14 @@ def test_partition_membership():
 
 
 def test_ranks():
-    assert UniformMatroid(10, 4).rank() == 4
+    assert PartitionMatroid([0] * 10, [4]).rank() == 4
     assert PartitionMatroid([0, 0, 1, 1], [1, 1]).rank() == 2
     # Capacity beyond the block size cannot be used.
     assert PartitionMatroid([0, 0, 1], [5, 1]).rank() == 3
 
 
 def _all_matroids_n8():
-    yield UniformMatroid(8, 3)
+    yield PartitionMatroid([0] * 8, [3])
     yield PartitionMatroid([0, 0, 0, 1, 1, 2, 2, 2], [2, 1, 2])
     yield PartitionMatroid([i % 4 for i in range(8)], [1, 1, 1, 1])
 
@@ -86,7 +86,5 @@ def test_greedy_on_additive_is_optimal():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        UniformMatroid(4, 5)
     with pytest.raises(ValueError):
         PartitionMatroid([0, 2], [1, 1])

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -12,15 +13,16 @@ from approxsub.functions import (
     CoverageFunction,
     SumFunction,
 )
+from approxsub.experiments import instance_corpus
 from approxsub.noise import (
     ConsistentNoiseOracle,
-    InconsistentNoiseOracle,
     SamplingEstimator,
     noise_from_dict,
     required_samples,
 )
 from approxsub.sets import Subset
 from approxsub.verify import check_sandwich
+from conftest import InconsistentNoiseOracle, ReferenceSamplingEstimator
 
 
 def _random_subsets(n, count, seed):
@@ -171,24 +173,22 @@ def test_required_samples_rejects_underflowing_denominator(b, epsilon):
 
 def test_estimator_zero_variance_recovers_exactly():
     f = AdditiveFunction([2, 3, 4])
-    src = InconsistentNoiseOracle(f, "uniform-relative", 0.0, 7)
-    est = SamplingEstimator(src, 5)
+    est = SamplingEstimator(f, "uniform-relative", 0.0, 7, 5)
     s = Subset.from_elements([1, 2], 3)
     assert est.value(s) == 7.0
 
 
 def test_estimator_caches_and_counts():
     f = AdditiveFunction([2, 3, 4])
-    src = InconsistentNoiseOracle(f, "uniform-relative", 0.5, 7)
-    est = SamplingEstimator(src, 10)
+    est = SamplingEstimator(f, "uniform-relative", 0.5, 7, 10)
     s = Subset.from_elements([0], 3)
     v1 = est.value(s)
-    assert src.query_count == 10
+    assert est.samples == 10
     v2 = est.value(s)
     assert v2 == v1
-    assert src.query_count == 10  # cache hit costs no source queries
+    assert est.samples == 10  # a cache hit draws no samples
     est.value(Subset.from_elements([1], 3))
-    assert src.query_count == 20
+    assert est.samples == 20
     est.value(Subset.empty(3))
     est.value(s)
     assert est.cached_sets() == [0b001, 0b010, 0b000]  # masks, in first-query order
@@ -197,18 +197,21 @@ def test_estimator_caches_and_counts():
 def test_estimators_with_different_seeds_differ():
     f = AdditiveFunction([2, 3, 4])
     s = Subset.from_elements([0, 1], 3)
-    e1 = SamplingEstimator(InconsistentNoiseOracle(f, "uniform-relative", 0.5, 1), 4)
-    e2 = SamplingEstimator(InconsistentNoiseOracle(f, "uniform-relative", 0.5, 2), 4)
+    e1 = SamplingEstimator(f, "uniform-relative", 0.5, 1, 4)
+    e2 = SamplingEstimator(f, "uniform-relative", 0.5, 2, 4)
     assert e1.value(s) != e2.value(s)
 
 
 def test_additive_bounded_family_mean():
-    f = AdditiveFunction([10])
-    src = InconsistentNoiseOracle(f, "additive-bounded", 2.0, 11)
-    s = Subset.from_elements([0], 1)
-    draws = src.sample_batch(s, 20_000)
-    assert draws.min() >= 8.0 and draws.max() <= 12.0
-    assert abs(draws.mean() - 10.0) < 0.05
+    # Every nonempty set is worth 10, and one draw per set is its estimate.
+    n = 15
+    est = SamplingEstimator(CoverageFunction(10, [list(range(10))] * n),
+                            "additive-bounded", 2.0, 11, 1)
+    draws = [est.value(Subset._raw(n, m, m.bit_count())) for m in range(1, 1 << n)]
+    assert min(draws) >= 8.0 and max(draws) <= 12.0
+    assert abs(sum(draws) / len(draws) - 10.0) < 0.05
+    one_set = SamplingEstimator(AdditiveFunction([10]), "additive-bounded", 2.0, 11, 20_000)
+    assert abs(one_set.value(Subset.full(1)) - 10.0) < 0.05
 
 
 def test_estimator_concentration_under_chernoff_budget():
@@ -216,8 +219,7 @@ def test_estimator_concentration_under_chernoff_budget():
     n = 16
     f = CoverageFunction(5, [list(range(5))] * n)
     m = required_samples(5, 5, n, 0.05, 3)
-    src = InconsistentNoiseOracle(f, "uniform-relative", 0.5, 21)
-    est = SamplingEstimator(src, m)
+    est = SamplingEstimator(f, "uniform-relative", 0.5, 21, m)
     failures = 0
     for s in _random_subsets(n, 1000, 13):
         if s.size == 0:
@@ -227,6 +229,43 @@ def test_estimator_concentration_under_chernoff_budget():
             failures += 1
     # Exponential tail at this m makes any failure astronomically unlikely.
     assert failures == 0
+
+
+def _reference_estimator(f, family, width, seed, m):
+    return ReferenceSamplingEstimator(InconsistentNoiseOracle(f, family, width, seed), m)
+
+
+@pytest.mark.parametrize("family, width", [("uniform-relative", 0.5), ("uniform-relative", 0.0),
+                                           ("additive-bounded", 1.0), ("additive-bounded", 3.0)])
+@pytest.mark.parametrize("m", [1, 7, 300])
+def test_estimator_equals_source_and_estimator_pair(family, width, m):
+    """The estimator that draws its own samples against the source and
+    estimator pair it replaced (verbatim in conftest): equal values, the
+    same sets cached in the same order, and ``samples`` equal to the
+    source's query count after every query."""
+    rng = random.Random(m)
+    for seed, f in enumerate(instance_corpus(0, sizes=(6,))):
+        new = SamplingEstimator(f, family, width, seed, m)
+        old = _reference_estimator(f, family, width, seed, m)
+        for _ in range(40):  # repeats included: the cache must answer them
+            s = Subset(6, rng.getrandbits(6))
+            got, want = new.query(s), old.query(s)
+            assert got == want and type(got) is type(want) is float
+            assert new.samples == old.source.query_count
+        assert new.cached_sets() == old.cached_sets()
+        assert new.query_count == old.query_count == 40
+
+
+@pytest.mark.parametrize("family", ["uniform-relative", "additive-bounded"])
+def test_estimator_rejects_non_finite_estimates(family):
+    """Draws that overflow a float once gave nan estimates and numpy
+    warnings; now they raise before anything is cached."""
+    est = SamplingEstimator(AdditiveFunction([1e308]), family, 1e308, 0, 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            est.value(Subset.full(1))
+    assert est.cached_sets() == []
 
 
 def test_noise_from_dict_consistent():

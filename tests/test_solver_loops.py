@@ -23,8 +23,8 @@ from approxsub.functions import (
     CoverageFunction,
     SumFunction,
 )
-from approxsub.matroids import Matroid, PartitionMatroid, UniformMatroid
-from approxsub.noise import ConsistentNoiseOracle, InconsistentNoiseOracle, SamplingEstimator
+from approxsub.matroids import Matroid, PartitionMatroid
+from approxsub.noise import ConsistentNoiseOracle, SamplingEstimator
 from approxsub.sets import Subset, ValueOracle
 from approxsub.solvers import SolveResult, brute_force, greedy_cardinality
 
@@ -115,7 +115,7 @@ def assert_same_run(make, n, constraint, reference, solve):
     assert new.query_count == old.query_count
     if isinstance(new.base, SamplingEstimator):
         assert new.base.cached_sets() == old.base.cached_sets()
-        assert new.base.source.query_count == old.base.source.query_count
+        assert new.base.samples == old.base.samples
     return got, new
 
 
@@ -149,8 +149,7 @@ def _oracle_factories(n):
         "tied-coverage": lambda: coverage,
         "constant": lambda: TableFunction(n, [5] * (1 << n)),
         "zero-one": lambda: TableFunction(n, zero_one),
-        "estimator": lambda: SamplingEstimator(
-            InconsistentNoiseOracle(exact_frac, "uniform-relative", 0.5, n), 3),
+        "estimator": lambda: SamplingEstimator(exact_frac, "uniform-relative", 0.5, n, 3),
     }
 
 
@@ -211,9 +210,8 @@ class IndependentUpToTwo(Matroid):
 
 def _matroids(n):
     blocks = [e % 3 for e in range(n)]
-    yield UniformMatroid(n, 0)
-    yield UniformMatroid(n, n // 2)
-    yield UniformMatroid(n, n)
+    for k in (0, n // 2, n):  # uniform matroids: one block of capacity k
+        yield PartitionMatroid([0] * n, [k])
     yield PartitionMatroid(blocks, [1, 2, 0])
     yield PartitionMatroid(blocks, [n, 1, n + 3])  # capacities above block sizes
     yield IndependentUpToTwo(n)

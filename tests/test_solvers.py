@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from approxsub.adversarial import build_greedy_trap
-from approxsub.functions import AdditiveFunction, CoverageFunction, FunctionInstance, curvature
-from approxsub.matroids import PartitionMatroid, UniformMatroid
+from approxsub.functions import AdditiveFunction, CoverageFunction, curvature
+from approxsub.matroids import PartitionMatroid
 from approxsub.noise import ConsistentNoiseOracle
-from approxsub.sets import Subset
+from approxsub.sets import Subset, ValueOracle
 from approxsub.solvers import (
     brute_force,
     curvature_bound,
@@ -75,7 +75,7 @@ def test_greedy_trap_measured_value():
 
 def test_matroid_greedy_uniform_matches_cardinality():
     f = instance_corpus(13)[2]
-    res_m = greedy_matroid(f, UniformMatroid(f.n, 3))
+    res_m = greedy_matroid(f, PartitionMatroid([0] * f.n, [3]))
     res_c = greedy_cardinality(f, f.n, 3)
     assert res_m.chosen == res_c.chosen
     assert res_m.value == res_c.value
@@ -179,7 +179,7 @@ def test_brute_force_guard():
         brute_force(AdditiveFunction([1] * 25), 25, 2)
 
 
-class BandAdversary(FunctionInstance):
+class BandAdversary(ValueOracle):
     """Exact worst-case member of the band around f: deflate every set that
     meets f's optimum O by (1 - eps) and inflate every other set by (1 + eps),
     so greedy is steered away from O."""

@@ -7,7 +7,8 @@ as it stood before the strided passes: one second difference per pair of
 axes of the value cube.  On every table below, check_submodular must give the
 same pass/fail, the same witness masks, the same ``examined`` count, property
 name and instance as both (at n >= 13 as the second only: the pair scan over
-a passing table takes seconds there).
+a passing table takes seconds there).  ``_tables``, the table/tolerance
+pair the references read, is kept verbatim in ``conftest``.
 """
 
 from fractions import Fraction
@@ -19,11 +20,12 @@ from hypothesis import given, settings
 from approxsub.adversarial import HardPairParams, build_monotone_pair, build_sandwich, draw_hidden_set
 from approxsub.experiments import instance_corpus
 from approxsub.sets import Subset
-from approxsub.verify import CheckReport, _describe, _table_of, _tables, check_submodular, tabulate
+from approxsub.verify import CheckReport, _describe, _table_of, check_submodular, tabulate
 from conftest import (
     EDGE_TABLES,
     TOP,
     TableFunction,
+    _tables,
     coverage_table,
     modular_table,
     popcount_table,
@@ -161,7 +163,7 @@ def test_large_int_tables_below_the_guard():
     # Affine image of a submodular table reaching exactly TOP.
     table = [TOP - (top - v) * scale for v in base]
     assert max(map(abs, table)) == TOP
-    assert _tables(table)[1] == 0
+    assert _table_of(TableFunction(n, table), n)[1] == 0
     assert assert_same(TableFunction(n, table), n).passed
     for m in (0, 5, (1 << n) - 1):
         nudged = list(table)
@@ -182,7 +184,7 @@ def test_large_int_tables_below_the_guard():
 def test_tables_above_the_guard_and_float_tables_take_the_pair_scan():
     n = 5
     over = popcount_table(n, [0, 2 ** 61, 2 ** 61 + 1, 2 ** 61 + 1, 2 ** 61 + 1, 2 ** 61 + 1])
-    assert _tables(over)[1] > 0
+    assert _table_of(TableFunction(n, over), n)[1] > 0
     assert_same(TableFunction(n, over), n)
     rng = np.random.default_rng(3)
     for trial in range(20):
@@ -208,7 +210,7 @@ def test_corpus_n13_n14_instances(n):
     corpus = instance_corpus(0, sizes=(n,))
     assert corpus
     for fn in corpus:
-        assert fn.exact_table(n) is not None
+        assert fn.exact_table() is not None
         assert assert_same(fn, n, pair_scan=False).passed
     table = modular_table(n, list(range(n)))
     table[0b1100] += 1

@@ -18,7 +18,7 @@ from approxsub.adversarial import HardPairParams, build_monotone_pair, build_san
 from approxsub.experiments import sampling_union_bound
 from approxsub.functions import AdditiveFunction, CoverageFunction
 from approxsub.noise import ConsistentNoiseOracle
-from approxsub.sets import Subset
+from approxsub.sets import Subset, ValueOracle
 from approxsub.verify import (
     _hypergeom_mass,
     check_concentration,
@@ -33,13 +33,13 @@ from approxsub.verify import (
 from conftest import TableFunction, coverage_table, modular_table, naive_monotone, naive_submodular
 
 
-class SpikeFunction:
+class SpikeFunction(ValueOracle):
     """1 on one fixed set, 0 elsewhere: far from submodular."""
 
     kind = "spike"
 
     def __init__(self, n, target_mask):
-        self.n = n
+        super().__init__(n)
         self.target = target_mask
 
     def value(self, s):

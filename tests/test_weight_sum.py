@@ -20,9 +20,9 @@ from approxsub.adversarial import (
 )
 from approxsub.experiments import run_trap, run_trap_curve
 from approxsub.functions import (
-    AdditiveFunction, BudgetAdditiveFunction, FunctionInstance, SumFunction, _mask_of, _WeightSum,
+    AdditiveFunction, BudgetAdditiveFunction, SumFunction, _mask_of, _WeightSum,
 )
-from approxsub.sets import Subset, iter_bits
+from approxsub.sets import Subset, ValueOracle, iter_bits
 from approxsub.verify import check_sandwich, check_submodular
 
 
@@ -30,7 +30,7 @@ from approxsub.verify import check_sandwich, check_submodular
 # References
 # ---------------------------------------------------------------------------
 
-class ReferenceAdditive(FunctionInstance):
+class ReferenceAdditive(ValueOracle):
     kind = "additive"
 
     def __init__(self, weights):
@@ -46,7 +46,7 @@ class ReferenceAdditive(FunctionInstance):
         return total
 
 
-class ReferenceBudgetAdditive(FunctionInstance):
+class ReferenceBudgetAdditive(ValueOracle):
     kind = "budget_additive"
 
     def __init__(self, weights, budget):
