@@ -56,7 +56,7 @@ print("=" * 70)
 matroid = PartitionMatroid([0, 0, 0, 1, 1, 2, 2, 2], [1, 2, 1])
 k = matroid.rank()
 f = instances[0]
-opt = brute_force(f, f.n, matroid)
+opt = brute_force(f, matroid)
 print(f"rank {k} partition matroid; exact optimum over independent sets: "
       f"{float(opt.value)}")
 for delta in (0.0, 0.5):

@@ -43,8 +43,8 @@ print(f"coverage fixture with curvature c = {float(c)}")
 for eps in (0.1, 0.25):
     bound = curvature_bound(float(c), eps)
     F = ConsistentNoiseOracle(f, eps, seed=5)
-    res = curvature_topk(F, f.n, k=4)
-    opt = brute_force(F, f.n, 4)
+    res = curvature_topk(F, k=4)
+    opt = brute_force(F, 4)
     ratio = float(res.value) / float(opt.value)
     print(f"  eps={eps}: singleton-surrogate ratio {ratio:.4f} "
           f">= guaranteed {bound:.4f} "

@@ -235,8 +235,12 @@ class Band:
         ``check_sandwich`` uses it on a float F built to lie in the band,
         such as consistent noise xi * f with xi in [1 - eps, 1 + eps]: the
         product is rounded, so a value the construction puts on an edge can
-        land just past it, and that is no counterexample."""
+        land just past it, and that is no counterexample.  A side or an
+        edge that is not finite raises ValueError: it has no band test."""
         low, high, F = float(self.lo * f), float(self.hi * f), float(F)
+        if not (math.isfinite(low) and math.isfinite(high) and math.isfinite(F)):
+            raise ValueError(f"band test with a value or edge that is not finite: "
+                             f"F = {F}, f = {f}")
         return low - 1e-12 * max(1.0, abs(low)) <= F <= high + 1e-12 * max(1.0, abs(high))
 
     def float_holds(self, F: float, f) -> bool:
@@ -322,11 +326,9 @@ class SandwichFunction(ValueOracle):
         return fv
 
 
-def build_sandwich(pair, epsilon: float | None = None) -> SandwichFunction:
-    """Sandwich oracle for a hard pair; eps defaults to the pair's parameter."""
-    if epsilon is None:
-        epsilon = pair.params.epsilon
-    return SandwichFunction(pair.fh, pair.g, epsilon)
+def build_sandwich(pair) -> SandwichFunction:
+    """Sandwich oracle for a hard pair at the pair's own eps."""
+    return SandwichFunction(pair.fh, pair.g, pair.params.epsilon)
 
 
 class GreedyTrapInstance(ValueOracle):
@@ -335,8 +337,11 @@ class GreedyTrapInstance(ValueOracle):
     The ground set splits into blocks A (1/(2 eps) elements of value 2),
     B (n/2 - 1/(4 eps) elements of value 1/n) and C (same count, value 1).
     F(S) = 1/eps exactly when S = A + one element of C, otherwise F = f.
-    The override keeps F within the (1 +- eps) band around f, so the additive
-    f is a representative; values are exact rationals throughout.
+    Every override set has f = 2|A| + 1, so one exact comparison decides
+    whether F stays within the (1 +- eps) band around f, and
+    :func:`build_greedy_trap` refuses a trap that would leave it; the
+    additive f is then a representative.  Values are exact rationals
+    throughout.
     """
 
     kind = "greedy_trap"
@@ -355,38 +360,12 @@ class GreedyTrapInstance(ValueOracle):
         self._c_mask = ((1 << bc_size) - 1) << (a_size + bc_size)
         self.override_value = 1 / epsilon
 
-    def is_override(self, s: Subset) -> bool:
-        extra = s.mask & ~self._a_mask
-        return (
-            s.mask & self._a_mask == self._a_mask
-            and extra.bit_count() == 1
-            and extra & self._c_mask == extra
-        )
-
     def value(self, s: Subset):
-        self._check_ground(s)
-        if self.is_override(s):
+        v = self.f.value(s)  # checks the ground set
+        extra = s.mask ^ self._a_mask
+        if extra.bit_count() == 1 and extra & self._c_mask:
             return self.override_value
-        return self.f.value(s)
-
-    def override_sets(self):
-        """All sets on which F differs from the additive representative."""
-        n = self.n
-        base = self._a_mask
-        size = len(self.a_elements) + 1
-        for c in self.c_elements:
-            yield Subset._raw(n, base | (1 << c), size)
-
-    def check_band(self) -> None:
-        """Raise ValueError unless every override value lies in the exact band
-        around f; a rounded |A| (1/(2 eps) not an integer) can break it."""
-        band = Band(self.epsilon)
-        for s in self.override_sets():
-            if not band.holds(self.value(s), self.f.value(s)):
-                raise ValueError(
-                    f"trap at eps = {float(self.epsilon):.6g} leaves the band on override "
-                    f"set {s.elements()}: |A| = {len(self.a_elements)} rounds "
-                    f"1/(2 eps) = {float(1 / (2 * self.epsilon)):.6g}")
+        return v
 
     def claimed_greedy_value(self) -> Fraction:
         """Predicted greedy outcome 1/eps + (k - k^(1-beta)/2)/n under the
@@ -400,7 +379,8 @@ class GreedyTrapInstance(ValueOracle):
 def build_greedy_trap(k: int, beta: float, n: int) -> GreedyTrapInstance:
     """Trap instance at error level eps = k^(beta-1); requires 0 < beta < 1
     (beta >= 1 gives eps >= 1, or 0 once k^(1-beta) underflows), eps < 1/2,
-    integral block sizes, and enough non-A elements to fill the budget."""
+    integral block sizes, enough non-A elements to fill the budget, and an
+    override inside the band (a rounded |A| can break it)."""
     check_ground_size(n)
     if not 0 < beta < 1:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
@@ -422,4 +402,10 @@ def build_greedy_trap(k: int, beta: float, n: int) -> GreedyTrapInstance:
         )
     if bc_size < k:
         raise ValueError(f"need n/2 - 1/(4 eps) >= k, got {bc_size} < {k}")
+    # Every override set A + c has F = 1/eps and f = 2|A| + 1.
+    if not Band(epsilon).holds(1 / epsilon, 2 * a_size + 1):
+        raise ValueError(
+            f"trap at eps = {float(epsilon):.6g} leaves the band on override "
+            f"set {[*range(a_size), a_size + bc_size]}: |A| = {a_size} rounds "
+            f"1/(2 eps) = {float(1 / (2 * epsilon)):.6g}")
     return GreedyTrapInstance(n, k, beta, epsilon, a_size, bc_size)

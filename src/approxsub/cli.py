@@ -179,7 +179,6 @@ def _cmd_generate(args) -> int:
     meta: dict
     if args.construction == "trap":
         trap = build_greedy_trap(args.k, args.beta, args.n)
-        trap.check_band()
         meta = {
             "construction": "trap", "n": trap.n, "k": trap.k, "beta": trap.beta,
             "epsilon": float(trap.epsilon),
@@ -270,7 +269,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError, OSError, KeyError, RecursionError) as exc:
+    except (ValueError, TypeError, OSError, KeyError, RecursionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REJECTED
 

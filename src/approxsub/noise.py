@@ -140,6 +140,7 @@ class SamplingEstimator(ValueOracle):
         self._cache: dict[int, float] = {}
 
     def value(self, s: Subset) -> float:
+        self._check_ground(s)  # before the cache, which is keyed by mask alone
         cached = self._cache.get(s.mask)
         if cached is not None:
             return cached

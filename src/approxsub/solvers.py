@@ -27,7 +27,7 @@ class SolveResult:
     queries_used: int = 0
 
 
-def greedy_cardinality(F: ValueOracle, n: int, k: int) -> SolveResult:
+def greedy_cardinality(F: ValueOracle, k: int) -> SolveResult:
     """Plain greedy under a cardinality budget: k rounds, each adding the
     element maximizing the queried value of the augmented set.
 
@@ -37,8 +37,7 @@ def greedy_cardinality(F: ValueOracle, n: int, k: int) -> SolveResult:
     elements are selected (monotone oracles never lose by filling the
     budget); queries_used = sum over rounds of the remaining pool size.
     """
-    if n != F.n:
-        raise ValueError(f"ground set mismatch: oracle n={F.n}, n={n}")
+    n = F.n
     if k > n:
         raise ValueError(f"budget k={k} exceeds n={n}")
     start = F.query_count
@@ -91,14 +90,13 @@ def greedy_matroid(F: ValueOracle, matroid: Matroid) -> SolveResult:
     return SolveResult(chosen, current, trace, F.query_count - start)
 
 
-def curvature_topk(F: ValueOracle, n: int, k: int) -> SolveResult:
+def curvature_topk(F: ValueOracle, k: int) -> SolveResult:
     """Additive-surrogate solver: query the n singletons, keep the k largest
     (ties toward smaller ids), and issue one final query for the chosen set.
 
     Queries exactly n + 1 times.
     """
-    if n != F.n:
-        raise ValueError(f"ground set mismatch: oracle n={F.n}, n={n}")
+    n = F.n
     if k > n:
         raise ValueError(f"budget k={k} exceeds n={n}")
     start = F.query_count
@@ -110,7 +108,7 @@ def curvature_topk(F: ValueOracle, n: int, k: int) -> SolveResult:
     return SolveResult(chosen, val, trace, F.query_count - start)
 
 
-def brute_force(F: ValueOracle, n: int, constraint) -> SolveResult:
+def brute_force(F: ValueOracle, constraint) -> SolveResult:
     """Exact maximizer by enumeration; the reference oracle for every ratio
     claim.
 
@@ -122,10 +120,9 @@ def brute_force(F: ValueOracle, n: int, constraint) -> SolveResult:
     most k elements are queried.  A matroid never jumps (its ``rank()`` is
     not trusted); ``is_independent`` filters every mask.  Guarded at n <= 24.
     """
+    n = F.n
     if n > 24:
         raise ValueError(f"brute force guarded at n <= 24, got {n}")
-    if F.n != n:
-        raise ValueError(f"ground set mismatch: oracle n={F.n}, n={n}")
     matroid = constraint if isinstance(constraint, Matroid) else None
     limit = n if matroid is not None else int(constraint)
     if limit < 0:  # no feasible set; the jump would stall at mask 0

@@ -99,14 +99,19 @@ def _check_ground(n: int, *fns: ValueOracle) -> None:
 def _table_of(fn: ValueOracle, n: int):
     """(table, tolerance) for the exhaustive checkers: int64 with zero
     tolerance from fn's exact table or its rescaled values, else float64 with
-    a relative tolerance."""
+    a relative tolerance.  A float table must keep the sum of two values and
+    the tolerance finite: a larger, infinite or nan value raises ValueError."""
     exact = fn.exact_table()
     if exact is None:
         values = tabulate(fn, n)
         exact = int_table(values)
         if exact is None:
             tab = np.array([float(v) for v in values], dtype=np.float64)
-            return tab, _SUBMODULAR_TOL * max(1.0, float(np.max(np.abs(tab))))
+            top = float(np.max(np.abs(tab)))
+            if not math.isfinite(4 * top):  # nan fails too
+                raise ValueError(f"{_describe(fn)} reaches |value| = {top:.6g}, too large "
+                                 f"for the float checks (sums of two values must stay finite)")
+            return tab, _SUBMODULAR_TOL * max(1.0, top)
     return exact[0], 0
 
 

@@ -10,6 +10,12 @@ from itertools import combinations
 import numpy as np
 from hypothesis import strategies as st
 
+from approxsub.adversarial import (
+    Band,
+    GreedyTrapInstance,
+    _exact_or_float_pow,
+    check_ground_size,
+)
 from approxsub.functions import TABLE_LIMIT
 from approxsub.noise import MAX_SAMPLES
 from approxsub.sets import Subset, ValueOracle
@@ -139,6 +145,82 @@ class ReferenceSamplingEstimator(ValueOracle):
     def cached_sets(self) -> list[int]:
         """Masks of the sets estimated so far, in first-query order."""
         return list(self._cache)
+
+
+# ---------------------------------------------------------------------------
+# The trap's per-set override test, its override family and its band check
+# over that family (``GreedyTrapInstance.is_override``, ``override_sets``,
+# ``check_band``), with the ``value`` that used them and the build that
+# returned a trap unchecked, verbatim but for the names.
+# ---------------------------------------------------------------------------
+
+class ParentGreedyTrap(GreedyTrapInstance):
+    """``GreedyTrapInstance`` as it was before the build checked the band."""
+
+    def is_override(self, s: Subset) -> bool:
+        extra = s.mask & ~self._a_mask
+        return (
+            s.mask & self._a_mask == self._a_mask
+            and extra.bit_count() == 1
+            and extra & self._c_mask == extra
+        )
+
+    def value(self, s: Subset):
+        self._check_ground(s)
+        if self.is_override(s):
+            return self.override_value
+        return self.f.value(s)
+
+    def override_sets(self):
+        """All sets on which F differs from the additive representative."""
+        n = self.n
+        base = self._a_mask
+        size = len(self.a_elements) + 1
+        for c in self.c_elements:
+            yield Subset._raw(n, base | (1 << c), size)
+
+    def check_band(self) -> None:
+        """Raise ValueError unless every override value lies in the exact band
+        around f; a rounded |A| (1/(2 eps) not an integer) can break it."""
+        band = Band(self.epsilon)
+        for s in self.override_sets():
+            if not band.holds(self.value(s), self.f.value(s)):
+                raise ValueError(
+                    f"trap at eps = {float(self.epsilon):.6g} leaves the band on override "
+                    f"set {s.elements()}: |A| = {len(self.a_elements)} rounds "
+                    f"1/(2 eps) = {float(1 / (2 * self.epsilon)):.6g}")
+
+
+# Callable on any trap: ``override_sets(trap)`` lists the sets A + c.
+override_sets = ParentGreedyTrap.override_sets
+
+
+def parent_build_greedy_trap(k: int, beta: float, n: int) -> GreedyTrapInstance:
+    """Trap instance at error level eps = k^(beta-1); requires 0 < beta < 1
+    (beta >= 1 gives eps >= 1, or 0 once k^(1-beta) underflows), eps < 1/2,
+    integral block sizes, and enough non-A elements to fill the budget."""
+    check_ground_size(n)
+    if not 0 < beta < 1:
+        raise ValueError(f"beta must be in (0, 1), got {beta}")
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    eps_pow = _exact_or_float_pow(k, 1 - beta)
+    epsilon = Fraction(1, eps_pow) if isinstance(eps_pow, int) else Fraction(1 / eps_pow)
+    if not epsilon < Fraction(1, 2):
+        raise ValueError(f"trap needs eps < 1/2, got eps = {float(epsilon)}")
+    a_exact = 1 / (2 * epsilon)
+    bc_exact = Fraction(n, 2) - 1 / (4 * epsilon)
+    a_size = round(a_exact)
+    bc_size = round(bc_exact)
+    if a_size < 1 or bc_size < 1:
+        raise ValueError(f"block sizes must be positive, got |A|={a_size}, |B|=|C|={bc_size}")
+    if a_size + 2 * bc_size != n:
+        raise ValueError(
+            f"rounded blocks do not tile the ground set: {a_size} + 2*{bc_size} != {n}"
+        )
+    if bc_size < k:
+        raise ValueError(f"need n/2 - 1/(4 eps) >= k, got {bc_size} < {k}")
+    return ParentGreedyTrap(n, k, beta, epsilon, a_size, bc_size)
 
 
 class TableFunction(ValueOracle):

@@ -46,7 +46,7 @@ from approxsub.verify import (
     check_sandwich,
     check_submodular,
 )
-from conftest import max_over_budget
+from conftest import max_over_budget, override_sets
 
 # (n, h, alpha, k) with alpha <= k <= h <= n/2, n <= 12
 PAIR_FIXTURES = [
@@ -99,7 +99,7 @@ def test_criterion_02_sandwich_validity():
     for fixture, eps in [((10, 5, 3, 4), 0.25), ((12, 6, 3, 4), 0.5),
                          ((12, 5, 2, 4), 0.125)]:
         params, mono, _ = _pairs(fixture, epsilon=eps)
-        sw = build_sandwich(mono, eps)
+        sw = build_sandwich(mono)
         ok = ok and check_sandwich(sw, mono.fh, eps, params.n).passed
     # Persistent multiplicative noise, exhaustive, both error levels.
     corpus = instance_corpus(0)
@@ -113,7 +113,7 @@ def test_criterion_02_sandwich_validity():
     lo = 1 - trap.epsilon
     hi = 1 + trap.epsilon
     count = 0
-    for s in trap.override_sets():
+    for s in override_sets(trap):
         Fv = trap.value(s)
         fv = trap.f.value(s)
         assert isinstance(Fv, (int, Fraction)) and isinstance(fv, (int, Fraction))
@@ -186,8 +186,8 @@ def test_criterion_05_greedy_guarantee():
             bound = greedy_bound(k, eps)
             for seed in range(10):
                 F = ConsistentNoiseOracle(inst, eps, seed)
-                res = greedy_cardinality(F, inst.n, k)
-                opt = brute_force(F, inst.n, k)
+                res = greedy_cardinality(F, k)
+                opt = brute_force(F, k)
                 runs += 1
                 floor = bound * float(opt.value)
                 if float(res.value) < floor - 1e-12 * max(1.0, abs(floor)):
@@ -224,7 +224,7 @@ def test_criterion_06_matroid_guarantee():
         bases = [inst for inst in corpus if inst.n == n][:2]
         assert bases, f"no corpus instances with n={n}"
         for f in bases:
-            opt_f = brute_force(f, n, matroid)  # representative's optimum
+            opt_f = brute_force(f, matroid)  # representative's optimum
             for eps in (0.0, 0.5 / k, 1.0 / k):
                 bound = matroid_bound(k, eps)
                 for seed in range(10):
@@ -262,8 +262,8 @@ def test_criterion_07_curvature_route():
             bound = curvature_bound(float(c), eps)
             for seed in range(3):
                 F = ConsistentNoiseOracle(f, eps, seed)
-                res = curvature_topk(F, n, k)
-                opt = brute_force(F, n, k)
+                res = curvature_topk(F, k)
+                opt = brute_force(F, k)
                 runs += 1
                 floor = bound * float(opt.value)
                 if float(res.value) < floor - 1e-12 * max(1.0, abs(floor)):
@@ -310,7 +310,7 @@ def test_criterion_09_trap_reproduction(tmp_path, capsys):
     lo = 1 - trap.epsilon
     band_exact = all(
         lo * trap.f.value(s) <= trap.value(s) <= trap.f.value(s)
-        for s in trap.override_sets()
+        for s in override_sets(trap)
     )
     ok = band_exact
     ok = ok and summary["claimed_greedy_value"] == pytest.approx(4.21875)

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from approxsub.adversarial import (
     Band,
+    GreedyTrapInstance,
     HardPairParams,
     PairBand,
     SandwichFunction,
@@ -30,7 +31,7 @@ from approxsub.adversarial import (
 from approxsub.functions import int_table
 from approxsub.sets import Subset
 from approxsub.verify import CheckReport, _describe, check_sandwich
-from conftest import TableFunction, _exact_int_table
+from conftest import TableFunction, _exact_int_table, override_sets
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +136,10 @@ def reference_exact_int_table(values) -> np.ndarray | None:
 
 # The traps' exact eps: 1/4, 1/5, and 1/sqrt(12) at its binary value.  The
 # last one's rounded block A puts the override outside the band, so there the
-# override check must fail as it did before.
+# override check must fail as it did before; the build refuses that trap, so
+# it is constructed with the blocks the build rounds to.
 TRAPS = [build_greedy_trap(16, 0.5, 64), build_greedy_trap(25, 0.5, 52),
-         build_greedy_trap(12, 0.5, 48)]
+         GreedyTrapInstance(48, 12, 0.5, Fraction(1 / 12 ** 0.5), 2, 23)]
 
 EPSILONS = [0.3, 0.25, 0.1, 0.5, 0.9, 1e-9, 0.0625,
             Fraction(1, 3), Fraction(2, 7)] + [trap.epsilon for trap in TRAPS]
@@ -196,7 +198,7 @@ def test_band_edges(eps):
 def test_trap_override_check_matches(trap):
     band = Band(trap.epsilon)
     assert (band.q, band.q_hi - band.q) == (trap.epsilon.denominator, trap.epsilon.numerator)
-    sets = list(trap.override_sets())
+    sets = list(override_sets(trap))
     assert sets
     for s in sets:
         Fv, fv = trap.value(s), trap.f.value(s)
@@ -246,6 +248,14 @@ def test_float_and_numpy_values_take_the_generic_path(eps, monkeypatch):
             lo, hi = 1 - Fraction(eps), 1 + Fraction(eps)
             assert Band(eps).near(F, f) == _band_holds(F, f, lo, hi, False), (F, f)
 
+
+@pytest.mark.parametrize("F, f", [(math.inf, math.inf), (1.0, math.nan), (math.inf, 1.0),
+                                  (1.7e308, 1.7e308), (-1.7e308, -1.7e308)])
+def test_near_refuses_values_and_edges_that_are_not_finite(F, f):
+    """The last two have finite sides but an edge (1 + eps) f that overflows."""
+    with pytest.raises(ValueError, match="not finite"):
+        Band(0.5).near(F, f)
+    assert Band(0.5).near(1e308, 1e308)
 
 def test_exact_values_take_the_exact_path(monkeypatch):
     calls = []

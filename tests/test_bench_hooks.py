@@ -1,19 +1,36 @@
-"""The benchmark's trace hooks still find what they patch.
+"""The benchmark's trace hooks still find what they patch, and still count.
 
 ``perfbench/run.py`` traces each layer by replacing ``vars(owner)[attr]`` for
 every ``LAYERS`` entry, so a traced ``value`` or ``query`` must be defined on
-the class (or module) the entry names, not inherited.  The harness is loaded
-read-only here: no bytecode is written next to it.
+the class (or module) the entry names, not inherited.  And the program must
+still call through those entries: each workload's traced run must read above
+zero on every metric that ``EXERCISED`` in ``perfbench/test_perfbench.py``
+lists for it.  The harness is loaded read-only here: no bytecode is written
+next to it, and its test module is parsed, not imported.
 """
 
+import ast
 import importlib.util
 import os
 import sys
 
 import pytest
 
-RUN_PY = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "perfbench", "run.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+RUN_PY = os.path.join(PERFBENCH, "run.py")
+
+
+def _exercised() -> dict:
+    """The ``EXERCISED`` literal of the harness's own tests."""
+    with open(os.path.join(PERFBENCH, "test_perfbench.py")) as fh:
+        tree = ast.parse(fh.read())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "EXERCISED" for t in node.targets))
+
+
+EXERCISED = _exercised()
 
 
 @pytest.fixture(scope="module")
@@ -38,3 +55,12 @@ def test_every_traced_layer_resolves_where_the_harness_patches_it(run):
         owner = run.layer_owner(api, owner_path)
         assert attr in vars(owner), f"{name}: {owner_path} defines no {attr} of its own"
         assert callable(vars(owner)[attr]), name
+
+
+@pytest.mark.parametrize("name", sorted(EXERCISED))
+def test_traced_run_exercises_every_listed_layer(run, name):
+    out = run.run_benchmark(name, 0, 0, True, params=run.TINY[name], setup_probes=0)
+    assert out["result"]["correct"]
+    metrics = out["result"]["metrics"]
+    for metric in EXERCISED[name]:
+        assert metrics[metric]["value"] > 0, metric

@@ -44,16 +44,16 @@ def _runs(n):
     k = min(4, n)
     partition = PartitionMatroid([e % 3 for e in range(n)], [1, 2, 1])
     runs = [
-        ("greedy", lambda F: greedy_cardinality(F, n, k)),
-        ("greedy-full", lambda F: greedy_cardinality(F, n, n)),
+        ("greedy", lambda F: greedy_cardinality(F, k)),
+        ("greedy-full", lambda F: greedy_cardinality(F, n)),
         ("matroid-uniform", lambda F: greedy_matroid(F, PartitionMatroid([0] * n, [3]))),
         ("matroid-partition", lambda F: greedy_matroid(F, partition)),
-        ("topk", lambda F: curvature_topk(F, n, k)),
+        ("topk", lambda F: curvature_topk(F, k)),
     ]
     if n <= 12:
         runs += [
-            ("brute", lambda F: brute_force(F, n, k)),
-            ("brute-partition", lambda F: brute_force(F, n, partition)),
+            ("brute", lambda F: brute_force(F, k)),
+            ("brute-partition", lambda F: brute_force(F, partition)),
         ]
     return runs
 

@@ -194,7 +194,7 @@ def reference_run_sampling_validation(
     for t in range(trials):
         source = InconsistentNoiseOracle(f, family, width, seed + t)
         est = ReferenceSamplingEstimator(source, m)
-        greedy_cardinality(est, n, k)
+        greedy_cardinality(est, k)
         violations = 0
         for mk in est.cached_sets():
             s = Subset._raw(n, mk, mk.bit_count())
@@ -787,12 +787,11 @@ def test_checker_memory_at_n14(check):
 # ---------------------------------------------------------------------------
 
 def test_trap_band_check_rejects_rounded_blocks(capsys):
-    trap = build_greedy_trap(12, 0.5, 48)  # stays permissive: |A| = 2 rounds 1/(2 eps)
     with pytest.raises(ValueError, match="leaves the band"):
-        trap.check_band()
+        build_greedy_trap(12, 0.5, 48)  # |A| = 2 rounds 1/(2 eps) = 1.73
     with pytest.raises(ValueError, match="leaves the band"):
         run_trap(12, 0.5, 48)
-    build_greedy_trap(16, 0.5, 64).check_band()
+    build_greedy_trap(16, 0.5, 64)
     for argv in (["trap", "--k", "12", "--n", "48"], ["trap", "--curve", "12"],
                  ["generate", "--construction", "trap", "--k", "12", "--n", "48",
                   "--beta", "0.5"]):

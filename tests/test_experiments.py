@@ -3,6 +3,8 @@ import io
 import json
 import math
 import operator
+import re
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,7 +37,7 @@ from approxsub.experiments import (
 )
 from approxsub.functions import CoverageFunction, instance_from_dict, instance_to_dict
 from approxsub.noise import noise_from_dict
-from approxsub.sets import ValueOracle
+from approxsub.sets import Subset, ValueOracle
 from approxsub.solvers import expected_greedy_queries, greedy_cardinality
 from approxsub.verify import check_monotone, check_sandwich, check_submodular
 
@@ -97,7 +99,7 @@ def test_fast_greedy_matches_generic(n, h, alpha, k, eps, seed):
     hidden = draw_hidden_set(n, h, seed)
     pair = build_monotone_pair(params, hidden)
     oracle = _EscapeCounting(build_sandwich(pair))
-    res = greedy_cardinality(oracle, n, k)
+    res = greedy_cardinality(oracle, k)
     mask, value, escapes, queries = _sandwich_greedy_fast(params, hidden)
     assert res.chosen.mask == mask
     assert res.value == value
@@ -610,6 +612,14 @@ def _deep_sum(depth):
             + "]}" * depth)
 
 
+
+_HUGE_INT = {"kind": "additive", "weights": [10 ** 400, 1, 2]}
+_INF_SUM = {"kind": "sum", "terms": [  # {0} and {1} are a finite counterexample
+    {"kind": "budget_additive", "weights": [2, -1, 0], "budget": 1},
+    {"kind": "additive", "weights": [0.5, 0, 1e308]},
+    {"kind": "additive", "weights": [0, 0, 1e308]}]}
+_INF_ADDITIVE = {"kind": "additive", "weights": [1e308, 1e308, 1]}
+
 @pytest.mark.parametrize("argv, text", [
     (["sample"], '{"k": 0}'),
     (["sample"], '{"k": -2}'),
@@ -672,6 +682,30 @@ def _deep_sum(depth):
     (["sample"], '{"epsilon": 1e-320}'),
     (["sample"], '{"width": 1e308, "trials": 2}'),
     (["sample"], '{"width": 1e308, "trials": 2, "family": "additive-bounded"}'),
+    # an int weight past the float range once raised OverflowError with a traceback
+    pytest.param(["sweep"], json.dumps({"instances": [_HUGE_INT], "k": 2, "seeds": [0]}),
+                 id="sweep-int-1e400"),
+    pytest.param(["sample"], json.dumps({"instance": _HUGE_INT, "trials": 1, "k": 2}),
+                 id="sample-int-1e400"),
+    pytest.param(["verify", "--property", "submodular"], json.dumps(_HUGE_INT),
+                 id="submodular-int-1e400"),
+    pytest.param(["verify", "--property", "sandwich"],
+                 json.dumps({"instance": _HUGE_INT,
+                             "noise": {"kind": "consistent", "epsilon": 0.1}}),
+                 id="sandwich-int-1e400"),
+    # values that overflow to inf once made the float tolerance inf, so a
+    # finite counterexample passed (exit 0), and monotone warned
+    pytest.param(["verify", "--property", "submodular"], json.dumps(_INF_SUM),
+                 id="submodular-sum-inf"),
+    pytest.param(["verify", "--property", "monotone"], json.dumps(_INF_SUM),
+                 id="monotone-sum-inf"),
+    # F = f = inf once failed the band test (exit 1) and the sweep's guarantee
+    pytest.param(["verify", "--property", "sandwich"],
+                 json.dumps({"instance": _INF_ADDITIVE,
+                             "noise": {"kind": "consistent", "epsilon": 0.1}}),
+                 id="sandwich-additive-inf"),
+    pytest.param(["sweep"], json.dumps({"instances": [_INF_ADDITIVE], "k": 2, "seeds": [0]}),
+                 id="sweep-additive-inf"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_cli_rejects_malformed_input(tmp_path, capsys, argv, text):
@@ -850,6 +884,74 @@ def test_cli_never_raises_on_malformed_flags(command, data):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2), argv
+
+
+_NUMBER = st.one_of(
+    st.integers(-3, 9),
+    st.sampled_from([10 ** 400, -10 ** 400, 2 ** 61, -2 ** 63, 1e308, -1e308, 0.5, -1.5,
+                     5e-324, math.nan]),
+    st.builds(lambda p, q: {"num": p, "den": q}, st.integers(-9, 10 ** 20), st.integers(-3, 7)),
+)
+_JUNK_NODE = st.sampled_from([None, "x", True, [], {}, 3, {"kind": "bogus"}, {"kind": None}])
+
+
+def _instance_json(n):
+    """Instance objects over n elements, nested in sums: valid shapes with
+    spoiled numbers, plus junk kinds, stray keys and wrong lengths."""
+    numbers = st.lists(_NUMBER, min_size=n, max_size=n)
+    concave = st.lists(st.integers(0, 4), min_size=n, max_size=n).map(
+        lambda steps: [sum(sorted(steps, reverse=True)[:i]) for i in range(n + 1)])
+    leaf = st.one_of(
+        st.builds(lambda w: {"kind": "additive", "weights": w}, numbers),
+        st.builds(lambda w, b: {"kind": "budget_additive", "weights": w, "budget": b},
+                  numbers, _NUMBER),
+        st.builds(lambda u, c: {"kind": "coverage", "universe_size": u, "covers": c},
+                  st.integers(0, 6),
+                  st.lists(st.lists(st.integers(-1, 6), max_size=3), min_size=n, max_size=n)),
+        st.builds(lambda t: {"kind": "concave_cardinality", "table": t},
+                  st.one_of(concave, st.lists(_NUMBER, min_size=n + 1, max_size=n + 1))),
+        st.builds(lambda w: {"kind": "additive", "weights": w}, st.lists(_NUMBER, max_size=n + 1)),
+        st.builds(lambda w: {"kind": "additive", "weights": w, "stray": 1}, numbers),
+        _JUNK_NODE,
+    )
+    return st.recursive(leaf, lambda inner: st.builds(
+        lambda terms: {"kind": "sum", "terms": terms}, st.lists(inner, min_size=1, max_size=3)),
+        max_leaves=5)
+
+
+def _witness(out: str, n: int, prop: str):
+    """The counterexample on a FAIL line: two subsets, or a subset and an element."""
+    sets = [Subset.from_elements([int(e) for e in found.split(",") if e.strip()], n)
+            for found in re.findall(r"elements=\[([\d, ]*)\]", out)]
+    if prop == "submodular":
+        return sets
+    return sets[0], int(re.search(r"\), (\d+)\)$", out.strip()).group(1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["submodular", "monotone"]), st.integers(1, 5), st.data())
+def test_cli_never_raises_on_malformed_instance(tmp_path_factory, prop, n, data):
+    """Whatever the instance JSON holds, ``verify --property submodular`` and
+    ``monotone`` exit 0, 1 or 2, raise and warn nothing, and exit 1 only on
+    a witness whose own ``value()``s violate the property exactly."""
+    doc = data.draw(_instance_json(n))
+    path = tmp_path_factory.mktemp("fuzz") / "inst.json"
+    path.write_text(json.dumps(doc))
+    stdout = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["verify", "--property", prop, "--instance", str(path)])
+    assert code in (0, 1, 2)
+    if code == 1:
+        fn = instance_from_dict(doc)
+        F = lambda s: Fraction(fn.value(s))  # noqa: E731  exact, floats included
+        if prop == "submodular":
+            s, t = _witness(stdout.getvalue(), fn.n, prop)
+            assert F(s.union(t)) + F(s.intersection(t)) > F(s) + F(t)
+        else:
+            s, a = _witness(stdout.getvalue(), fn.n, prop)
+            assert a not in s and F(s.add(a)) < F(s)
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def test_greedy_on_additive_is_optimal():
         m = PartitionMatroid(blocks, caps)
         f = AdditiveFunction([int(w) for w in rng.integers(1, 20, size=n)])
         res = greedy_matroid(f, m)
-        opt = brute_force(f, n, m)
+        opt = brute_force(f, m)
         assert res.value == opt.value, trial
 
 

@@ -268,6 +268,20 @@ def test_estimator_rejects_non_finite_estimates(family):
     assert est.cached_sets() == []
 
 
+def test_estimator_value_checks_the_ground_set_before_its_cache():
+    """The cache is keyed by mask alone, so a cached mask over another ground
+    set was once answered with the cached estimate."""
+    est = SamplingEstimator(AdditiveFunction([1, 2, 3, 4]), "uniform-relative", 0.5, 0, 5)
+    cached = est.query(Subset(4, 3))
+    for n in (9, 3, 2):
+        with pytest.raises(ValueError, match="ground set mismatch"):
+            est.value(Subset(n, 3))
+        with pytest.raises(ValueError, match="ground set mismatch"):
+            est.query(Subset(n, 3))
+    assert est.value(Subset(4, 3)) == cached
+    assert est.cached_sets() == [3] and est.samples == 5 and est.query_count == 1
+
+
 def test_noise_from_dict_consistent():
     f = AdditiveFunction([1, 2])
     F = noise_from_dict(f, {"kind": "consistent", "epsilon": 0.1, "seed": 3})

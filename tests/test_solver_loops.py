@@ -95,9 +95,9 @@ class Recording(ValueOracle):
         return self.base.value(s)
 
 
-def _outcome(solve, oracle, n, constraint):
+def _outcome(solve, oracle, constraint):
     try:
-        res = solve(oracle, n, constraint)
+        res = solve(oracle, constraint)
     except ValueError as exc:
         return ("error", str(exc))
     chosen = None if res.chosen is None else (res.chosen.n, res.chosen.mask, res.chosen.size)
@@ -108,8 +108,8 @@ def assert_same_run(make, n, constraint, reference, solve):
     """Run both versions on fresh oracles from ``make``; return the new
     version's outcome and its recording oracle."""
     old, new = Recording(make()), Recording(make())
-    expected = _outcome(reference, old, n, constraint)
-    got = _outcome(solve, new, n, constraint)
+    expected = _outcome(lambda F, c: reference(F, n, c), old, constraint)
+    got = _outcome(solve, new, constraint)
     assert got == expected
     assert new.log == old.log
     assert new.query_count == old.query_count
@@ -234,7 +234,7 @@ def test_brute_force_n24_small_budget():
     n, k = 24, 2
     weights = [(7 * i) % 5 for i in range(n)]  # ties: the smallest mask must win
     rec = Recording(AdditiveFunction(weights))
-    res = brute_force(rec, n, k)
+    res = brute_force(rec, k)
     masks = sorted(sum(1 << e for e in combo)
                    for size in range(k + 1) for combo in itertools.combinations(range(n), size))
     assert rec.log == masks and res.queries_used == len(masks) == 301

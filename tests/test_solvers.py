@@ -23,7 +23,7 @@ from approxsub.experiments import instance_corpus
 
 def test_greedy_additive_topk():
     F = AdditiveFunction([5, 4, 3, 2, 1])
-    res = greedy_cardinality(F, 5, 2)
+    res = greedy_cardinality(F, 2)
     assert res.chosen == Subset.from_elements([0, 1], 5)
     assert res.value == 9
     assert res.queries_used == 5 + 4 == expected_greedy_queries(5, 2)
@@ -32,12 +32,12 @@ def test_greedy_additive_topk():
 
 def test_greedy_rejects_oversized_budget():
     with pytest.raises(ValueError):
-        greedy_cardinality(AdditiveFunction([1, 2]), 2, 3)
+        greedy_cardinality(AdditiveFunction([1, 2]), 3)
 
 
 def test_greedy_fills_budget_on_zero_marginals():
     F = AdditiveFunction([0, 0, 0, 0])
-    res = greedy_cardinality(F, 4, 3)
+    res = greedy_cardinality(F, 3)
     assert res.chosen.size == 3
     assert res.chosen == Subset.from_elements([0, 1, 2], 4)  # ties toward small ids
 
@@ -46,8 +46,8 @@ def test_greedy_determinism():
     f = instance_corpus(3)[5]
     F1 = ConsistentNoiseOracle(f, 0.2, 7)
     F2 = ConsistentNoiseOracle(f, 0.2, 7)
-    r1 = greedy_cardinality(F1, f.n, 4)
-    r2 = greedy_cardinality(F2, f.n, 4)
+    r1 = greedy_cardinality(F1, 4)
+    r2 = greedy_cardinality(F2, 4)
     assert r1.chosen == r2.chosen and r1.trace == r2.trace and r1.value == r2.value
 
 
@@ -55,15 +55,15 @@ def test_greedy_classical_ratio_exact_oracle():
     # Exact submodular input: value >= (1 - (1 - 1/k)^k) * optimum.
     for f in instance_corpus(11)[:6]:
         k = 3
-        res = greedy_cardinality(f, f.n, k)
-        opt = brute_force(f, f.n, k)
+        res = greedy_cardinality(f, k)
+        opt = brute_force(f, k)
         floor = (1 - (1 - 1 / k) ** k) * float(opt.value)
         assert float(res.value) >= floor - 1e-12
 
 
 def test_greedy_trap_measured_value():
     trap = build_greedy_trap(16, 0.5, 64)
-    res = greedy_cardinality(trap, 64, 16)
+    res = greedy_cardinality(trap, 16)
     # After both A elements, one filler pick reveals C, and greedy escapes:
     # value = 4 + 1/64 + 13 (13 more elements of C).
     assert res.value == Fraction(4) + Fraction(1, 64) + 13
@@ -76,7 +76,7 @@ def test_greedy_trap_measured_value():
 def test_matroid_greedy_uniform_matches_cardinality():
     f = instance_corpus(13)[2]
     res_m = greedy_matroid(f, PartitionMatroid([0] * f.n, [3]))
-    res_c = greedy_cardinality(f, f.n, 3)
+    res_c = greedy_cardinality(f, 3)
     assert res_m.chosen == res_c.chosen
     assert res_m.value == res_c.value
 
@@ -97,14 +97,14 @@ def test_matroid_greedy_half_ratio_exact_oracle():
         if f.n != 8:
             continue
         res = greedy_matroid(f, m)
-        opt = brute_force(f, 8, m)
+        opt = brute_force(f, m)
         assert float(res.value) >= 0.5 * float(opt.value) - 1e-12
 
 
 def test_curvature_topk_additive_matches_greedy():
     f = AdditiveFunction([3, 9, 1, 7, 5])
-    a = curvature_topk(f, 5, 2)
-    b = greedy_cardinality(f, 5, 2)
+    a = curvature_topk(f, 2)
+    b = greedy_cardinality(f, 2)
     assert a.chosen == b.chosen
     assert a.queries_used == 5 + 1
 
@@ -112,7 +112,7 @@ def test_curvature_topk_additive_matches_greedy():
 def test_curvature_topk_coverage_example():
     # covers {1,2}, {2,3}, {5} over a 4-point universe (relabeled)
     f = CoverageFunction(4, [[0, 1], [1, 2], [3]])
-    res = curvature_topk(f, 3, 2)
+    res = curvature_topk(f, 2)
     assert res.chosen == Subset.from_elements([0, 1], 3)
     assert res.value == 3
     assert res.queries_used == 3 + 1
@@ -122,28 +122,28 @@ def test_curvature_topk_ties_go_to_smaller_ids():
     # Equal singleton values of different types (3, Fraction(3), 3.0) tie;
     # the sort keeps them in id order, so the budget cuts the larger id 6.
     f = AdditiveFunction([1, 3, Fraction(3), 3.0, 2, Fraction(5, 2), 3, 0.5])
-    res = curvature_topk(f, 8, 3)
+    res = curvature_topk(f, 3)
     assert res.chosen == Subset.from_elements([1, 2, 3], 8)
     assert res.trace == [(1, 9), (2, 9), (3, 9)]
     assert res.value == 9.0 and type(res.value) is float
     assert res.queries_used == 9
 
     g = AdditiveFunction([Fraction(1, 2), 2, Fraction(4, 2), 1, 2, True])
-    res = curvature_topk(g, 6, 2)
+    res = curvature_topk(g, 2)
     assert res.chosen == Subset.from_elements([1, 2], 6)
     assert res.trace == [(1, 7), (2, 7)]
     assert res.value == 4 and type(res.value) is Fraction
 
     # An all-tied ground set keeps the k smallest ids.
     h = AdditiveFunction([Fraction(1, 3)] * 5)
-    res = curvature_topk(h, 5, 2)
+    res = curvature_topk(h, 2)
     assert res.chosen == Subset.from_elements([0, 1], 5)
     assert res.trace == [(0, 6), (1, 6)]
 
 
 def test_brute_force_full_budget_additive():
     f = AdditiveFunction([1, 2, 3])
-    res = brute_force(f, 3, 3)
+    res = brute_force(f, 3)
     assert res.chosen == Subset.full(3)
     assert res.value == 6
 
@@ -154,7 +154,7 @@ def test_brute_force_on_planted_pair():
     params = HardPairParams(n=12, h=6, alpha=3, k=4, epsilon=0.25)
     hidden = draw_hidden_set(12, 6, 1)
     pair = build_monotone_pair(params, hidden)
-    res = brute_force(pair.fh, 12, 4)
+    res = brute_force(pair.fh, 4)
     assert res.value == 4
     # Any budget-sized subset of the hidden set attains the maximum.
     assert pair.fh.value(Subset.from_elements(hidden.elements()[:4], 12)) == 4
@@ -169,14 +169,14 @@ def test_brute_force_on_planted_pair():
 def test_brute_force_matroid_constraint():
     f = AdditiveFunction([5, 4, 3, 2])
     m = PartitionMatroid([0, 0, 1, 1], [1, 1])
-    res = brute_force(f, 4, m)
+    res = brute_force(f, m)
     assert res.chosen == Subset.from_elements([0, 2], 4)
     assert res.value == 8
 
 
 def test_brute_force_guard():
     with pytest.raises(ValueError):
-        brute_force(AdditiveFunction([1] * 25), 25, 2)
+        brute_force(AdditiveFunction([1] * 25), 2)
 
 
 class BandAdversary(ValueOracle):
@@ -201,11 +201,11 @@ def band_adversary_ratios(k):
     eps in {0, 1/(2k), 1/k} against the band adversary."""
     out = []
     for f in instance_corpus(0, sizes=(8, 10)):
-        optimum = brute_force(f, f.n, k).chosen.mask
+        optimum = brute_force(f, k).chosen.mask
         for eps in (Fraction(0), Fraction(1, 2 * k), Fraction(1, k)):
             F = BandAdversary(f, eps, optimum)
-            res = greedy_cardinality(F, f.n, k)
-            best = brute_force(F, f.n, k).value
+            res = greedy_cardinality(F, k)
+            best = brute_force(F, k).value
             assert type(res.value) is type(best) is Fraction
             out.append((float(res.value) / float(best), greedy_bound(k, float(eps))))
     return out

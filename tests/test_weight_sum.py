@@ -285,9 +285,9 @@ def traced_run(monkeypatch, fn, *args, reference=False):
             trap.f = ReferenceAdditive(trap.f.weights)
         return trap
 
-    def record(F, n, k):
+    def record(F, k):
         assert isinstance(F.f, ReferenceAdditive) == reference
-        res = greedy(F, n, k)
+        res = greedy(F, k)
         runs.append((res.chosen.mask, res.trace, res.queries_used, res.value, type(res.value)))
         return res
 
