@@ -24,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .functions import (
+    TABLE_LIMIT,
     AdditiveFunction,
     BudgetAdditiveFunction,
     ConcaveCardinalityFunction,
@@ -58,7 +59,7 @@ class HardPairParams:
     def __post_init__(self):
         for name in ("n", "h", "alpha", "k"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
@@ -303,6 +304,7 @@ class SandwichFunction(ValueOracle):
     eps is taken at its exact binary-float value; the band test is
     :meth:`Band.contains`, exact integer cross-multiplication when fh and g
     return ints or Fractions, rational arithmetic on other value types.
+    :meth:`exact_table` makes the same choice from fh's and g's tables.
     """
 
     kind = "sandwich"
@@ -324,6 +326,29 @@ class SandwichFunction(ValueOracle):
         if self.band.contains(gv, fv):
             return gv
         return fv
+
+    def exact_table(self):
+        """``(T, D)`` over D = lcm of fh's and g's denominators, or None when
+        a side has no table, the pair key fh * span + (g - min g) could
+        overflow int64, or an entry reaches ``TABLE_LIMIT``.  Each distinct
+        key gets :meth:`value`'s exact band choice, in Python ints."""
+        fh, g = self.fh.exact_table(), self.g.exact_table()
+        if fh is None or g is None:
+            return None
+        (T_fh, D_fh), (T_g, D_g) = fh, g
+        low = int(T_g.min())
+        span = int(T_g.max()) - low + 1
+        if (int(np.abs(T_fh).max()) + 1) * span > 1 << 63:
+            return None
+        keys, inverse = np.unique(T_fh * span + (T_g - low), return_inverse=True)
+        den, band = math.lcm(D_fh, D_g), self.band.scaled(D_g, D_fh)
+        chosen = []
+        for t_fh, t_g in (divmod(key, span) for key in keys.tolist()):
+            t_g += low
+            chosen.append(t_g * (den // D_g) if band.holds(t_g, t_fh) else t_fh * (den // D_fh))
+        if max(map(abs, chosen)) >= TABLE_LIMIT:
+            return None
+        return np.array(chosen, dtype=np.int64)[inverse], den
 
 
 def build_sandwich(pair) -> SandwichFunction:

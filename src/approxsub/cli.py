@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import sys
 
 from . import experiments
@@ -23,7 +22,7 @@ from .adversarial import (
     gap_bound,
     power_law_params,
 )
-from .functions import CoverageFunction, instance_from_dict
+from .functions import CoverageFunction, config_int, instance_from_dict
 from .noise import noise_from_dict
 from .verify import check_concentration, check_monotone, check_sandwich, check_submodular
 
@@ -95,13 +94,19 @@ def _cmd_verify(args) -> int:
                                  f"got {family!r}")
             params = HardPairParams(**construction)
             hidden = draw_hidden_set(params.n, params.h,
-                                     operator.index(cfg.get("seed", args.seed)))
+                                     config_int(cfg.get("seed", args.seed), "seed"))
             pair = (build_coverage_pair if family == "coverage"
                     else build_monotone_pair)(params, hidden)
             F, f, epsilon, n = build_sandwich(pair), pair.fh, params.epsilon, params.n
         else:
             f = instance_from_dict(cfg.pop("instance"))
+            if "noise" not in cfg:
+                raise ValueError("a sandwich config with an 'instance' needs a 'noise' block: "
+                                 "it builds the noisy oracle F checked against the instance")
             noise = cfg.pop("noise")
+            if isinstance(noise, dict) and "epsilon" not in noise:
+                raise ValueError("the noise block needs 'epsilon': the sandwich check tests "
+                                 "F against the band (1 +- epsilon) f")
             F = noise_from_dict(f, noise)
             epsilon, n = noise["epsilon"], f.n
         report = check_sandwich(F, f, epsilon, n, **{
@@ -126,11 +131,12 @@ def _cmd_sweep(args) -> int:
     if "instances" in cfg:
         instances = [instance_from_dict(d) for d in cfg.pop("instances")]
     else:
-        sizes = tuple(operator.index(size) for size in cfg.pop("sizes", (8, 10)))
+        sizes = tuple(config_int(size, "a size") for size in cfg.pop("sizes", (8, 10)))
         if not all(1 <= size <= experiments.SWEEP_MAX_N for size in sizes):
             raise ValueError(f"sweep sizes must be in 1..{experiments.SWEEP_MAX_N}, got {sizes}")
-        corpus = experiments.instance_corpus(cfg.pop("corpus_seed", args.seed), sizes=sizes)
-        count = cfg.pop("count", len(corpus))
+        corpus = experiments.instance_corpus(config_int(cfg.pop("corpus_seed", args.seed),
+                                                        "corpus_seed"), sizes=sizes)
+        count = config_int(cfg.pop("count", len(corpus)), "count")
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
         instances = corpus[:count]
@@ -163,7 +169,7 @@ def _cmd_sample(args) -> int:
     else:
         # Default fixture: every element covers the same shared block, so the
         # value range over nonempty sets is a single point.
-        n, alpha = cfg.pop("n", 12), cfg.pop("alpha", 5)
+        n, alpha = config_int(cfg.pop("n", 12), "n"), config_int(cfg.pop("alpha", 5), "alpha")
         if n > experiments.SAMPLE_MAX_N or alpha > _FIXTURE_MAX_ALPHA:
             raise ValueError(f"the fixture is guarded at n <= {experiments.SAMPLE_MAX_N} and "
                              f"alpha <= {_FIXTURE_MAX_ALPHA}, got n={n}, alpha={alpha}")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +28,7 @@ from .functions import (
     ConcaveCardinalityFunction,
     CoverageFunction,
     SumFunction,
+    config_int,
 )
 from .noise import ConsistentNoiseOracle, SamplingEstimator, required_samples
 from .sets import Subset
@@ -265,6 +265,7 @@ def run_noise_sweep(instances, k: int = 4, delta_grid=(0.0, 0.5, 1 - 1e-9),
     Rows carry an extra 'ok' flag (value >= bound * optimum up to float dust);
     instances must be small enough to brute force.  Row order is seed-major.
     """
+    k = config_int(k, "k")
     if k < 1:
         raise ValueError(f"sweep budget k must be >= 1, got {k}")
     for inst in instances:
@@ -272,7 +273,7 @@ def run_noise_sweep(instances, k: int = 4, delta_grid=(0.0, 0.5, 1 - 1e-9),
             raise ValueError(f"sweep instances must allow brute force, got n={inst.n}")
     rows = []
     for seed in seeds:
-        seed = operator.index(seed)
+        seed = config_int(seed, "seed")
         for idx, inst in enumerate(instances):
             for delta in delta_grid:
                 eps = float(delta) / k
@@ -385,6 +386,7 @@ def run_sampling_validation(
     m is set from the value range of f over nonempty sets; per-trial rows
     report the violating-set count against the union-bounded prediction.
     """
+    trials, k, seed = config_int(trials, "trials"), config_int(k, "k"), config_int(seed, "seed")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     if not k >= 1:

@@ -11,6 +11,7 @@ exact values to such a table.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -327,6 +328,15 @@ def _is_rational(x) -> bool:
 # Serialization: JSON-compatible dicts with a "kind" tag.  Integer weights
 # round-trip losslessly; Fractions are encoded as {"num": p, "den": q}.
 # ---------------------------------------------------------------------------
+
+def config_int(value, name: str) -> int:
+    """A config's count, size, budget or seed as an int.  ``operator.index``
+    takes a bool as 0 or 1, but JSON ``true`` counts nothing; instance weights
+    stay free to be bool (``_EXACT_TYPES``)."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
 
 def _num_to_obj(x):
     if isinstance(x, Fraction):

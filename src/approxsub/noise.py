@@ -14,10 +14,10 @@ Two models:
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
+from .functions import config_int
 from .sets import Subset, ValueOracle
 
 _M64 = (1 << 64) - 1
@@ -184,13 +184,13 @@ def noise_from_dict(base, cfg: dict):
     stray = cfg.keys() - _NOISE_KEYS[kind]
     if stray:
         raise ValueError(f"unknown keys in a {kind} noise block: {sorted(stray)}")
-    seed = operator.index(cfg.get("seed", 0))  # None would draw OS entropy
+    seed = config_int(cfg.get("seed", 0), "seed")  # None would draw OS entropy
     if kind == "consistent":
         return ConsistentNoiseOracle(base, cfg["epsilon"], seed)
     family, width = cfg.get("family", "uniform-relative"), cfg["width"]
     _check_draws(family, width)  # a bad family or width reports before m's errors
     if "m" in cfg:
-        m = cfg["m"]
+        m = config_int(cfg["m"], "m")
     elif "B" in cfg:
         m = required_samples(
             cfg["B"], cfg["b"], base.n, cfg["epsilon"], cfg.get("confidence_constant", 3.0),

@@ -3,11 +3,12 @@
 Exhaustive checks (submodularity, monotonicity, multiplicative sandwich) take
 ``ValueOracle``s over the checked ground set and work on a full table of
 values indexed by subset mask.  A function whose ``exact_table()`` gives an
-int64 table T over a denominator D (the five exact kinds in ``functions``) is
-read from it: T / D is every value, so comparisons on T are exact.  Any other
-function (floats, numpy scalars, entries that could reach 2^61) is evaluated
-set by set; ``functions.int_table`` rescales the values to integers when all
-are exact, otherwise comparisons are float with the stated tolerances.
+int64 table T over a denominator D (the five exact kinds in ``functions`` and
+the sandwich oracle) is read from it: T / D is every value, so comparisons on
+T are exact.  Any other function (floats, numpy scalars, entries that could
+reach 2^61) is evaluated set by set; ``functions.int_table`` rescales the
+values to integers when all are exact, otherwise comparisons are float with
+the stated tolerances.  The sandwich check reads its F by ``value()`` alone.
 
 Submodularity of an exact table is certified by the local form
 f(S+a) + f(S+b) >= f(S+a+b) + f(S), equivalent to the pair form in exact
@@ -36,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from .adversarial import Band, PairBand
-from .functions import int_table
+from .functions import config_int, int_table
 from .sets import Subset, ValueOracle
 
 _SUBMODULAR_TOL = 1e-9
@@ -189,8 +190,10 @@ def check_sandwich(
 ) -> CheckReport:
     """Test (1 - eps) f(S) <= F(S) <= (1 + eps) f(S).
 
-    ``mode='exhaustive'`` visits all subsets (n <= 20) and reads each side
-    from its exact table when it has one; ``mode='sampled'`` draws ``trials``
+    ``mode='exhaustive'`` visits all subsets (n <= 20), reading F through
+    :func:`tabulate` (a sandwich's own table would make the band choice
+    under test) and f from its exact table when it has one; a failing check
+    has evaluated F on every set.  ``mode='sampled'`` draws ``trials``
     uniform subsets with the given seed.  Comparisons are exact whenever both
     functions return rationals, otherwise float with a 1e-12 relative slack
     for noise paths.  A witness carries both sides' own ``value()``.
@@ -199,42 +202,38 @@ def check_sandwich(
     name = "sandwich"
     desc = f"{_describe(F)} vs {_describe(f)} @ eps={epsilon}"
     band = Band(float(epsilon))
-    F_tab = f_tab = None
+    F_vals = f_tab = None
     if mode == "exhaustive":
         if n > 20:
             raise ValueError(f"exhaustive sandwich check guarded at n <= 20, got {n}")
         masks = range(1 << n)
         total = 1 << n
-        F_tab, f_tab = F.exact_table(), f.exact_table()
+        F_vals, f_tab = tabulate(F, n), f.exact_table()
     elif mode == "sampled":
-        if trials is None or not trials >= 1 or seed is None:
+        if trials is None or not config_int(trials, "trials") >= 1 or seed is None:
             raise ValueError(f"sampled mode needs trials >= 1 and a seed, got trials={trials}")
-        rng = random.Random(seed)
+        rng = random.Random(config_int(seed, "seed"))
         masks = (rng.getrandbits(n) for _ in range(trials))
         total = trials
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    # A side read from its table is the Python int D * value; the band's ints
-    # absorb each side's D (see Band.scaled), so the test stays exact.
-    F_den, f_den = F_tab[1] if F_tab else 1, f_tab[1] if f_tab else 1
-    exact_band = band.scaled(F_den, f_den)
-    F_ints = F_tab[0].tolist() if F_tab else None
+    # f read from its table is the Python int D * value; the band's ints
+    # absorb D (see Band.scaled), so the test stays exact.
+    f_den = f_tab[1] if f_tab else 1
+    exact_band = band.scaled(1, f_den)
     f_ints = f_tab[0].tolist() if f_tab else None
     examined = 0
     for m in masks:
         s = Subset._raw(n, m, m.bit_count())
-        Fv = F.value(s) if F_ints is None else F_ints[m]
+        Fv = F.value(s) if F_vals is None else F_vals[m]
         fv = f.value(s) if f_ints is None else f_ints[m]
         examined += 1
         if isinstance(Fv, (int, Fraction)) and isinstance(fv, (int, Fraction)):
             if exact_band.holds(Fv, fv):
                 continue
-        elif band.near(Fv if F_ints is None else Fraction(Fv, F_den),
-                       fv if f_ints is None else Fraction(fv, f_den)):
+        elif band.near(Fv, fv if f_ints is None else Fraction(fv, f_den)):
             continue
-        # The witness carries each side's own value(), types included.
-        if F_ints is not None:
-            Fv = F.value(s)
+        # The witness carries f's own value(), types included.
         if f_ints is not None:
             fv = f.value(s)
         return CheckReport(name, desc, False, (s, Fv, fv), examined)

@@ -64,3 +64,22 @@ def test_traced_run_exercises_every_listed_layer(run, name):
     metrics = out["result"]["metrics"]
     for metric in EXERCISED[name]:
         assert metrics[metric]["value"] > 0, metric
+
+
+def test_traced_verify_evaluates_each_sandwich_once(run):
+    """A sandwich item's check_sandwich reads the sandwich by value() on
+    every set, through one tabulate call, and its check_submodular reads the
+    sandwich's exact table: the planted additive term is valued once per set
+    too.  The corpus items read their own tables and tabulate nothing."""
+    params = run.TINY["verify"]
+    out = run.run_benchmark("verify", 0, 0, True, params=params, setup_probes=0)
+    assert out["result"]["correct"]
+    layers = out["trace"]["layers"]
+    sets = params["sandwiches"] << params["n"]
+    assert sets == 512
+    assert layers["adversarial.sandwich.value"]["calls"] == sets
+    assert layers["functions.additive.value"]["calls"] == sets
+    items = out["provenance"]["prefix"]
+    sandwich_items = range(items - params["sandwiches"], items)
+    tabulated = [span[2] for span in out["trace"]["spans"] if span[3] == "verify.tabulate"]
+    assert sorted(tabulated) == list(sandwich_items)

@@ -13,6 +13,7 @@ references read (``_tables``, ``_exact_int_table``, the inconsistent-noise
 source and its estimator) are kept verbatim in ``conftest``.
 """
 
+import copy
 import json
 import random
 import tracemalloc
@@ -26,6 +27,7 @@ import approxsub.cli as cli
 from approxsub.adversarial import (
     Band,
     HardPairParams,
+    SandwichFunction,
     build_coverage_pair,
     build_greedy_trap,
     build_monotone_pair,
@@ -807,3 +809,139 @@ def test_cli_rejects_non_object_instance_node(tmp_path, capsys):
     assert cli.main(["verify", "--property", "submodular", "--instance", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == "error: an instance must be a JSON object, got int\n"
+
+
+# ---------------------------------------------------------------------------
+# The sandwich oracle's table, and the sandwich check's F read by value()
+# ---------------------------------------------------------------------------
+
+def _pairs(sizes=((8, 4, 2, 3), (10, 5, 2, 4), (12, 6, 2, 5))):
+    """One hard pair of each family per (n, h, alpha, k)."""
+    for build in (build_monotone_pair, build_coverage_pair):
+        for n, h, alpha, k in sizes:
+            yield build(HardPairParams(n, h, alpha, k, 0.3), draw_hidden_set(n, h, n))
+
+
+# Float epsilons, whose q is a large power of two (2^54 at 0.3), and dyadic ones.
+SANDWICH_EPS = (0.3, 0.5, 0.125, 0.9, 0.01)
+
+
+def test_sandwich_table_equals_value_on_every_mask():
+    assert Band(0.3).q == 2 ** 54 and Band(0.125).q == 8
+    mixed = 0
+    for pair in _pairs():
+        for eps in SANDWICH_EPS:
+            sw = SandwichFunction(pair.fh, pair.g, eps)
+            assert_table_matches(sw, sw.n)
+            answers = {sw.band.contains(g, fh) for g, fh in zip(tabulate(pair.g, sw.n),
+                                                                  tabulate(pair.fh, sw.n))}
+            mixed += answers == {True, False}
+    assert mixed >= 10  # both answers occur, so the table makes real choices
+
+
+@pytest.mark.parametrize("fh, g, has_table", [
+    # A float weight: fh has no table, so neither has the sandwich; g likewise.
+    (AdditiveFunction([0.5, 1]), ConcaveCardinalityFunction([0, 1, 2]), False),
+    (AdditiveFunction([1, 1]), ConcaveCardinalityFunction([0, 0.5, 1.0]), False),
+    # The pair key fh * span + (g - min g) fits while (max |fh| + 1) * span
+    # stays at most 2^63: g's entries 0, 2, 3 span 4, and 0, 2, 4 span 5.
+    (AdditiveFunction([EDGE - 1, 0]), ConcaveCardinalityFunction([0, 2, 3]), True),
+    (AdditiveFunction([EDGE - 1, 0]), ConcaveCardinalityFunction([0, 2, 4]), False),
+    # fh answers on {0}, scaled by g's denominator 2: 2^61 - 2 is below the
+    # limit, 2^61 is not.
+    (AdditiveFunction([EDGE // 2 - 1, 0]),
+     ConcaveCardinalityFunction([0, Fraction(1, 2), Fraction(1, 2)]), True),
+    (AdditiveFunction([EDGE // 2, 0]),
+     ConcaveCardinalityFunction([0, Fraction(1, 2), Fraction(1, 2)]), False),
+    # g answers on every set, scaled by fh's denominator 3: 3 (c + 1) is
+    # 2^61 - 2 or 2^61 + 1.
+    *[(ConcaveCardinalityFunction([c, c + Fraction(1, 3), c + Fraction(1, 3)]),
+       ConcaveCardinalityFunction([c, c + 1, c + 1]), has)
+      for c, has in (((EDGE - 5) // 3, True), ((EDGE - 2) // 3, False))],
+])
+def test_sandwich_table_falls_back_at_the_edge(fh, g, has_table):
+    sw = SandwichFunction(fh, g, 0.3)
+    if has_table:
+        assert_table_matches(sw, 2)
+    else:
+        assert sw.exact_table() is None
+    for check, ref in ((check_submodular, reference_check_submodular),
+                       (check_monotone, reference_check_monotone)):
+        assert_same_report(check(sw, 2), ref(sw, 2))
+
+
+@pytest.mark.parametrize("pair", list(_pairs(((12, 6, 2, 5),))), ids=["monotone", "coverage"])
+@pytest.mark.parametrize("eps", SANDWICH_EPS)
+def test_sandwich_checks_equal_generic(pair, eps):
+    """The checkers read the sandwich's table; the references tabulate it."""
+    sw = SandwichFunction(pair.fh, pair.g, eps)
+    assert sw.exact_table() is not None
+    assert_same_report(check_submodular(sw, 12), reference_check_submodular(sw, 12))
+    assert_same_report(check_monotone(sw, 12), reference_check_monotone(sw, 12))
+
+
+def _count_values(fn) -> list:
+    """Masks of the sets fn's ``value()`` is called on from now on."""
+    calls = []
+    value = fn.value
+    fn.value = lambda s: calls.append(s.mask) or value(s)
+    return calls
+
+
+def test_check_sandwich_reads_F_by_value_on_every_set():
+    """Once per set in exhaustive mode, on a pass and on a failure, whether
+    or not F has a table; f is read from its own table."""
+    n = 10
+    pair = next(_pairs(((n, 5, 2, 4),)))
+    eps = pair.params.epsilon
+    sw = build_sandwich(pair)
+    noisy = ConsistentNoiseOracle(pair.fh, 0.25, 1)
+    cases = [(sw, pair.fh, eps, True), (sw, pair.g, eps, False), (pair.g, sw, eps, False),
+             (noisy, pair.fh, 0.25, True), (noisy, pair.fh, 0.1, False)]
+    for F, f, e, passed in cases:
+        F, f = copy.copy(F), copy.copy(f)  # so that F and f count only the check's calls
+        calls, f_calls = _count_values(F), _count_values(f)
+        assert check_sandwich(F, f, e, n).passed == passed
+        assert calls == list(range(1 << n))
+        assert len(f_calls) == (not passed)  # the witness's own f value
+
+
+@pytest.mark.parametrize("pair", list(_pairs(((10, 5, 2, 4),))), ids=["monotone", "coverage"])
+def test_check_sandwich_equals_parent(pair, monkeypatch):
+    """Each report equals the parent checker's, which read F's table when it
+    had one, both with the sandwich's table and without it (as before the
+    sandwich had one)."""
+    n = 10
+    eps = pair.params.epsilon
+    sw = build_sandwich(pair)
+    noisy = ConsistentNoiseOracle(pair.fh, 0.25, 3)
+    cases = [(sw, pair.fh, eps, {}), (sw, pair.g, eps, {}), (pair.fh, sw, eps, {}),
+             (pair.g, sw, eps, {}), (noisy, pair.fh, 0.25, {}), (noisy, pair.fh, 0.1, {}),
+             (noisy, sw, 0.3, {})]
+    cases += [(F, f, e, dict(mode="sampled", trials=300, seed=5)) for F, f, e, _ in cases]
+    verdicts = set()
+    for F, f, e, kwargs in cases:
+        got = check_sandwich(F, f, e, n, **kwargs)
+        verdicts.add(got.passed)
+        assert_same_report(got, parent_check_sandwich(F, f, e, n, **kwargs))
+        with monkeypatch.context() as m:
+            m.setattr(SandwichFunction, "exact_table", ValueOracle.exact_table)
+            assert_same_report(got, parent_check_sandwich(F, f, e, n, **kwargs))
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("eps, passed", [(0.6, True), (0.3, False), (0.05, False)])
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_check_sandwich_estimator_draws_equal_parent(mode, eps, passed):
+    """A sampling estimator F draws in query order; the check draws the same
+    samples for every set up to the witness, and reports the same."""
+    n = 8
+    f = instance_corpus(0, sizes=(n,))[3]
+    kwargs = dict(mode=mode, trials=200, seed=2) if mode == "sampled" else {}
+    new, old = _estimator(f, 9), _estimator(f, 9)
+    got = check_sandwich(new, f, eps, n, **kwargs)
+    assert got.passed == passed
+    assert_same_report(got, parent_check_sandwich(old, f, eps, n, **kwargs))
+    drawn = list(old._cache.items())
+    assert list(new._cache.items())[:len(drawn)] == drawn
+    assert len(new._cache) == (1 << n if mode == "exhaustive" else len(drawn))

@@ -613,6 +613,7 @@ def _deep_sum(depth):
 
 
 
+_ADDITIVE = {"kind": "additive", "weights": [1, 2, 3]}
 _HUGE_INT = {"kind": "additive", "weights": [10 ** 400, 1, 2]}
 _INF_SUM = {"kind": "sum", "terms": [  # {0} and {1} are a finite counterexample
     {"kind": "budget_additive", "weights": [2, -1, 0], "budget": 1},
@@ -706,6 +707,32 @@ _INF_ADDITIVE = {"kind": "additive", "weights": [1e308, 1e308, 1]}
                  id="sandwich-additive-inf"),
     pytest.param(["sweep"], json.dumps({"instances": [_INF_ADDITIVE], "k": 2, "seeds": [0]}),
                  id="sweep-additive-inf"),
+    # a missing block or band once exited 2 with only a KeyError repr
+    pytest.param(["verify", "--property", "sandwich"], json.dumps({"instance": _ADDITIVE}),
+                 id="sandwich-no-noise"),
+    pytest.param(["verify", "--property", "sandwich"],
+                 json.dumps({"instance": _ADDITIVE,
+                             "noise": {"kind": "inconsistent", "width": 0.5, "m": 2}}),
+                 id="sandwich-no-band-epsilon"),
+    # a JSON boolean once counted as 0 or 1 and exited 0
+    pytest.param(["sample"], '{"n": 6, "trials": true, "k": true}', id="sample-bool-counts"),
+    pytest.param(["sample"], '{"n": true, "trials": 1, "k": 1}', id="sample-bool-n"),
+    pytest.param(["sample"], '{"n": 6, "trials": 1, "k": 1, "seed": true}', id="sample-bool-seed"),
+    pytest.param(["sweep"], '{"k": true, "sizes": [6], "count": 1, "seeds": [0]}',
+                 id="sweep-bool-k"),
+    pytest.param(["sweep"], '{"k": 2, "sizes": [6], "count": 1, "seeds": [true]}',
+                 id="sweep-bool-seed"),
+    pytest.param(["sweep"], '{"k": 2, "sizes": [true], "count": true, "seeds": [0]}',
+                 id="sweep-bool-size-count"),
+    pytest.param(["verify", "--property", "sandwich"],
+                 json.dumps({"construction": {**_SANDWICH_SAMPLED["construction"], "alpha": True}}),
+                 id="sandwich-bool-alpha"),
+    pytest.param(["verify", "--property", "sandwich"],
+                 json.dumps({**_SANDWICH_SAMPLED, "trials": True}), id="sandwich-bool-trials"),
+    pytest.param(["verify", "--property", "sandwich"],
+                 json.dumps({"instance": _ADDITIVE, "noise": {"kind": "inconsistent", "width": 0.5,
+                                                              "m": True, "epsilon": 0.3}}),
+                 id="sandwich-bool-m"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_cli_rejects_malformed_input(tmp_path, capsys, argv, text):
@@ -715,6 +742,27 @@ def test_cli_rejects_malformed_input(tmp_path, capsys, argv, text):
     path.write_text(text)
     flag = "--instance" if argv[-1] in ("monotone", "submodular") else "--config"
     _assert_rejected(capsys, argv + [flag, str(path)])
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"instance": _ADDITIVE},
+     "error: a sandwich config with an 'instance' needs a 'noise' block: "
+     "it builds the noisy oracle F checked against the instance\n"),
+    ({"instance": _ADDITIVE, "noise": {"kind": "inconsistent", "width": 0.5, "m": 2}},
+     "error: the noise block needs 'epsilon': the sandwich check tests "
+     "F against the band (1 +- epsilon) f\n"),
+    ({"instance": _ADDITIVE, "noise": {"kind": "consistent", "seed": 2}},
+     "error: the noise block needs 'epsilon': the sandwich check tests "
+     "F against the band (1 +- epsilon) f\n"),
+    ({"construction": {**_SANDWICH_SAMPLED["construction"], "alpha": True}},
+     "error: alpha must be an integer, got True\n"),
+], ids=["no-noise", "inconsistent-no-epsilon", "consistent-no-epsilon", "bool-alpha"])
+def test_cli_sandwich_names_the_key(tmp_path, capsys, cfg, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["verify", "--property", "sandwich", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message
 
 
 @pytest.mark.parametrize("prop, checks", [("submodular", 10), ("monotone", 4)],
@@ -730,7 +778,6 @@ def test_cli_gives_deep_sums_a_verdict(tmp_path, capsys, prop, checks):
     assert captured.err == ""
 
 
-_ADDITIVE = {"kind": "additive", "weights": [1, 2, 3]}
 _SEEDED_SANDWICHES = {
     "construction": {"construction": _SANDWICH_SAMPLED["construction"]},
     "consistent-noise": {"instance": _ADDITIVE,
