@@ -99,6 +99,8 @@ def _cmd_verify(args) -> int:
                     else build_monotone_pair)(params, hidden)
             F, f, epsilon, n = build_sandwich(pair), pair.fh, params.epsilon, params.n
         else:
+            if "instance" not in cfg:
+                raise ValueError("a sandwich config needs a 'construction' or an 'instance'")
             f = instance_from_dict(cfg.pop("instance"))
             if "noise" not in cfg:
                 raise ValueError("a sandwich config with an 'instance' needs a 'noise' block: "

@@ -330,12 +330,12 @@ def _is_rational(x) -> bool:
 # ---------------------------------------------------------------------------
 
 def config_int(value, name: str) -> int:
-    """A config's count, size, budget or seed as an int.  ``operator.index``
-    takes a bool as 0 or 1, but JSON ``true`` counts nothing; instance weights
-    stay free to be bool (``_EXACT_TYPES``)."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
+    """A config's count, size, budget or seed as an int, or a ValueError that
+    names it.  ``operator.index`` takes a bool as 0 or 1, but JSON ``true``
+    counts nothing; instance weights stay free to be bool (``_EXACT_TYPES``)."""
+    if not isinstance(value, bool) and hasattr(type(value), "__index__"):
+        return operator.index(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _num_to_obj(x):

@@ -3,9 +3,9 @@
 Two models:
 
 * consistent noise: a persistent multiplicative perturbation, the same value
-  on every re-query of a set.  Implemented statelessly with a keyed 64-bit
-  mixing hash over the subset's canonical blocks, so no per-set table is
-  stored and identity holds across runs and processes.
+  on every re-query of a set.  Implemented statelessly: the seed is mixed once
+  per oracle, and each query folds its mask's 64-bit words into it with a
+  64-bit mixer, so no per-set table is stored and identity holds across runs.
 * inconsistent noise: every query is a fresh unbiased draw; the sampling
   estimator draws m per set from its own seeded stream and caches their mean
   to present a consistent oracle again.
@@ -36,24 +36,23 @@ def _mix64(z: int) -> int:
     return z
 
 
-def subset_unit(seed: int, s: Subset) -> float:
-    """Deterministic uniform-in-[0,1) value keyed by (seed, canonical subset key).
-
-    The mixer is folded over the subset's 64-bit blocks and the final state is
-    mapped to [0,1) by 53-bit mantissa division.
-    """
-    state = _mix64(seed & _M64)
-    for block in s.key():
-        state = _mix64(state ^ block)
+def subset_unit(state: int, mask: int) -> float:
+    """Deterministic uniform-in-[0,1) value keyed by (state, mask): the mixer
+    is folded from the oracle's mixed seed over the mask's 64-bit words, least
+    significant first, up to the last nonzero one, and the final state is
+    mapped to [0,1) by 53-bit mantissa division."""
+    while mask:
+        state = _mix64(state ^ (mask & _M64))
+        mask >>= 64
     return (state >> 11) * 2.0 ** -53
 
 
 class ConsistentNoiseOracle(ValueOracle):
     """F(S) = xi_S * f(S) with xi_S uniform in [1-eps, 1+eps], persistent per set.
 
-    xi_S is a pure function of (seed, canonical key of S): re-querying any set
-    returns the identical value, and two oracles built with the same
-    (f, eps, seed) agree everywhere.
+    xi_S is a pure function of (seed, mask of S), and the seed is mixed when
+    the oracle is built: re-querying any set returns the identical value, and
+    two oracles built with the same (f, eps, seed) agree everywhere.
     """
 
     def __init__(self, base, epsilon: float, seed: int):
@@ -62,17 +61,14 @@ class ConsistentNoiseOracle(ValueOracle):
         super().__init__(base.n)
         self.base = base
         self.epsilon = float(epsilon)
-        self.seed = seed
-
-    def xi(self, s: Subset) -> float:
-        u = subset_unit(self.seed, s)
-        return 1.0 + self.epsilon * (2.0 * u - 1.0)
+        self._state = _mix64(seed & _M64)
 
     def value(self, s: Subset):
         v = self.base.value(s)
         if self.epsilon == 0.0:
             return v
-        return self.xi(s) * v
+        u = subset_unit(self._state, s.mask)
+        return (1.0 + self.epsilon * (2.0 * u - 1.0)) * v
 
 
 def required_samples(B, b, n, epsilon: float, confidence_constant: float = 3.0) -> int:
@@ -187,11 +183,15 @@ def noise_from_dict(base, cfg: dict):
     seed = config_int(cfg.get("seed", 0), "seed")  # None would draw OS entropy
     if kind == "consistent":
         return ConsistentNoiseOracle(base, cfg["epsilon"], seed)
+    if "width" not in cfg:
+        raise ValueError("an inconsistent noise block needs 'width', each draw's spread")
     family, width = cfg.get("family", "uniform-relative"), cfg["width"]
     _check_draws(family, width)  # a bad family or width reports before m's errors
     if "m" in cfg:
         m = config_int(cfg["m"], "m")
     elif "B" in cfg:
+        if "b" not in cfg:
+            raise ValueError("a noise block with 'B' needs 'b', the lower value bound")
         m = required_samples(
             cfg["B"], cfg["b"], base.n, cfg["epsilon"], cfg.get("confidence_constant", 3.0),
         )

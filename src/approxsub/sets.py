@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-_BLOCK_BITS = 64
-_BLOCK_MASK = (1 << _BLOCK_BITS) - 1
-
 
 def iter_bits(mask: int):
     """Yield the indices of the set bits of ``mask`` in increasing order."""
@@ -89,16 +86,6 @@ class Subset:
 
     def elements(self) -> list[int]:
         return list(iter_bits(self.mask))
-
-    def key(self) -> tuple[int, ...]:
-        """Canonical 64-bit block sequence (least-significant block first,
-        trailing zero blocks trimmed).  Stable across runs; used as PRF input."""
-        m = self.mask
-        blocks = []
-        while m:
-            blocks.append(m & _BLOCK_MASK)
-            m >>= _BLOCK_BITS
-        return tuple(blocks)
 
     def _check_same_ground(self, other: "Subset"):
         if self.n != other.n:

@@ -223,6 +223,80 @@ def parent_build_greedy_trap(k: int, beta: float, n: int) -> GreedyTrapInstance:
     return ParentGreedyTrap(n, k, beta, epsilon, a_size, bc_size)
 
 
+# ---------------------------------------------------------------------------
+# The consistent-noise hash before the oracle mixed its seed once: the block
+# key (``Subset.key``, here a function of the subset), the mixer, the hash
+# over the key (``noise.subset_unit``) and the oracle that read it
+# (``noise.ConsistentNoiseOracle``), verbatim but for the names.
+# ---------------------------------------------------------------------------
+
+_BLOCK_BITS = 64
+_BLOCK_MASK = (1 << _BLOCK_BITS) - 1
+_M64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def subset_key(self) -> tuple[int, ...]:
+    """Canonical 64-bit block sequence (least-significant block first,
+    trailing zero blocks trimmed).  Stable across runs; used as PRF input."""
+    m = self.mask
+    blocks = []
+    while m:
+        blocks.append(m & _BLOCK_MASK)
+        m >>= _BLOCK_BITS
+    return tuple(blocks)
+
+
+def mix64(z: int) -> int:
+    """SplitMix64 finalizer: a full-avalanche 64-bit mixer."""
+    z = (z + _GOLDEN) & _M64
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & _M64
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & _M64
+    z ^= z >> 31
+    return z
+
+
+def parent_subset_unit(seed: int, s: Subset) -> float:
+    """Deterministic uniform-in-[0,1) value keyed by (seed, canonical subset key).
+
+    The mixer is folded over the subset's 64-bit blocks and the final state is
+    mapped to [0,1) by 53-bit mantissa division.
+    """
+    state = mix64(seed & _M64)
+    for block in subset_key(s):
+        state = mix64(state ^ block)
+    return (state >> 11) * 2.0 ** -53
+
+
+class ParentConsistentNoiseOracle(ValueOracle):
+    """F(S) = xi_S * f(S) with xi_S uniform in [1-eps, 1+eps], persistent per set.
+
+    xi_S is a pure function of (seed, canonical key of S): re-querying any set
+    returns the identical value, and two oracles built with the same
+    (f, eps, seed) agree everywhere.
+    """
+
+    def __init__(self, base, epsilon: float, seed: int):
+        if not 0 <= epsilon < 1:
+            raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
+        super().__init__(base.n)
+        self.base = base
+        self.epsilon = float(epsilon)
+        self.seed = seed
+
+    def xi(self, s: Subset) -> float:
+        u = parent_subset_unit(self.seed, s)
+        return 1.0 + self.epsilon * (2.0 * u - 1.0)
+
+    def value(self, s: Subset):
+        v = self.base.value(s)
+        if self.epsilon == 0.0:
+            return v
+        return self.xi(s) * v
+
+
 class TableFunction(ValueOracle):
     """Arbitrary set function given by a value table indexed by mask."""
 

@@ -83,3 +83,25 @@ def test_traced_verify_evaluates_each_sandwich_once(run):
     sandwich_items = range(items - params["sandwiches"], items)
     tabulated = [span[2] for span in out["trace"]["spans"] if span[3] == "verify.tabulate"]
     assert sorted(tabulated) == list(sandwich_items)
+
+
+def test_traced_sweep_hashes_once_per_noisy_query(run):
+    """Two of the three error levels are noisy and every cell makes the same
+    queries, so a third of the queries hash nothing and the rest hash once."""
+    params = run.TINY["sweep"]
+    assert params["deltas"] == [0.0, 0.5, 1 - 1e-9]
+    out = run.run_benchmark("sweep", 0, 0, True, params=params, setup_probes=0)
+    assert out["result"]["correct"]
+    layers = out["trace"]["layers"]
+    hashes, queries = layers["noise.subset_unit"]["calls"], layers["sets.query"]["calls"]
+    assert queries == 9174
+    assert 3 * hashes == 2 * queries
+
+
+def test_traced_sweep_at_zero_epsilon_hashes_nothing(run):
+    params = {**run.TINY["sweep"], "deltas": [0.0]}
+    out = run.run_benchmark("sweep", 0, 0, True, params=params, setup_probes=0)
+    assert out["result"]["correct"]
+    layers = out["trace"]["layers"]
+    assert layers["sets.query"]["calls"] > 0
+    assert layers["noise.subset_unit"]["calls"] == 0

@@ -733,6 +733,23 @@ _INF_ADDITIVE = {"kind": "additive", "weights": [1e308, 1e308, 1]}
                  json.dumps({"instance": _ADDITIVE, "noise": {"kind": "inconsistent", "width": 0.5,
                                                               "m": True, "epsilon": 0.3}}),
                  id="sandwich-bool-m"),
+    # a missing key once exited 2 with only a KeyError repr
+    pytest.param(["verify", "--property", "sandwich"],
+                 json.dumps({"instance": _ADDITIVE,
+                             "noise": {"kind": "inconsistent", "epsilon": 0.3, "m": 2}}),
+                 id="sandwich-no-width"),
+    pytest.param(["verify", "--property", "sandwich"],
+                 json.dumps({"instance": _ADDITIVE, "noise": {"kind": "inconsistent", "epsilon": 0.3,
+                                                              "width": 0.1, "B": 3}}),
+                 id="sandwich-no-b"),
+    pytest.param(["verify", "--property", "sandwich"],
+                 json.dumps({"noise": {"kind": "consistent", "epsilon": 0.3}}),
+                 id="sandwich-no-instance"),
+    # a non-integer seed once exited 2 with only the TypeError of operator.index
+    pytest.param(["verify", "--property", "sandwich"],
+                 json.dumps({"instance": _ADDITIVE,
+                             "noise": {"kind": "consistent", "epsilon": 0.3, "seed": 1.5}}),
+                 id="sandwich-float-seed"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_cli_rejects_malformed_input(tmp_path, capsys, argv, text):
@@ -756,7 +773,19 @@ def test_cli_rejects_malformed_input(tmp_path, capsys, argv, text):
      "F against the band (1 +- epsilon) f\n"),
     ({"construction": {**_SANDWICH_SAMPLED["construction"], "alpha": True}},
      "error: alpha must be an integer, got True\n"),
-], ids=["no-noise", "inconsistent-no-epsilon", "consistent-no-epsilon", "bool-alpha"])
+    ({"instance": _ADDITIVE, "noise": {"kind": "inconsistent", "epsilon": 0.3, "m": 2}},
+     "error: an inconsistent noise block needs 'width', each draw's spread\n"),
+    ({"instance": _ADDITIVE, "noise": {"kind": "inconsistent", "epsilon": 0.3, "width": 0.1,
+                                       "B": 3}},
+     "error: a noise block with 'B' needs 'b', the lower value bound\n"),
+    ({"noise": {"kind": "consistent", "epsilon": 0.3}},
+     "error: a sandwich config needs a 'construction' or an 'instance'\n"),
+    ({"instance": _ADDITIVE, "noise": {"kind": "consistent", "epsilon": 0.3, "seed": 1.5}},
+     "error: seed must be an integer, got 1.5\n"),
+    ({"instance": _ADDITIVE, "noise": {"kind": "consistent", "epsilon": 0.0, "seed": [1]}},
+     "error: seed must be an integer, got [1]\n"),
+], ids=["no-noise", "inconsistent-no-epsilon", "consistent-no-epsilon", "bool-alpha",
+        "no-width", "no-b", "no-instance", "float-seed", "list-seed-zero-epsilon"])
 def test_cli_sandwich_names_the_key(tmp_path, capsys, cfg, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

@@ -19,10 +19,18 @@ from approxsub.noise import (
     SamplingEstimator,
     noise_from_dict,
     required_samples,
+    subset_unit,
 )
 from approxsub.sets import Subset
 from approxsub.verify import check_sandwich
-from conftest import InconsistentNoiseOracle, ReferenceSamplingEstimator
+from conftest import (
+    InconsistentNoiseOracle,
+    ParentConsistentNoiseOracle,
+    ReferenceSamplingEstimator,
+    mix64,
+    parent_subset_unit,
+    subset_key,
+)
 
 
 def _random_subsets(n, count, seed):
@@ -312,3 +320,123 @@ def test_noise_from_dict_needs_a_sampled_estimator():
 def test_noise_from_dict_unknown_kind():
     with pytest.raises(ValueError):
         noise_from_dict(AdditiveFunction([1]), {"kind": "laplace"})
+
+
+# ---------------------------------------------------------------------------
+# The hash folds the mask's 64-bit words into the oracle's mixed seed: the
+# same noise, bit for bit, as the parent's fold over ``Subset.key()`` blocks
+# from a seed mixed on every query (verbatim in conftest).
+# ---------------------------------------------------------------------------
+
+HASH_WIDTHS = (1, 14, 63, 64, 65, 128, 200, 1 << 14)
+HASH_SEEDS = (0, -1, 2**64 + 5, 2**70)
+HASH_EPSILONS = (0.0, 1e-9, 0.5, 1 - 1e-9)
+_M64_WORD = (1 << 64) - 1
+
+
+def _fold(state: int, words) -> float:
+    for word in words:
+        state = mix64(state ^ word)
+    return (state >> 11) * 2.0 ** -53
+
+
+def _hash_masks(n: int) -> list[int]:
+    """The empty and full masks, the lowest and highest element alone and
+    together, every other word set, and random masks with word 1 cleared:
+    past 128 bits every kind but empty, full and lone-low has interior zero
+    words."""
+    full = (1 << n) - 1
+    rng = random.Random(n)
+    every_other = sum(_M64_WORD << (64 * w) for w in range(0, (n + 63) // 64, 2)) & full
+    masks = [0, full, 1, 1 << (n - 1), 1 | 1 << (n - 1), every_other]
+    masks += [rng.getrandbits(n) & ~(_M64_WORD << 64) for _ in range(3)]
+    return masks
+
+
+def _bases(n: int):
+    """One int, one Fraction and one float base on n elements."""
+    return (AdditiveFunction([i % 7 + 1 for i in range(n)]),
+            AdditiveFunction([Fraction(i % 5 + 1, 3) for i in range(n)]),
+            AdditiveFunction([(i % 3 + 1) * 0.1 for i in range(n)]))
+
+
+def _assert_same_noise(bases, epsilon, seed, mask):
+    n = bases[0].n
+    s = Subset(n, mask)
+    state = ConsistentNoiseOracle(bases[0], epsilon, seed)._state
+    got, want = subset_unit(state, mask), parent_subset_unit(seed, s)
+    assert got == want and type(got) is float, (n, seed, mask)
+    for base in bases:
+        got = ConsistentNoiseOracle(base, epsilon, seed).value(s)
+        want = ParentConsistentNoiseOracle(base, epsilon, seed).value(s)
+        assert got == want and type(got) is type(want), (n, epsilon, seed, mask)
+
+
+@pytest.mark.parametrize("n", HASH_WIDTHS)
+def test_hash_and_value_equal_the_parent_bit_for_bit(n):
+    bases = _bases(n)
+    for mask in _hash_masks(n):
+        for seed in HASH_SEEDS:
+            for epsilon in HASH_EPSILONS:
+                _assert_same_noise(bases, epsilon, seed, mask)
+
+
+@st.composite
+def wide_masks(draw):
+    """A width from the list above or any up to 2^14, and a mask built word by
+    word with zero words likely, so interior and trailing zeros both occur."""
+    n = draw(st.one_of(st.sampled_from(HASH_WIDTHS), st.integers(1, 1 << 14)))
+    words = draw(st.lists(st.one_of(st.just(0), st.just(_M64_WORD), st.integers(0, _M64_WORD)),
+                          max_size=(n + 63) // 64))
+    return n, sum(w << (64 * i) for i, w in enumerate(words)) & ((1 << n) - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_masks(),
+       st.one_of(st.sampled_from(HASH_SEEDS), st.integers(-2**80, 2**80)),
+       st.one_of(st.sampled_from(HASH_EPSILONS), st.floats(0, 1, exclude_max=True)))
+def test_hash_and_value_equal_the_parent_fuzzed(n_mask, seed, epsilon):
+    n, mask = n_mask
+    _assert_same_noise(_bases(n), epsilon, seed, mask)
+
+
+def test_hash_folds_trimmed_words_low_first():
+    """The words folded are the parent's key blocks: least significant first,
+    trailing zero words never folded, and an element only in the low word
+    folds one word."""
+    state = mix64(7)
+    assert subset_unit(state, 0) == _fold(state, ()) == _fold(state, subset_key(Subset(200, 0)))
+    assert subset_unit(state, 8) == _fold(state, (8,))
+    wide = Subset.from_elements([0, 70, 130], 200)
+    assert subset_key(wide) == (1, 1 << 6, 1 << 2)
+    assert subset_unit(state, wide.mask) == _fold(state, (1, 1 << 6, 1 << 2))
+    assert subset_unit(state, wide.mask) != _fold(state, (1, 1 << 6, 1 << 2, 0))
+    assert subset_unit(state, wide.mask) != _fold(state, (1 << 2, 1 << 6, 1))
+    assert subset_unit(state, 1 << 63) == _fold(state, (1 << 63,))
+    assert subset_unit(state, 1 << 64) == _fold(state, (0, 1))
+
+
+def test_hash_folds_every_word_of_a_wide_mask():
+    n = 1 << 16
+    s = Subset.from_elements([0, 1000, n - 1], n)
+    words = [(s.mask >> (64 * i)) & _M64_WORD for i in range(n // 64)]
+    assert words == list(subset_key(s)) and sum(map(bool, words)) == 3
+    assert subset_unit(mix64(3), s.mask) == _fold(mix64(3), words) == parent_subset_unit(3, s)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.3])
+@pytest.mark.parametrize("seed", [1.5, None, "1"])
+def test_non_integer_seed_fails_when_the_oracle_is_built(seed, epsilon):
+    """The seed is mixed once, when the oracle is built, so a seed that is not
+    an integer fails there.  The parent mixed it on each noisy query: at
+    eps = 0 it never hashed and answered f, and at eps > 0 it failed at the
+    first query."""
+    f = AdditiveFunction([1, 2])
+    with pytest.raises(TypeError):
+        ConsistentNoiseOracle(f, epsilon, seed)
+    parent = ParentConsistentNoiseOracle(f, epsilon, seed)
+    if epsilon == 0.0:
+        assert parent.value(Subset.full(2)) == 3
+    else:
+        with pytest.raises(TypeError):
+            parent.value(Subset.full(2))

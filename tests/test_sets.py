@@ -64,16 +64,6 @@ def test_subset_ground_mismatch():
         Subset.from_elements([0], 4).union(Subset.from_elements([0], 5))
 
 
-def test_canonical_key_trims_trailing_blocks():
-    assert Subset.from_elements([], 200).key() == ()
-    assert Subset.from_elements([3], 200).key() == (8,)
-    wide = Subset.from_elements([0, 70, 130], 200)
-    blocks = wide.key()
-    assert blocks == (1, 1 << 6, 1 << 2)
-    # An element only in the low block leaves high blocks absent.
-    assert len(Subset.from_elements([63], 200).key()) == 1
-
-
 def test_query_counts_and_values():
     f = AdditiveFunction([1, 2, 3])
     s = Subset.from_elements([0, 2], 3)
@@ -107,8 +97,6 @@ def test_wide_ground_sets():
     s = Subset.from_elements([0, 1000, n - 1], n)
     assert s.size == 3
     assert s.complement().size == n - 3
-    assert len(s.key()) == n // 64
-    assert sum(b << (64 * i) for i, b in enumerate(s.key())) == s.mask
 
 
 def test_query_count_serial():
