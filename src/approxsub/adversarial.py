@@ -29,6 +29,7 @@ from .functions import (
     BudgetAdditiveFunction,
     ConcaveCardinalityFunction,
     SumFunction,
+    config_number,
 )
 from .sets import Subset, ValueOracle
 
@@ -69,7 +70,7 @@ class HardPairParams:
             raise ValueError(f"need k <= h, got k={self.k}, h={self.h}")
         if 2 * self.h > self.n:
             raise ValueError(f"need h <= n/2, got h={self.h}, n={self.n}")
-        if not 0 < self.epsilon < 1:
+        if not 0 < config_number(self.epsilon, "epsilon") < 1:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
 
     @property

@@ -22,7 +22,7 @@ from .adversarial import (
     gap_bound,
     power_law_params,
 )
-from .functions import CoverageFunction, config_int, instance_from_dict
+from .functions import CoverageFunction, config_int, config_number, instance_from_dict
 from .noise import noise_from_dict
 from .verify import check_concentration, check_monotone, check_sandwich, check_submodular
 
@@ -110,7 +110,7 @@ def _cmd_verify(args) -> int:
                 raise ValueError("the noise block needs 'epsilon': the sandwich check tests "
                                  "F against the band (1 +- epsilon) f")
             F = noise_from_dict(f, noise)
-            epsilon, n = noise["epsilon"], f.n
+            epsilon, n = config_number(noise["epsilon"], "epsilon"), f.n
         report = check_sandwich(F, f, epsilon, n, **{
             "mode": args.mode or "exhaustive", "trials": args.trials, "seed": args.seed, **cfg,
         })

@@ -29,6 +29,7 @@ from .functions import (
     CoverageFunction,
     SumFunction,
     config_int,
+    config_number,
 )
 from .noise import ConsistentNoiseOracle, SamplingEstimator, required_samples
 from .sets import Subset
@@ -276,7 +277,7 @@ def run_noise_sweep(instances, k: int = 4, delta_grid=(0.0, 0.5, 1 - 1e-9),
         seed = config_int(seed, "seed")
         for idx, inst in enumerate(instances):
             for delta in delta_grid:
-                eps = float(delta) / k
+                eps = float(config_number(delta, "a delta_grid entry")) / k
                 F = ConsistentNoiseOracle(inst, eps, seed)
                 res = greedy_cardinality(F, k)
                 opt = brute_force(F, k)
@@ -387,6 +388,8 @@ def run_sampling_validation(
     report the violating-set count against the union-bounded prediction.
     """
     trials, k, seed = config_int(trials, "trials"), config_int(k, "k"), config_int(seed, "seed")
+    epsilon, width = config_number(epsilon, "epsilon"), config_number(width, "width")
+    confidence_constant = config_number(confidence_constant, "confidence_constant")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     if not k >= 1:

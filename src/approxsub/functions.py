@@ -11,6 +11,7 @@ exact values to such a table.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from fractions import Fraction
 
@@ -336,6 +337,14 @@ def config_int(value, name: str) -> int:
     if not isinstance(value, bool) and hasattr(type(value), "__index__"):
         return operator.index(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def config_number(value, name: str):
+    """A config's real-valued key (an error level, width, bound or constant)
+    unchanged, or a ValueError that names it; JSON ``true`` is not 1."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        return value
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def _num_to_obj(x):

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .functions import config_int
+from .functions import config_int, config_number
 from .sets import Subset, ValueOracle
 
 _M64 = (1 << 64) - 1
@@ -182,10 +182,10 @@ def noise_from_dict(base, cfg: dict):
         raise ValueError(f"unknown keys in a {kind} noise block: {sorted(stray)}")
     seed = config_int(cfg.get("seed", 0), "seed")  # None would draw OS entropy
     if kind == "consistent":
-        return ConsistentNoiseOracle(base, cfg["epsilon"], seed)
+        return ConsistentNoiseOracle(base, config_number(cfg["epsilon"], "epsilon"), seed)
     if "width" not in cfg:
         raise ValueError("an inconsistent noise block needs 'width', each draw's spread")
-    family, width = cfg.get("family", "uniform-relative"), cfg["width"]
+    family, width = cfg.get("family", "uniform-relative"), config_number(cfg["width"], "width")
     _check_draws(family, width)  # a bad family or width reports before m's errors
     if "m" in cfg:
         m = config_int(cfg["m"], "m")
@@ -193,7 +193,9 @@ def noise_from_dict(base, cfg: dict):
         if "b" not in cfg:
             raise ValueError("a noise block with 'B' needs 'b', the lower value bound")
         m = required_samples(
-            cfg["B"], cfg["b"], base.n, cfg["epsilon"], cfg.get("confidence_constant", 3.0),
+            config_number(cfg["B"], "B"), config_number(cfg["b"], "b"), base.n,
+            config_number(cfg["epsilon"], "epsilon"),
+            config_number(cfg.get("confidence_constant", 3.0), "confidence_constant"),
         )
     else:
         raise ValueError("an inconsistent noise block needs 'm' or 'B' for the "

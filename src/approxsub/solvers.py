@@ -1,12 +1,15 @@
 """Maximization algorithms over counted value oracles, their worst-case ratio
 formulas, and a brute-force reference solver.
 
-All solvers are deterministic: ties in every argmax break toward the smallest
-element id, and brute force breaks toward the smallest canonical mask.
+Both greedy solvers run one round loop, ``_greedy``; a matroid only decides
+which winners are kept.  All solvers are deterministic: ties in every argmax
+break toward the smallest element id, and brute force breaks toward the
+smallest canonical mask.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .matroids import Matroid
@@ -27,67 +30,57 @@ class SolveResult:
     queries_used: int = 0
 
 
-def greedy_cardinality(F: ValueOracle, k: int) -> SolveResult:
-    """Plain greedy under a cardinality budget: k rounds, each adding the
-    element maximizing the queried value of the augmented set.
-
-    Each round walks the bits of the complement of the chosen mask in
-    increasing order and queries chosen + {a} for each; only a strictly
-    larger value replaces the best, so ties go to the smallest id.  Exactly k
-    elements are selected (monotone oracles never lose by filling the
-    budget); queries_used = sum over rounds of the remaining pool size.
-    """
+def _greedy(F: ValueOracle, rounds: int, matroid: Matroid | None) -> SolveResult:
+    """The round loop of both greedy solvers.  Each round walks the pool
+    mask's bits in increasing order and queries chosen + {a} for each; only a
+    strictly larger value replaces the best, so ties go to the smallest id.
+    The winner leaves the pool and joins the chosen set unless ``matroid``
+    says the result is dependent.  Stops after ``rounds`` accepted elements
+    or when the pool is empty."""
     n = F.n
-    if k > n:
-        raise ValueError(f"budget k={k} exceeds n={n}")
     start = F.query_count
-    full = (1 << n) - 1
+    pool = (1 << n) - 1
     mask = 0
+    size = 1  # the size of every set this round queries
     trace: list[tuple[int, int]] = []
     best_value = 0
-    for size in range(1, k + 1):
+    while size <= rounds and pool:
         best = 0
         best_val = None
-        rest = full ^ mask
+        rest = pool
         while rest:
             low = rest & -rest
             v = F.query(Subset._raw(n, mask | low, size))
             if best_val is None or v > best_val:
                 best, best_val = low, v
             rest ^= low
-        mask |= best
-        best_value = best_val
-        trace.append((best.bit_length() - 1, F.query_count - start))
+        pool ^= best
+        if matroid is None or matroid.is_independent(Subset._raw(n, mask | best, size)):
+            mask |= best
+            size += 1
+            best_value = best_val
+            trace.append((best.bit_length() - 1, F.query_count - start))
     return SolveResult(Subset._raw(n, mask, len(trace)), best_value, trace,
                        F.query_count - start)
 
 
+def greedy_cardinality(F: ValueOracle, k: int) -> SolveResult:
+    """Plain greedy under a cardinality budget: exactly k rounds (monotone
+    oracles never lose by filling the budget), so queries_used is
+    :func:`expected_greedy_queries`."""
+    n = F.n
+    if k > n:
+        raise ValueError(f"budget k={k} exceeds n={n}")
+    return _greedy(F, operator.index(k), None)
+
+
 def greedy_matroid(F: ValueOracle, matroid: Matroid) -> SolveResult:
-    """Matroid greedy: repeatedly query the augmented value of every element
-    still in the pool, take the argmax, keep it only if independence is
-    preserved, and drop it from the pool either way.  Returns a basis."""
+    """Matroid greedy: each round's argmax leaves the pool and is kept only
+    if independence is preserved, until the pool is empty.  Returns a basis."""
     n = F.n
     if matroid.n != n:
         raise ValueError(f"ground set mismatch: oracle n={n}, matroid n={matroid.n}")
-    start = F.query_count
-    chosen = Subset.empty(n)
-    pool = list(range(n))
-    trace: list[tuple[int, int]] = []
-    current = 0
-    while pool:
-        best_i = 0
-        best_val = None
-        for i, x in enumerate(pool):
-            v = F.query(chosen.add(x))
-            if best_val is None or v > best_val:
-                best_i, best_val = i, v
-        x = pool.pop(best_i)
-        candidate = chosen.add(x)
-        if matroid.is_independent(candidate):
-            chosen = candidate
-            current = best_val
-            trace.append((x, F.query_count - start))
-    return SolveResult(chosen, current, trace, F.query_count - start)
+    return _greedy(F, n, matroid)
 
 
 def curvature_topk(F: ValueOracle, k: int) -> SolveResult:

@@ -105,3 +105,16 @@ def test_traced_sweep_at_zero_epsilon_hashes_nothing(run):
     layers = out["trace"]["layers"]
     assert layers["sets.query"]["calls"] > 0
     assert layers["noise.subset_unit"]["calls"] == 0
+
+
+@pytest.mark.parametrize("name, calls, queries", [
+    ("greedy-scale", 5, 4840),  # sum of expected_greedy_queries(n, 16), n = 64, 66, ..., 72
+    ("sweep", 132, 2178),
+])
+def test_traced_greedy_sees_the_shared_round_loop(run, name, calls, queries):
+    """The harness traces greedy_cardinality by its name in ``experiments``;
+    the round loop it delegates to must still count every query there."""
+    out = run.run_benchmark(name, 0, 0, True, params=run.TINY[name], setup_probes=0)
+    assert out["result"]["correct"]
+    layer = out["trace"]["layers"]["solvers.greedy_cardinality"]
+    assert (layer["calls"], layer["queries"]) == (calls, queries)

@@ -750,6 +750,49 @@ _INF_ADDITIVE = {"kind": "additive", "weights": [1e308, 1e308, 1]}
                  json.dumps({"instance": _ADDITIVE,
                              "noise": {"kind": "consistent", "epsilon": 0.3, "seed": 1.5}}),
                  id="sandwich-float-seed"),
+    # a real-valued key that is not a number once exited 2 naming no key, or
+    # was read as 0 or 1: a sandwich FAIL (exit 1), or exit 0
+    pytest.param(["verify", "--property", "sandwich"],
+                 json.dumps({"instance": _ADDITIVE,
+                             "noise": {"kind": "consistent", "epsilon": "0.3"}}),
+                 id="sandwich-str-epsilon"),
+    pytest.param(["verify", "--property", "sandwich"],
+                 json.dumps({"instance": _ADDITIVE, "noise": {"kind": "inconsistent", "epsilon": 0.3,
+                                                              "width": "0.1", "m": 4}}),
+                 id="sandwich-str-width"),
+    pytest.param(["verify", "--property", "sandwich"],
+                 json.dumps({"instance": _ADDITIVE, "noise": {"kind": "inconsistent", "epsilon": 0.3,
+                                                              "width": 0.1, "B": 3, "b": "1"}}),
+                 id="sandwich-str-b"),
+    pytest.param(["verify", "--property", "sandwich"],
+                 json.dumps({"construction": {**_SANDWICH_SAMPLED["construction"],
+                                              "epsilon": "0.3"}}),
+                 id="sandwich-str-construction-epsilon"),
+    pytest.param(["verify", "--property", "sandwich"],
+                 json.dumps({"instance": _ADDITIVE, "noise": {"kind": "inconsistent", "epsilon": 0.3,
+                                                              "width": True, "m": 4}}),
+                 id="sandwich-bool-width"),
+    pytest.param(["verify", "--property", "sandwich"],
+                 json.dumps({"instance": _ADDITIVE,
+                             "noise": {"kind": "consistent", "epsilon": False}}),
+                 id="sandwich-bool-epsilon"),
+    pytest.param(["verify", "--property", "sandwich"],
+                 json.dumps({"instance": _ADDITIVE, "noise": {"kind": "inconsistent", "epsilon": "0.3",
+                                                              "width": 0.1, "m": 4}}),
+                 id="sandwich-str-band-epsilon"),
+    pytest.param(["verify", "--property", "sandwich"],
+                 json.dumps({"instance": _ADDITIVE, "noise": {
+                     "kind": "inconsistent", "epsilon": 0.3, "width": 0.1, "B": [3], "b": 1,
+                     "confidence_constant": None}}),
+                 id="sandwich-list-B"),
+    pytest.param(["sweep"], '{"delta_grid": [true], "sizes": [6], "count": 1, "seeds": [0]}',
+                 id="sweep-bool-delta"),
+    pytest.param(["sweep"], '{"delta_grid": ["0.5"], "sizes": [6], "count": 1, "seeds": [0]}',
+                 id="sweep-str-delta"),
+    pytest.param(["sample"], '{"n": 5, "trials": 2, "epsilon": "0.1"}', id="sample-str-epsilon"),
+    pytest.param(["sample"], '{"n": 5, "trials": 2, "width": true}', id="sample-bool-width"),
+    pytest.param(["sample"], '{"n": 5, "trials": 2, "confidence_constant": null}',
+                 id="sample-null-confidence-constant"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_cli_rejects_malformed_input(tmp_path, capsys, argv, text):
@@ -784,8 +827,34 @@ def test_cli_rejects_malformed_input(tmp_path, capsys, argv, text):
      "error: seed must be an integer, got 1.5\n"),
     ({"instance": _ADDITIVE, "noise": {"kind": "consistent", "epsilon": 0.0, "seed": [1]}},
      "error: seed must be an integer, got [1]\n"),
+    ({"instance": _ADDITIVE, "noise": {"kind": "consistent", "epsilon": "0.3"}},
+     "error: epsilon must be a number, got '0.3'\n"),
+    ({"instance": _ADDITIVE, "noise": {"kind": "inconsistent", "epsilon": 0.3, "width": "0.1",
+                                       "m": 4}},
+     "error: width must be a number, got '0.1'\n"),
+    ({"instance": _ADDITIVE, "noise": {"kind": "inconsistent", "epsilon": 0.3, "width": 0.1,
+                                       "B": 3, "b": "1"}},
+     "error: b must be a number, got '1'\n"),
+    ({"construction": {**_SANDWICH_SAMPLED["construction"], "epsilon": "0.3"}},
+     "error: epsilon must be a number, got '0.3'\n"),
+    ({"instance": _ADDITIVE, "noise": {"kind": "inconsistent", "epsilon": 0.3, "width": True,
+                                       "m": 4}},
+     "error: width must be a number, got True\n"),
+    ({"instance": _ADDITIVE, "noise": {"kind": "consistent", "epsilon": False}},
+     "error: epsilon must be a number, got False\n"),
+    ({"instance": _ADDITIVE, "noise": {"kind": "inconsistent", "epsilon": [0.3], "width": 0.1,
+                                       "m": 4}},
+     "error: epsilon must be a number, got [0.3]\n"),
+    ({"instance": _ADDITIVE, "noise": {"kind": "inconsistent", "epsilon": 0.3, "width": 0.1,
+                                       "B": None, "b": 1}},
+     "error: B must be a number, got None\n"),
+    ({"instance": _ADDITIVE, "noise": {"kind": "inconsistent", "epsilon": 0.3, "width": 0.1,
+                                       "B": 3, "b": 1, "confidence_constant": "3"}},
+     "error: confidence_constant must be a number, got '3'\n"),
 ], ids=["no-noise", "inconsistent-no-epsilon", "consistent-no-epsilon", "bool-alpha",
-        "no-width", "no-b", "no-instance", "float-seed", "list-seed-zero-epsilon"])
+        "no-width", "no-b", "no-instance", "float-seed", "list-seed-zero-epsilon",
+        "str-epsilon", "str-width", "str-b", "str-construction-epsilon", "bool-width",
+        "bool-epsilon", "list-band-epsilon", "null-B", "str-confidence-constant"])
 def test_cli_sandwich_names_the_key(tmp_path, capsys, cfg, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

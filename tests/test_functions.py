@@ -8,6 +8,7 @@ from approxsub.functions import (
     ConcaveCardinalityFunction,
     CoverageFunction,
     SumFunction,
+    config_number,
     curvature,
     instance_from_dict,
     instance_to_dict,
@@ -188,3 +189,15 @@ def test_number_objects_need_exactly_num_and_den(d):
     with pytest.raises(ValueError, match="exactly the keys 'num' and 'den'"):
         instance_from_dict(d)
 
+
+
+@pytest.mark.parametrize("value", [0, 3, -2, 0.5, float("inf"), Fraction(1, 3), 10 ** 400])
+def test_config_number_returns_numbers_unchanged(value):
+    assert config_number(value, "width") is value
+
+
+@pytest.mark.parametrize("value", [True, False, "0.3", None, [0.3], {"num": 1, "den": 2}])
+def test_config_number_names_its_key(value):
+    with pytest.raises(ValueError) as exc:
+        config_number(value, "width")
+    assert str(exc.value) == f"width must be a number, got {value!r}"

@@ -1,12 +1,18 @@
-"""The enumeration loops of ``brute_force`` and ``greedy_cardinality``.
+"""The enumeration loops of ``brute_force``, ``greedy_cardinality`` and
+``greedy_matroid``.
 
 ``reference_brute_force`` and ``reference_greedy_cardinality`` are verbatim
 copies of the loops they replaced: brute force built every one of the 2^n
 masks and filtered it through a ``feasible`` closure, and greedy scanned
-``range(n)`` with ``contains`` and the checked ``Subset.add``.  Through a
-recording oracle, both versions must issue the same queries in the same
-order and return the same chosen mask, value (``==`` and type), query count
-and trace, for every oracle kind, including the stateful sampling estimator.
+``range(n)`` with ``contains`` and the checked ``Subset.add``.  Both greedy
+solvers now run one round loop, ``solvers._greedy``.  It replaced
+``reference_mask_walk_greedy`` (the cardinality greedy's own walk over the
+bits of the unchosen mask) and ``reference_greedy_matroid`` (a list pool
+popped by index, queried through the checked ``Subset.add``), both kept
+verbatim.  Through a recording oracle, each pair must issue the same queries
+in the same order and return the same chosen mask, value (``==`` and type),
+query count and trace, for every oracle kind, including the stateful
+sampling estimator.
 """
 
 import itertools
@@ -14,6 +20,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from approxsub.experiments import instance_corpus
 from approxsub.functions import (
@@ -26,7 +33,7 @@ from approxsub.functions import (
 from approxsub.matroids import Matroid, PartitionMatroid
 from approxsub.noise import ConsistentNoiseOracle, SamplingEstimator
 from approxsub.sets import Subset, ValueOracle
-from approxsub.solvers import SolveResult, brute_force, greedy_cardinality
+from approxsub.solvers import SolveResult, brute_force, greedy_cardinality, greedy_matroid
 
 from conftest import TableFunction, as_oracle
 
@@ -53,6 +60,57 @@ def reference_greedy_cardinality(F: ValueOracle, n: int, k: int) -> SolveResult:
         best_value = best_val
         trace.append((best, F.query_count - start))
     return SolveResult(chosen, best_value, trace, F.query_count - start)
+
+
+def reference_mask_walk_greedy(F: ValueOracle, k: int) -> SolveResult:
+    n = F.n
+    if k > n:
+        raise ValueError(f"budget k={k} exceeds n={n}")
+    start = F.query_count
+    full = (1 << n) - 1
+    mask = 0
+    trace: list[tuple[int, int]] = []
+    best_value = 0
+    for size in range(1, k + 1):
+        best = 0
+        best_val = None
+        rest = full ^ mask
+        while rest:
+            low = rest & -rest
+            v = F.query(Subset._raw(n, mask | low, size))
+            if best_val is None or v > best_val:
+                best, best_val = low, v
+            rest ^= low
+        mask |= best
+        best_value = best_val
+        trace.append((best.bit_length() - 1, F.query_count - start))
+    return SolveResult(Subset._raw(n, mask, len(trace)), best_value, trace,
+                       F.query_count - start)
+
+
+def reference_greedy_matroid(F: ValueOracle, matroid: Matroid) -> SolveResult:
+    n = F.n
+    if matroid.n != n:
+        raise ValueError(f"ground set mismatch: oracle n={n}, matroid n={matroid.n}")
+    start = F.query_count
+    chosen = Subset.empty(n)
+    pool = list(range(n))
+    trace: list[tuple[int, int]] = []
+    current = 0
+    while pool:
+        best_i = 0
+        best_val = None
+        for i, x in enumerate(pool):
+            v = F.query(chosen.add(x))
+            if best_val is None or v > best_val:
+                best_i, best_val = i, v
+        x = pool.pop(best_i)
+        candidate = chosen.add(x)
+        if matroid.is_independent(candidate):
+            chosen = candidate
+            current = best_val
+            trace.append((x, F.query_count - start))
+    return SolveResult(chosen, current, trace, F.query_count - start)
 
 
 def reference_brute_force(F, n: int, constraint) -> SolveResult:
@@ -242,3 +300,89 @@ def test_brute_force_n24_small_budget():
     best = max(values)
     assert res.value == best and type(res.value) is int
     assert res.chosen.mask == masks[values.index(best)]
+
+
+def _without_n(reference):
+    """A reference with the ``(F, constraint)`` signature, for assert_same_run."""
+    return lambda F, n, constraint: reference(F, constraint)
+
+
+@pytest.mark.parametrize("n, name", _cases())
+def test_greedy_matches_mask_walk(n, name):
+    make = _oracle_factories(n)[name]
+    for k in _budgets(n):
+        assert_same_run(make, n, k, _without_n(reference_mask_walk_greedy), greedy_cardinality)
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_factories(1)))
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_greedy_matroid_matches_list_pool(n, name):
+    make = _oracle_factories(n)[name]
+    for matroid in _matroids(n):
+        got, rec = assert_same_run(make, n, matroid, _without_n(reference_greedy_matroid),
+                                   greedy_matroid)
+        assert len(rec.log) == got[4] == n * (n + 1) // 2  # the pool shrinks every round
+        chosen = Subset._raw(*got[0])
+        assert matroid.is_independent(chosen)
+        assert not any(matroid.is_independent(chosen.add(e))
+                       for e in range(n) if not chosen.contains(e))
+
+
+def test_greedy_matroid_keeps_its_ground_check():
+    F, matroid = Recording(AdditiveFunction([1, 2, 3])), PartitionMatroid([0] * 4, [2])
+    expected = _outcome(reference_greedy_matroid, Recording(F.base), matroid)
+    assert _outcome(greedy_matroid, F, matroid) == expected == (
+        "error", "ground set mismatch: oracle n=3, matroid n=4")
+    assert F.log == []
+
+
+@pytest.mark.parametrize("k", [0, -1, -5])
+def test_greedy_empty_budget(k):
+    """No round runs: the empty set, the int 0, and no query."""
+    got, rec = assert_same_run(lambda: AdditiveFunction([3, 1, 2]), 3, k,
+                               _without_n(reference_mask_walk_greedy), greedy_cardinality)
+    assert got == ((3, 0, 0), 0, int, [], 0)
+    assert rec.log == []
+
+
+def test_greedy_budget_errors():
+    F = Recording(AdditiveFunction([3, 1, 2]))
+    with pytest.raises(ValueError, match=r"^budget k=4 exceeds n=3$"):
+        greedy_cardinality(F, 4)
+    for k in (2.5, 2.0, "2"):  # a budget is never rounded to a number of rounds
+        with pytest.raises(TypeError) as new:
+            greedy_cardinality(F, k)
+        with pytest.raises(TypeError) as old:
+            reference_mask_walk_greedy(Recording(F.base), k)
+        assert str(new.value) == str(old.value)
+    assert F.log == []
+
+
+@st.composite
+def _matroid_cases(draw):
+    n = draw(st.integers(1, 7))
+    values = st.one_of(st.integers(0, 3),
+                       st.fractions(Fraction(0), Fraction(4), max_denominator=3))
+    table = draw(st.lists(values, min_size=1 << n, max_size=1 << n))
+    noise = draw(st.sampled_from([None, 0.3, 0.9]))
+    if draw(st.booleans()):
+        matroid = IndependentUpToTwo(n)
+    else:
+        blocks = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        matroid = PartitionMatroid(blocks, draw(st.lists(st.integers(0, n), min_size=3,
+                                                         max_size=3)))
+    seed = draw(st.integers(-2 ** 70, 2 ** 70))
+
+    def make():
+        f = TableFunction(n, table)
+        return f if noise is None else ConsistentNoiseOracle(f, noise, seed)
+    return n, make, matroid
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matroid_cases())
+def test_greedy_matroid_fuzz(case):
+    n, make, matroid = case
+    assert_same_run(make, n, matroid, _without_n(reference_greedy_matroid), greedy_matroid)
+    for k in range(n + 1):
+        assert_same_run(make, n, k, _without_n(reference_mask_walk_greedy), greedy_cardinality)
