@@ -130,6 +130,9 @@ def _cmd_distinguish(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_json(args.config) if args.config else {}
+    for key in ("instances", "sizes", "seeds", "delta_grid"):
+        if key in cfg and not isinstance(cfg[key], list):
+            raise ValueError(f"{key} must be a list, got {cfg[key]!r}")
     if "instances" in cfg:
         instances = [instance_from_dict(d) for d in cfg.pop("instances")]
     else:

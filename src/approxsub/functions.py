@@ -69,6 +69,11 @@ class _WeightSum:
     T = sum of t * popcount(mask & class mask).  A call walks whichever is
     shorter, the set's bits or the classes.  At most 64 classes are kept, as
     64 n-bit masks already weigh as much as the term list's n pointers.
+
+    A call with an int ``limit`` (exact weights only) returns ``cap`` for a
+    set whose T exceeds it, before any typed sum is built: with limit =
+    floor(D cap), T > limit exactly when cap < T / D, so the call equals
+    ``min(sum, cap)``, ties included.
     """
 
     __slots__ = ("terms", "den", "frac_mask", "classes")
@@ -88,7 +93,7 @@ class _WeightSum:
             if len(groups) <= 64:
                 self.classes = [(t, _mask_of(es, n)) for t, es in groups.items()]
 
-    def __call__(self, mask: int):
+    def __call__(self, mask: int, limit=None, cap=None):
         classes = self.classes
         if classes is not None and mask.bit_count() > len(classes):
             total = 0
@@ -104,6 +109,8 @@ class _WeightSum:
                 m ^= low
             if self.den is None:
                 return total
+        if limit is not None and total > limit:
+            return cap
         return Fraction(total, self.den) if mask & self.frac_mask else total // self.den
 
 
@@ -136,7 +143,8 @@ class AdditiveFunction(ValueOracle):
         self._sum = _WeightSum(self.weights)
 
     def value(self, s: Subset):
-        self._check_ground(s)
+        if s.n != self.n:
+            self._check_ground(s)
         return self._sum(s.mask)
 
     def exact_table(self):
@@ -160,10 +168,18 @@ class BudgetAdditiveFunction(ValueOracle):
             raise ValueError(f"budget must be nonnegative, got {budget}")
         self.budget = budget
         self._sum = _WeightSum(self.weights)
+        # The cap scaled to the weights' denominator D and floored: an exact
+        # budget is decided on the weight walk's int total T (see _WeightSum).
+        self._limit = None
+        if self._sum.den is not None and type(budget) in _EXACT_TYPES:
+            self._limit = budget.numerator * self._sum.den // budget.denominator
 
     def value(self, s: Subset):
-        self._check_ground(s)
-        return min(self._sum(s.mask), self.budget)
+        if s.n != self.n:
+            self._check_ground(s)
+        if self._limit is None:
+            return min(self._sum(s.mask), self.budget)
+        return self._sum(s.mask, self._limit, self.budget)
 
     def exact_table(self):
         if self._sum.den is None or type(self.budget) not in _EXACT_TYPES:
@@ -207,7 +223,8 @@ class CoverageFunction(ValueOracle):
             raise ValueError("need at least one element")
 
     def value(self, s: Subset) -> int:
-        self._check_ground(s)
+        if s.n != self.n:
+            self._check_ground(s)
         covered = 0
         for e in iter_bits(s.mask):
             covered |= self.covers[e]
@@ -245,7 +262,8 @@ class ConcaveCardinalityFunction(ValueOracle):
                 raise ValueError(f"table is not concave at size {i + 1}")
 
     def value(self, s: Subset):
-        self._check_ground(s)
+        if s.n != self.n:
+            self._check_ground(s)
         return self.table[s.size]
 
     def exact_table(self):
@@ -271,7 +289,8 @@ class SumFunction(ValueOracle):
                 raise ValueError("sum terms disagree on ground set size")
 
     def value(self, s: Subset):
-        self._check_ground(s)
+        if s.n != self.n:
+            self._check_ground(s)
         total = 0
         for t in self.terms:
             total += t.value(s)

@@ -8,7 +8,10 @@ the sandwich oracle) is read from it: T / D is every value, so comparisons on
 T are exact.  Any other function (floats, numpy scalars, entries that could
 reach 2^61) is evaluated set by set; ``functions.int_table`` rescales the
 values to integers when all are exact, otherwise comparisons are float with
-the stated tolerances.  The sandwich check reads its F by ``value()`` alone.
+the stated tolerances.  The sandwich check reads its F by ``value()`` alone,
+once per set through :func:`tabulate`, and walks those values beside the
+Python ints of f's table with the band test inlined in integers; a
+``Subset`` is built only for a witness, or when f has no table.
 
 Submodularity of an exact table is certified by the local form
 f(S+a) + f(S+b) >= f(S+a+b) + f(S), equivalent to the pair form in exact
@@ -192,11 +195,13 @@ def check_sandwich(
 
     ``mode='exhaustive'`` visits all subsets (n <= 20), reading F through
     :func:`tabulate` (a sandwich's own table would make the band choice
-    under test) and f from its exact table when it has one; a failing check
-    has evaluated F on every set.  ``mode='sampled'`` draws ``trials``
-    uniform subsets with the given seed.  Comparisons are exact whenever both
-    functions return rationals, otherwise float with a 1e-12 relative slack
-    for noise paths.  A witness carries both sides' own ``value()``.
+    under test) and f from its exact table when it has one.  With f's table
+    the loop walks the tabulated F values beside f's ints, and a ``Subset``
+    is built only for a witness; a failing check has evaluated F on every
+    set.  ``mode='sampled'`` draws ``trials`` uniform subsets with the given
+    seed.  Comparisons are exact whenever both functions return rationals,
+    otherwise float with a 1e-12 relative slack for noise paths.  A witness
+    carries both sides' own ``value()``.
     """
     _check_ground(n, F, f)
     name = "sandwich"
@@ -217,28 +222,48 @@ def check_sandwich(
         total = trials
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    # f read from its table is the Python int D * value; the band's ints
-    # absorb D (see Band.scaled), so the test stays exact.
-    f_den = f_tab[1] if f_tab else 1
-    exact_band = band.scaled(1, f_den)
-    f_ints = f_tab[0].tolist() if f_tab else None
+    if f_tab is not None:
+        m = _first_escape(F_vals, f_tab, band)
+        if m is None:
+            return CheckReport(name, desc, True, None, total)
+        s = Subset._raw(n, m, m.bit_count())
+        # The witness carries f's own value(), types included.
+        return CheckReport(name, desc, False, (s, F_vals[m], f.value(s)), m + 1)
     examined = 0
     for m in masks:
         s = Subset._raw(n, m, m.bit_count())
         Fv = F.value(s) if F_vals is None else F_vals[m]
-        fv = f.value(s) if f_ints is None else f_ints[m]
+        fv = f.value(s)
         examined += 1
         if isinstance(Fv, (int, Fraction)) and isinstance(fv, (int, Fraction)):
-            if exact_band.holds(Fv, fv):
+            if band.holds(Fv, fv):
                 continue
-        elif band.near(Fv, fv if f_ints is None else Fraction(fv, f_den)):
+        elif band.near(Fv, fv):
             continue
-        # The witness carries f's own value(), types included.
-        if f_ints is not None:
-            fv = f.value(s)
         return CheckReport(name, desc, False, (s, Fv, fv), examined)
     assert examined == total
     return CheckReport(name, desc, True, None, examined)
+
+
+def _first_escape(F_vals: list, f_tab, band: Band) -> int | None:
+    """The first mask whose tabulated F value leaves the band around f, read
+    from f's table (T, D), or None.  f's value is the Python int t = D f(S):
+    in :meth:`Band.holds` an int with denominator 1, and ``band.scaled(1, D)``
+    absorbs D.  The exact test is inlined on F's numerator and denominator."""
+    f_den = f_tab[1]
+    scaled = band.scaled(1, f_den)
+    q, q_lo, q_hi = scaled.q, scaled.q_lo, scaled.q_hi
+    exact = (int, Fraction)
+    for m, (Fv, t) in enumerate(zip(F_vals, f_tab[0].tolist())):
+        if isinstance(Fv, exact):
+            x = q * Fv.numerator
+            y = t * Fv.denominator
+            if q_lo * y <= x <= q_hi * y:
+                continue
+        elif band.near(Fv, Fraction(t, f_den)):
+            continue
+        return m
+    return None
 
 
 # ---------------------------------------------------------------------------

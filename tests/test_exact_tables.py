@@ -8,7 +8,8 @@ must be equal, witnesses included, and ``run_sampling_validation`` must give
 equal rows and summary.  ``check_monotone``'s strided views are also compared
 with ``previous_check_monotone``, the gather loop over exact tables they
 replaced.  The checkers are also compared with their ``parent_*`` copies from
-before ``exact_table`` lost its ground-set argument; the deleted helpers the
+before ``exact_table`` lost its ground-set argument, and ``check_sandwich``
+with ``subset_check_sandwich``, its loop before the integer band test; the deleted helpers the
 references read (``_tables``, ``_exact_int_table``, the inconsistent-noise
 source and its estimator) are kept verbatim in ``conftest``.
 """
@@ -48,6 +49,7 @@ from approxsub.functions import (
     CoverageFunction,
     SumFunction,
     instance_from_dict,
+    config_int,
     instance_to_dict,
     int_table,
 )
@@ -56,6 +58,7 @@ from approxsub.sets import Subset, ValueOracle
 from approxsub.solvers import expected_greedy_queries, greedy_cardinality
 from approxsub.verify import (
     CheckReport,
+    _check_ground,
     _describe,
     _marginal_rises,
     _table_of,
@@ -352,6 +355,69 @@ def parent_check_sandwich(
         # The witness carries each side's own value(), types included.
         if F_ints is not None:
             Fv = F.value(s)
+        if f_ints is not None:
+            fv = f.value(s)
+        return CheckReport(name, desc, False, (s, Fv, fv), examined)
+    assert examined == total
+    return CheckReport(name, desc, True, None, examined)
+
+
+# ---------------------------------------------------------------------------
+# The sandwich checker as it stood when its loop built a Subset per set and
+# read F's tabulated values through a second isinstance, verbatim but for the
+# name.
+# ---------------------------------------------------------------------------
+
+def subset_check_sandwich(
+    F: ValueOracle, f: ValueOracle, epsilon: float, n: int, mode: str = "exhaustive",
+    trials: int | None = None, seed: int | None = None,
+) -> CheckReport:
+    """Test (1 - eps) f(S) <= F(S) <= (1 + eps) f(S).
+
+    ``mode='exhaustive'`` visits all subsets (n <= 20), reading F through
+    :func:`tabulate` (a sandwich's own table would make the band choice
+    under test) and f from its exact table when it has one; a failing check
+    has evaluated F on every set.  ``mode='sampled'`` draws ``trials``
+    uniform subsets with the given seed.  Comparisons are exact whenever both
+    functions return rationals, otherwise float with a 1e-12 relative slack
+    for noise paths.  A witness carries both sides' own ``value()``.
+    """
+    _check_ground(n, F, f)
+    name = "sandwich"
+    desc = f"{_describe(F)} vs {_describe(f)} @ eps={epsilon}"
+    band = Band(float(epsilon))
+    F_vals = f_tab = None
+    if mode == "exhaustive":
+        if n > 20:
+            raise ValueError(f"exhaustive sandwich check guarded at n <= 20, got {n}")
+        masks = range(1 << n)
+        total = 1 << n
+        F_vals, f_tab = tabulate(F, n), f.exact_table()
+    elif mode == "sampled":
+        if trials is None or not config_int(trials, "trials") >= 1 or seed is None:
+            raise ValueError(f"sampled mode needs trials >= 1 and a seed, got trials={trials}")
+        rng = random.Random(config_int(seed, "seed"))
+        masks = (rng.getrandbits(n) for _ in range(trials))
+        total = trials
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    # f read from its table is the Python int D * value; the band's ints
+    # absorb D (see Band.scaled), so the test stays exact.
+    f_den = f_tab[1] if f_tab else 1
+    exact_band = band.scaled(1, f_den)
+    f_ints = f_tab[0].tolist() if f_tab else None
+    examined = 0
+    for m in masks:
+        s = Subset._raw(n, m, m.bit_count())
+        Fv = F.value(s) if F_vals is None else F_vals[m]
+        fv = f.value(s) if f_ints is None else f_ints[m]
+        examined += 1
+        if isinstance(Fv, (int, Fraction)) and isinstance(fv, (int, Fraction)):
+            if exact_band.holds(Fv, fv):
+                continue
+        elif band.near(Fv, fv if f_ints is None else Fraction(fv, f_den)):
+            continue
+        # The witness carries f's own value(), types included.
         if f_ints is not None:
             fv = f.value(s)
         return CheckReport(name, desc, False, (s, Fv, fv), examined)
@@ -908,9 +974,9 @@ def test_check_sandwich_reads_F_by_value_on_every_set():
 
 @pytest.mark.parametrize("pair", list(_pairs(((10, 5, 2, 4),))), ids=["monotone", "coverage"])
 def test_check_sandwich_equals_parent(pair, monkeypatch):
-    """Each report equals the parent checker's, which read F's table when it
-    had one, both with the sandwich's table and without it (as before the
-    sandwich had one)."""
+    """Each report equals the parent checkers': the one that built a Subset
+    per set, and the one that read F's table when it had one, both with the
+    sandwich's table and without it (as before the sandwich had one)."""
     n = 10
     eps = pair.params.epsilon
     sw = build_sandwich(pair)
@@ -918,16 +984,68 @@ def test_check_sandwich_equals_parent(pair, monkeypatch):
     cases = [(sw, pair.fh, eps, {}), (sw, pair.g, eps, {}), (pair.fh, sw, eps, {}),
              (pair.g, sw, eps, {}), (noisy, pair.fh, 0.25, {}), (noisy, pair.fh, 0.1, {}),
              (noisy, sw, 0.3, {})]
+    cases += [(F, f, e, {}) for F, f, e in _typed_sandwich_cases(pair)]
     cases += [(F, f, e, dict(mode="sampled", trials=300, seed=5)) for F, f, e, _ in cases]
-    verdicts = set()
+    verdicts, witness_types = set(), set()
     for F, f, e, kwargs in cases:
         got = check_sandwich(F, f, e, n, **kwargs)
         verdicts.add(got.passed)
+        if got.counterexample:
+            witness_types.update(type(v) for v in got.counterexample[1:])
+        assert_same_report(got, subset_check_sandwich(F, f, e, n, **kwargs))
         assert_same_report(got, parent_check_sandwich(F, f, e, n, **kwargs))
         with monkeypatch.context() as m:
             m.setattr(SandwichFunction, "exact_table", ValueOracle.exact_table)
             assert_same_report(got, parent_check_sandwich(F, f, e, n, **kwargs))
     assert verdicts == {True, False}
+    assert {bool, np.int64, float, Fraction, int} <= witness_types
+
+
+def _mapped(fn, convert):
+    """fn's values on every mask, each passed through ``convert``, as a
+    function with no exact table."""
+    return TableFunction(fn.n, [convert(v) for v in tabulate(fn, fn.n)])
+
+
+def _typed_sandwich_cases(pair):
+    """(F, f, eps) whose values take each branch of the band loop: bool and
+    numpy F, float F on a band edge, f without a table, and failures whose
+    witness sides keep their own types."""
+    n = pair.fh.n
+    count = AdditiveFunction([1] * n)  # |S|, with a table
+    nonempty = ConcaveCardinalityFunction([0] + [1] * n)
+    bool_f = ConcaveCardinalityFunction([False] + [True] * n)  # value() gives bools
+    halves = AdditiveFunction([0.5] * n)  # float weights: no table
+    return [
+        # bool F: False and True where f is 0 and 1, which passes; True
+        # everywhere fails at the empty set.
+        (_mapped(nonempty, bool), nonempty, 0.3),
+        (_mapped(nonempty, bool), bool_f, 0.1),
+        (_mapped(nonempty, lambda v: True), nonempty, 0.3),
+        (_mapped(nonempty, lambda v: True), bool_f, 0.3),
+        # numpy F takes the float branch, over f's table at D = 1 and D = 2;
+        # it passes there and fails once shifted.
+        (_mapped(count, np.int64), count, 0.25),
+        (_mapped(count, lambda v: np.int64(3 * v // 2)), AdditiveFunction([Fraction(3, 2)] * n),
+         0.5),
+        (_mapped(count, lambda v: np.int64(v + 1)), count, 0.25),
+        # float F exactly on the upper edge (eps = 1/4, products exact) and
+        # rounded to either side of the lower edge at eps = 0.3.
+        (_mapped(count, lambda v: 1.25 * v), count, 0.25),
+        (_mapped(count, lambda v: 0.75 * v), count, 0.25),
+        (_mapped(count, lambda v: 0.7 * v), count, 0.3),
+        (_mapped(count, lambda v: 0.7 * v * (1 - 1e-11)), count, 0.3),
+        (_mapped(count, lambda v: 1.3 * v), count, 0.3),
+        # f without a table: the loop builds a Subset per set.
+        (halves, halves, 0.1),
+        (_mapped(halves, lambda v: 2 * v), halves, 0.5),
+        (count, halves, 0.9),
+        # Failures: F's Fraction or int against f's Fraction or bool value().
+        (pair.g, pair.fh, 0.01),
+        (_mapped(pair.fh, lambda v: v + Fraction(1, 3)), pair.g, 0.01),
+        (count, bool_f, 0.5),
+        (_mapped(count, lambda v: v + 1), count, 0.5),
+    ]
 
 
 @pytest.mark.parametrize("eps, passed", [(0.6, True), (0.3, False), (0.05, False)])

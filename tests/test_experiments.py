@@ -908,6 +908,18 @@ def test_cli_sandwich_rejects_non_object_block(tmp_path, capsys, block, value):
     _assert_rejected(capsys, ["verify", "--property", "sandwich", "--config", str(path)])
 
 
+@pytest.mark.parametrize("value", [0.5, 3, "ab", {"a": 1}, None, True])
+@pytest.mark.parametrize("key", ["sizes", "seeds", "delta_grid", "instances"])
+def test_cli_sweep_list_key_must_be_a_list(tmp_path, capsys, key, value):
+    """A scalar, string or object once exited 2 with "'float' object is not
+    iterable", or for a string blamed its first character; the message names
+    the key."""
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({key: value}))
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be a list, got {value!r}\n"
+
+
 @pytest.mark.parametrize("sizes", [[100_000_000], [8, 15], [0], [-3], [8.0], ["8"], [None], 8])
 def test_cli_sweep_checks_sizes_before_building_instances(tmp_path, capsys, monkeypatch, sizes):
     def refuse(*args, **kwargs):

@@ -201,3 +201,22 @@ def test_config_number_names_its_key(value):
     with pytest.raises(ValueError) as exc:
         config_number(value, "width")
     assert str(exc.value) == f"width must be a number, got {value!r}"
+
+
+@pytest.mark.parametrize("fn", [
+    AdditiveFunction([1, Fraction(1, 2), 3]),
+    AdditiveFunction([0.5, 1, 2]),
+    BudgetAdditiveFunction([1, 2, 3], Fraction(5, 2)),  # the cap decided in ints
+    BudgetAdditiveFunction([1, 2, 3], 2.5),  # the generic min()
+    CoverageFunction(4, [[0], [1, 2], [3]]),
+    ConcaveCardinalityFunction([0, 2, 3, 3]),
+    SumFunction([AdditiveFunction([1, 1, 1]), ConcaveCardinalityFunction([0, 1, 1, 1])]),
+], ids=["additive", "additive-float", "budget-exact", "budget-float", "coverage", "concave",
+        "sum"])
+@pytest.mark.parametrize("width", [2, 4])
+def test_value_rejects_another_ground_set(fn, width):
+    """Each kind tests the width inline; the message is ValueOracle's one."""
+    s = Subset.from_elements([0, 1], width)
+    with pytest.raises(ValueError) as exc:
+        fn.value(s)
+    assert str(exc.value) == f"ground set mismatch: oracle n=3, subset n={width}"

@@ -155,6 +155,65 @@ def test_budget_additive_matches_reference(profile):
                 assert_same(new.value(s), old.value(s))
 
 
+def _ints(n, seed, lo=-3, hi=6):
+    rng = random.Random(seed)
+    return [rng.randint(lo, hi) for _ in range(n)]
+
+
+def _fractions(n, seed):
+    rng = random.Random(seed)
+    return [Fraction(rng.randint(-4, 9), rng.choice([1, 2, 3, 4])) for _ in range(n)]
+
+
+# (weights, budget, decided in ints): exact data take the integer decision of
+# the cap, float and numpy budgets the generic min().
+BUDGET_CASES = {
+    # Ties: some set sums exactly to the budget, which min() answers with the
+    # sum, in the sum's own type.
+    "tie-int": ([1, 2, 3, 1, 2, 3, 1, 2], 3, True),
+    "tie-int-fraction-budget": ([1, 2, 3, 1, 2, 3, 1, 2], Fraction(3), True),
+    "tie-fraction-int-budget": ([Fraction(3, 2), Fraction(3, 2), 1, 2, 3, Fraction(1, 2)], 3, True),
+    "tie-fraction": ([1, 2, Fraction(1, 2), Fraction(1, 2), 3], Fraction(7, 2), True),
+    "fraction-budget-int-weights": (_ints(10, 1), Fraction(13, 4), True),
+    "fraction-budget-int-weights-2": (_ints(10, 2, -5, 9), Fraction(31, 3), True),
+    "int-budget-fraction-weights": (_fractions(10, 3), 4, True),
+    "fraction-budget-fraction-weights": (_fractions(9, 4), Fraction(5, 6), True),
+    "zero-budget": (_ints(8, 5), 0, True),
+    "zero-budget-fractions": (_fractions(8, 6), 0, True),
+    "fraction-zero-budget": (_ints(8, 7), Fraction(0), True),
+    "true-budget": ([True, False, 1, 0, Fraction(1, 2), True, 2], True, True),
+    "false-budget": ([True, False, 1, -1, Fraction(1, 2)], False, True),
+    "negative-weights": ([-3, 5, -1, 2, -4, 7, 0, -2, 1, 3], 4, True),
+    "negative-fractions": ([Fraction(-7, 3), 2, Fraction(5, 2), -1, Fraction(1, 6), 4],
+                           Fraction(3, 2), True),
+    "bool-weights": ([True, False, True, True, False, True], 2, True),
+    "float-budget": (_ints(10, 8), 3.5, False),
+    "float-budget-fractions": (_fractions(8, 9), 2.0, False),
+    "float-budget-tie": ([1, 2, 3, 1, 2], 3.0, False),
+    "numpy-budget": (_ints(10, 10), np.int64(4), False),
+    "numpy-budget-fractions": (_fractions(8, 11), np.int64(2), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUDGET_CASES))
+def test_budget_integer_decision_matches_reference(case):
+    """Every mask: value and type equal to min(sum, budget) in element order."""
+    w, budget, in_ints = BUDGET_CASES[case]
+    new = BudgetAdditiveFunction(w, budget)
+    old = ReferenceBudgetAdditive(w, budget)
+    assert (new._limit is not None) == in_ints
+    n = len(w)
+    capped, ties = set(), 0
+    for mask in range(1 << n):
+        s = Subset._raw(n, mask, mask.bit_count())
+        got = new.value(s)
+        assert_same(got, old.value(s))
+        capped.add(got is budget)
+        ties += sum(w[e] for e in iter_bits(mask)) == budget
+    assert capped == {True, False}  # both answers occur
+    assert ties or not case.startswith("tie")
+
+
 # ---------------------------------------------------------------------------
 # Few distinct weights: the class branch
 # ---------------------------------------------------------------------------
