@@ -194,6 +194,8 @@ class Band:
     ints q - p, q and q + p.  For int and Fraction values, clearing the
     positive denominators makes the test (q - p) f.num F.den <= q F.num f.den
     <= (q + p) f.num F.den: :meth:`holds` compares ints and builds no Fraction.
+    Two measured fast paths inline this test on their own ints:
+    :meth:`PairBand.sandwich` and ``verify.check_sandwich``'s band loop.
     :meth:`near` and :meth:`float_holds` are the float forms for noisy values;
     they differ on purpose, and a value just past a rounded edge passes the
     first and fails the second.
@@ -208,15 +210,6 @@ class Band:
         p, self.q = eps.numerator, eps.denominator
         self.q_lo, self.q_hi = self.q - p, self.q + p
         self.lo, self.hi = 1 - eps, 1 + eps
-
-    def scaled(self, F_scale: int, f_scale: int) -> "Band":
-        """The same band for :meth:`holds` on F' = F_scale F and f' = f_scale f
-        (positive int scales): (q - p) F_scale f' <= q f_scale F' <=
-        (q + p) F_scale f'.  The copy sets only the ints :meth:`holds` reads."""
-        band = Band.__new__(Band)
-        band.q = self.q * f_scale
-        band.q_lo, band.q_hi = self.q_lo * F_scale, self.q_hi * F_scale
-        return band
 
     def holds(self, F, f) -> bool:
         """Exact band test for int or Fraction F and f."""
@@ -332,7 +325,8 @@ class SandwichFunction(ValueOracle):
         """``(T, D)`` over D = lcm of fh's and g's denominators, or None when
         a side has no table, the pair key fh * span + (g - min g) could
         overflow int64, or an entry reaches ``TABLE_LIMIT``.  Each distinct
-        key gets :meth:`value`'s exact band choice, in Python ints."""
+        key gets :meth:`value`'s band choice by the same call,
+        :meth:`Band.contains` on the Fractions of g and fh."""
         fh, g = self.fh.exact_table(), self.g.exact_table()
         if fh is None or g is None:
             return None
@@ -342,11 +336,12 @@ class SandwichFunction(ValueOracle):
         if (int(np.abs(T_fh).max()) + 1) * span > 1 << 63:
             return None
         keys, inverse = np.unique(T_fh * span + (T_g - low), return_inverse=True)
-        den, band = math.lcm(D_fh, D_g), self.band.scaled(D_g, D_fh)
+        den, contains = math.lcm(D_fh, D_g), self.band.contains
         chosen = []
         for t_fh, t_g in (divmod(key, span) for key in keys.tolist()):
             t_g += low
-            chosen.append(t_g * (den // D_g) if band.holds(t_g, t_fh) else t_fh * (den // D_fh))
+            in_band = contains(Fraction(t_g, D_g), Fraction(t_fh, D_fh))
+            chosen.append(t_g * (den // D_g) if in_band else t_fh * (den // D_fh))
         if max(map(abs, chosen)) >= TABLE_LIMIT:
             return None
         return np.array(chosen, dtype=np.int64)[inverse], den

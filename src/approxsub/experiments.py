@@ -31,7 +31,7 @@ from .functions import (
     config_int,
     config_number,
 )
-from .noise import ConsistentNoiseOracle, SamplingEstimator, required_samples
+from .noise import ConsistentNoiseOracle, SamplingEstimator, _check_draws, required_samples
 from .sets import Subset
 from .solvers import brute_force, expected_greedy_queries, greedy_bound, greedy_cardinality
 from .verify import chernoff_tails
@@ -390,6 +390,7 @@ def run_sampling_validation(
     trials, k, seed = config_int(trials, "trials"), config_int(k, "k"), config_int(seed, "seed")
     epsilon, width = config_number(epsilon, "epsilon"), config_number(width, "width")
     confidence_constant = config_number(confidence_constant, "confidence_constant")
+    _check_draws(family, width)  # the estimator's own check, even when no trial runs
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     if not k >= 1:

@@ -435,7 +435,14 @@ def instance_from_dict(d: dict) -> ValueOracle:
             [_num_from_obj(w) for w in d["weights"]], _num_from_obj(d["budget"])
         )
     if kind == "coverage":
-        return CoverageFunction(d["universe_size"], d["covers"])
+        universe_size, covers = config_int(d["universe_size"], "universe_size"), d["covers"]
+        if not isinstance(covers, list):
+            raise ValueError(f"covers must be a list, got {covers!r}")
+        for c in covers:  # a JSON cover lists its elements; an int mask is for Python callers
+            if not (isinstance(c, list) and all(type(u) is int for u in c)):
+                raise ValueError(
+                    f"each entry of covers must be a list of integer elements, got {c!r}")
+        return CoverageFunction(universe_size, covers)
     if kind == "concave_cardinality":
         return ConcaveCardinalityFunction([_num_from_obj(v) for v in d["table"]])
     return SumFunction([instance_from_dict(t) for t in d["terms"]])

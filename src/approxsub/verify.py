@@ -9,9 +9,11 @@ T are exact.  Any other function (floats, numpy scalars, entries that could
 reach 2^61) is evaluated set by set; ``functions.int_table`` rescales the
 values to integers when all are exact, otherwise comparisons are float with
 the stated tolerances.  The sandwich check reads its F by ``value()`` alone,
-once per set through :func:`tabulate`, and walks those values beside the
-Python ints of f's table with the band test inlined in integers; a
-``Subset`` is built only for a witness, or when f has no table.
+once per set through :func:`tabulate` in exhaustive mode, and tests every set
+in one band loop: beside the Python ints of f's table when f has one, else
+beside f's ``value()``, and in sampled mode beside both sides' ``value()`` on
+each drawn set.  A ``Subset`` is built only for a witness or a ``value()``
+call.
 
 Submodularity of an exact table is certified by the local form
 f(S+a) + f(S+b) >= f(S+a+b) + f(S), equivalent to the pair form in exact
@@ -195,75 +197,56 @@ def check_sandwich(
 
     ``mode='exhaustive'`` visits all subsets (n <= 20), reading F through
     :func:`tabulate` (a sandwich's own table would make the band choice
-    under test) and f from its exact table when it has one.  With f's table
-    the loop walks the tabulated F values beside f's ints, and a ``Subset``
-    is built only for a witness; a failing check has evaluated F on every
-    set.  ``mode='sampled'`` draws ``trials`` uniform subsets with the given
-    seed.  Comparisons are exact whenever both functions return rationals,
-    otherwise float with a 1e-12 relative slack for noise paths.  A witness
-    carries both sides' own ``value()``.
+    under test), so a failing check has evaluated F on every set.  f is read
+    as the Python ints of its exact table (T, D) when it has one, else by
+    ``value()`` set by set up to the first escape.  ``mode='sampled'`` draws
+    ``trials`` uniform subsets with the given seed and reads F, then f, by
+    ``value()`` on each.  One loop tests every set: exactly whenever both
+    values are rational, otherwise float with a 1e-12 relative slack for
+    noise paths (:meth:`Band.near`).  A ``Subset`` is built only for a
+    ``value()`` call or a witness, which carries both sides' own ``value()``.
     """
     _check_ground(n, F, f)
     name = "sandwich"
     desc = f"{_describe(F)} vs {_describe(f)} @ eps={epsilon}"
     band = Band(float(epsilon))
-    F_vals = f_tab = None
+    D, f_ints = 1, False
     if mode == "exhaustive":
         if n > 20:
             raise ValueError(f"exhaustive sandwich check guarded at n <= 20, got {n}")
-        masks = range(1 << n)
         total = 1 << n
         F_vals, f_tab = tabulate(F, n), f.exact_table()
+        if f_tab is None:
+            rows = ((m, Fv, f.value(Subset._raw(n, m, m.bit_count())))
+                    for m, Fv in enumerate(F_vals))
+        else:
+            (T, D), f_ints = f_tab, True
+            rows = zip(range(total), F_vals, T.tolist())
     elif mode == "sampled":
-        if trials is None or not config_int(trials, "trials") >= 1 or seed is None:
+        if trials is None or not (total := config_int(trials, "trials")) >= 1 or seed is None:
             raise ValueError(f"sampled mode needs trials >= 1 and a seed, got trials={trials}")
         rng = random.Random(config_int(seed, "seed"))
-        masks = (rng.getrandbits(n) for _ in range(trials))
-        total = trials
+        sets = (Subset._raw(n, m, m.bit_count())
+                for m in (rng.getrandbits(n) for _ in range(total)))
+        rows = ((s.mask, F.value(s), f.value(s)) for s in sets)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    if f_tab is not None:
-        m = _first_escape(F_vals, f_tab, band)
-        if m is None:
-            return CheckReport(name, desc, True, None, total)
-        s = Subset._raw(n, m, m.bit_count())
-        # The witness carries f's own value(), types included.
-        return CheckReport(name, desc, False, (s, F_vals[m], f.value(s)), m + 1)
-    examined = 0
-    for m in masks:
-        s = Subset._raw(n, m, m.bit_count())
-        Fv = F.value(s) if F_vals is None else F_vals[m]
-        fv = f.value(s)
-        examined += 1
-        if isinstance(Fv, (int, Fraction)) and isinstance(fv, (int, Fraction)):
-            if band.holds(Fv, fv):
-                continue
-        elif band.near(Fv, fv):
-            continue
-        return CheckReport(name, desc, False, (s, Fv, fv), examined)
-    assert examined == total
-    return CheckReport(name, desc, True, None, examined)
-
-
-def _first_escape(F_vals: list, f_tab, band: Band) -> int | None:
-    """The first mask whose tabulated F value leaves the band around f, read
-    from f's table (T, D), or None.  f's value is the Python int t = D f(S):
-    in :meth:`Band.holds` an int with denominator 1, and ``band.scaled(1, D)``
-    absorbs D.  The exact test is inlined on F's numerator and denominator."""
-    f_den = f_tab[1]
-    scaled = band.scaled(1, f_den)
-    q, q_lo, q_hi = scaled.q, scaled.q_lo, scaled.q_hi
+    # fv is f's value, or on the table path the int D f(S): q absorbs D, and
+    # with F's denominator cleared the test is Band.holds's.  A Fraction fv
+    # keeps the test exact in Fraction arithmetic.
+    q, q_lo, q_hi = band.q * D, band.q_lo, band.q_hi
     exact = (int, Fraction)
-    for m, (Fv, t) in enumerate(zip(F_vals, f_tab[0].tolist())):
-        if isinstance(Fv, exact):
+    for i, (m, Fv, fv) in enumerate(rows):
+        if isinstance(Fv, exact) and (f_ints or isinstance(fv, exact)):
             x = q * Fv.numerator
-            y = t * Fv.denominator
+            y = fv * Fv.denominator
             if q_lo * y <= x <= q_hi * y:
                 continue
-        elif band.near(Fv, Fraction(t, f_den)):
+        elif band.near(Fv, Fraction(fv, D) if f_ints else fv):
             continue
-        return m
-    return None
+        s = Subset._raw(n, m, m.bit_count())
+        return CheckReport(name, desc, False, (s, Fv, f.value(s) if f_ints else fv), i + 1)
+    return CheckReport(name, desc, True, None, total)
 
 
 # ---------------------------------------------------------------------------

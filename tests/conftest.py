@@ -45,6 +45,22 @@ def as_oracle(obj) -> ValueOracle:
 
 
 # ---------------------------------------------------------------------------
+# ``Band.scaled``, verbatim but for taking the band as an argument: the
+# integer band copies the parent sandwich checkers in ``test_exact_tables``
+# test against.
+# ---------------------------------------------------------------------------
+
+def band_scaled(self: Band, F_scale: int, f_scale: int) -> Band:
+    """The same band for :meth:`holds` on F' = F_scale F and f' = f_scale f
+    (positive int scales): (q - p) F_scale f' <= q f_scale F' <=
+    (q + p) F_scale f'.  The copy sets only the ints :meth:`holds` reads."""
+    band = Band.__new__(Band)
+    band.q = self.q * f_scale
+    band.q_lo, band.q_hi = self.q_lo * F_scale, self.q_hi * F_scale
+    return band
+
+
+# ---------------------------------------------------------------------------
 # Deleted code, verbatim: the references for equivalence tests.  The int-table
 # rescaler and the table/tolerance pair the checkers once built from a
 # function's values (``verify._exact_int_table``, ``verify._tables``), and the

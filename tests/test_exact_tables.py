@@ -10,8 +10,8 @@ with ``previous_check_monotone``, the gather loop over exact tables they
 replaced.  The checkers are also compared with their ``parent_*`` copies from
 before ``exact_table`` lost its ground-set argument, and ``check_sandwich``
 with ``subset_check_sandwich``, its loop before the integer band test; the deleted helpers the
-references read (``_tables``, ``_exact_int_table``, the inconsistent-noise
-source and its estimator) are kept verbatim in ``conftest``.
+references read (``_tables``, ``_exact_int_table``, ``Band.scaled``, the
+inconsistent-noise source and its estimator) are kept verbatim in ``conftest``.
 """
 
 import copy
@@ -75,6 +75,7 @@ from conftest import (
     TableFunction,
     _exact_int_table,
     _tables,
+    band_scaled,
     coverage_table,
     value_tables,
 )
@@ -335,9 +336,9 @@ def parent_check_sandwich(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     # A side read from its table is the Python int D * value; the band's ints
-    # absorb each side's D (see Band.scaled), so the test stays exact.
+    # absorb each side's D (see band_scaled), so the test stays exact.
     F_den, f_den = F_tab[1] if F_tab else 1, f_tab[1] if f_tab else 1
-    exact_band = band.scaled(F_den, f_den)
+    exact_band = band_scaled(band, F_den, f_den)
     F_ints = F_tab[0].tolist() if F_tab else None
     f_ints = f_tab[0].tolist() if f_tab else None
     examined = 0
@@ -402,9 +403,9 @@ def subset_check_sandwich(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     # f read from its table is the Python int D * value; the band's ints
-    # absorb D (see Band.scaled), so the test stays exact.
+    # absorb D (see band_scaled), so the test stays exact.
     f_den = f_tab[1] if f_tab else 1
-    exact_band = band.scaled(1, f_den)
+    exact_band = band_scaled(band, 1, f_den)
     f_ints = f_tab[0].tolist() if f_tab else None
     examined = 0
     for m in masks:
@@ -985,11 +986,19 @@ def test_check_sandwich_equals_parent(pair, monkeypatch):
              (pair.g, sw, eps, {}), (noisy, pair.fh, 0.25, {}), (noisy, pair.fh, 0.1, {}),
              (noisy, sw, 0.3, {})]
     cases += [(F, f, e, {}) for F, f, e in _typed_sandwich_cases(pair)]
+    # f without a table whose value() gives Fractions: the loop's exact test
+    # runs in Fraction arithmetic, passing and failing.
+    frac_fh, frac_g = _mapped(pair.fh, Fraction), _mapped(pair.g, Fraction)
+    assert {type(v) for g in (frac_fh, frac_g) for v in tabulate(g, n)} == {Fraction}
+    cases += [(F, f, e, {}) for F, f, e in ((sw, frac_fh, eps), (pair.g, frac_fh, 0.01),
+                                             (pair.fh, frac_g, eps), (pair.fh, frac_g, 0.01))]
     cases += [(F, f, e, dict(mode="sampled", trials=300, seed=5)) for F, f, e, _ in cases]
-    verdicts, witness_types = set(), set()
+    verdicts, witness_types, fraction_verdicts = set(), set(), set()
     for F, f, e, kwargs in cases:
         got = check_sandwich(F, f, e, n, **kwargs)
         verdicts.add(got.passed)
+        if f in (frac_fh, frac_g):
+            fraction_verdicts.add((got.passed, kwargs.get("mode")))
         if got.counterexample:
             witness_types.update(type(v) for v in got.counterexample[1:])
         assert_same_report(got, subset_check_sandwich(F, f, e, n, **kwargs))
@@ -998,6 +1007,7 @@ def test_check_sandwich_equals_parent(pair, monkeypatch):
             m.setattr(SandwichFunction, "exact_table", ValueOracle.exact_table)
             assert_same_report(got, parent_check_sandwich(F, f, e, n, **kwargs))
     assert verdicts == {True, False}
+    assert fraction_verdicts == {(p, mode) for p in (True, False) for mode in (None, "sampled")}
     assert {bool, np.int64, float, Fraction, int} <= witness_types
 
 

@@ -614,6 +614,20 @@ def _deep_sum(depth):
 
 
 _ADDITIVE = {"kind": "additive", "weights": [1, 2, 3]}
+# (id, universe_size, covers, message) of coverage instances the CLI must refuse.
+_BAD_COVERAGE = [
+    ("coverage-bool-universe", True, [[0]], "universe_size must be an integer, got True"),
+    ("coverage-float-universe", 4.5, [[0]], "universe_size must be an integer, got 4.5"),
+    ("coverage-int-covers", 4, [5, 3],
+     "each entry of covers must be a list of integer elements, got 5"),
+    ("coverage-bool-cover", 4, [True],
+     "each entry of covers must be a list of integer elements, got True"),
+    ("coverage-bool-element", 4, [[True]],
+     "each entry of covers must be a list of integer elements, got [True]"),
+    ("coverage-float-element", 4, [[0, 0.5]],
+     "each entry of covers must be a list of integer elements, got [0, 0.5]"),
+    ("coverage-scalar-covers", 4, 5, "covers must be a list, got 5"),
+]
 _HUGE_INT = {"kind": "additive", "weights": [10 ** 400, 1, 2]}
 _INF_SUM = {"kind": "sum", "terms": [  # {0} and {1} are a finite counterexample
     {"kind": "budget_additive", "weights": [2, -1, 0], "budget": 1},
@@ -793,6 +807,16 @@ _INF_ADDITIVE = {"kind": "additive", "weights": [1e308, 1e308, 1]}
     pytest.param(["sample"], '{"n": 5, "trials": 2, "width": true}', id="sample-bool-width"),
     pytest.param(["sample"], '{"n": 5, "trials": 2, "confidence_constant": null}',
                  id="sample-null-confidence-constant"),
+    # coverage instances once read true as 1, a bare number as a bitmask and
+    # a true element as 1 (exit 0), or blamed "<<" for a float element
+    *[pytest.param(["verify", "--property", "submodular"],
+                   json.dumps({"kind": "coverage", "universe_size": u, "covers": c}), id=i)
+      for i, u, c, _ in _BAD_COVERAGE],
+    # with no trial to build an estimator, a bad family or width once exited 0
+    pytest.param(["sample"], '{"n": 5, "trials": 0, "family": "bogus"}',
+                 id="sample-zero-trials-bad-family"),
+    pytest.param(["sample"], '{"n": 5, "trials": 0, "width": -1}',
+                 id="sample-zero-trials-negative-width"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_cli_rejects_malformed_input(tmp_path, capsys, argv, text):
@@ -906,6 +930,17 @@ def test_cli_sandwich_rejects_non_object_block(tmp_path, capsys, block, value):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     _assert_rejected(capsys, ["verify", "--property", "sandwich", "--config", str(path)])
+
+
+@pytest.mark.parametrize("universe_size, covers, message", [c[1:] for c in _BAD_COVERAGE],
+                         ids=[c[0] for c in _BAD_COVERAGE])
+def test_cli_coverage_message_names_the_key(tmp_path, capsys, universe_size, covers, message):
+    """Each instance once exited 0, or 2 with a message that named no key."""
+    path = tmp_path / "cov.json"
+    path.write_text(json.dumps({"kind": "coverage", "universe_size": universe_size,
+                                "covers": covers}))
+    assert cli.main(["verify", "--property", "submodular", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("value", [0.5, 3, "ab", {"a": 1}, None, True])
