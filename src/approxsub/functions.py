@@ -22,6 +22,8 @@ from .sets import Subset, ValueOracle, iter_bits
 # Every exact table keeps |entry| below this, so the checkers' int64 second
 # differences (four entries) cannot overflow.
 TABLE_LIMIT = 1 << 61
+# Fraction totals a weight kernel keeps; its memo is cleared when full.
+MEMO_LIMIT = 256
 _EXACT_TYPES = (int, bool, Fraction)
 
 
@@ -74,13 +76,19 @@ class _WeightSum:
     set whose T exceeds it, before any typed sum is built: with limit =
     floor(D cap), T > limit exactly when cap < T / D, so the call equals
     ``min(sum, cap)``, ties included.
+
+    Each kernel keeps the Fractions it returns in ``memo``, keyed by T, so a
+    repeated total returns the one shared (immutable) Fraction(T, D) built
+    the first time.  The memo holds at most ``MEMO_LIMIT`` totals and is
+    cleared when full.
     """
 
-    __slots__ = ("terms", "den", "frac_mask", "classes")
+    __slots__ = ("terms", "den", "frac_mask", "classes", "memo")
 
     def __init__(self, weights):
         self.terms = weights
         self.den = self.classes = None
+        self.memo = {}
         if all(type(w) in (int, bool, Fraction) for w in weights):
             n = len(weights)
             self.den = math.lcm(*(w.denominator for w in weights))
@@ -111,7 +119,14 @@ class _WeightSum:
                 return total
         if limit is not None and total > limit:
             return cap
-        return Fraction(total, self.den) if mask & self.frac_mask else total // self.den
+        if not mask & self.frac_mask:
+            return total // self.den
+        value = self.memo.get(total)
+        if value is None:
+            if len(self.memo) >= MEMO_LIMIT:
+                self.memo.clear()
+            value = self.memo[total] = Fraction(total, self.den)
+        return value
 
 
 def _doubling(n: int, dtype, step) -> np.ndarray:
@@ -374,16 +389,35 @@ def _num_to_obj(x):
     raise TypeError(f"cannot serialize value of type {type(x).__name__}")
 
 
-def _num_from_obj(o):
+def _num_from_obj(o, name: str):
+    """An instance's weight, table entry or budget: an int, a bool, a finite
+    float, or a {"num", "den"} object read as a Fraction.  ``name`` is the
+    key the message names."""
     if isinstance(o, dict):
         if o.keys() != {"num", "den"}:
-            raise ValueError(f"a number object needs exactly the keys 'num' and 'den', got {o}")
-        if o["den"] == 0:
-            raise ValueError(f"zero denominator in {o}")
+            raise ValueError(f"{name} given as an object needs exactly the keys 'num' and "
+                             f"'den', got {o}")
+        if not (isinstance(o["num"], int) and isinstance(o["den"], int)) or o["den"] == 0:
+            raise ValueError(f"{name} given as an object needs an integer 'num' and a nonzero "
+                             f"integer 'den', got {o}")
         return Fraction(o["num"], o["den"])
     if isinstance(o, float) and not math.isfinite(o):
-        raise ValueError(f"non-finite number {o}")
+        raise ValueError(f"{name} must be finite, got {o}")
+    if not isinstance(o, (int, float)):
+        raise ValueError(f"{name} must be a number or a {{'num', 'den'}} object, got {o!r}")
     return o
+
+
+def _listed(d: dict, key: str) -> list:
+    """The JSON list under ``key``, or a ValueError that names it."""
+    values = d[key]
+    if not isinstance(values, list):
+        raise ValueError(f"{key} must be a list, got {values!r}")
+    return values
+
+
+def _nums_from_list(d: dict, key: str) -> list:
+    return [_num_from_obj(v, f"each entry of {key}") for v in _listed(d, key)]
 
 
 def instance_to_dict(inst: ValueOracle) -> dict:
@@ -429,20 +463,18 @@ def instance_from_dict(d: dict) -> ValueOracle:
     if stray:
         raise ValueError(f"unknown keys in an instance of kind {kind!r}: {sorted(stray)}")
     if kind == "additive":
-        return AdditiveFunction([_num_from_obj(w) for w in d["weights"]])
+        return AdditiveFunction(_nums_from_list(d, "weights"))
     if kind == "budget_additive":
-        return BudgetAdditiveFunction(
-            [_num_from_obj(w) for w in d["weights"]], _num_from_obj(d["budget"])
-        )
+        return BudgetAdditiveFunction(_nums_from_list(d, "weights"),
+                                      _num_from_obj(d["budget"], "budget"))
     if kind == "coverage":
-        universe_size, covers = config_int(d["universe_size"], "universe_size"), d["covers"]
-        if not isinstance(covers, list):
-            raise ValueError(f"covers must be a list, got {covers!r}")
+        universe_size = config_int(d["universe_size"], "universe_size")
+        covers = _listed(d, "covers")
         for c in covers:  # a JSON cover lists its elements; an int mask is for Python callers
             if not (isinstance(c, list) and all(type(u) is int for u in c)):
                 raise ValueError(
                     f"each entry of covers must be a list of integer elements, got {c!r}")
         return CoverageFunction(universe_size, covers)
     if kind == "concave_cardinality":
-        return ConcaveCardinalityFunction([_num_from_obj(v) for v in d["table"]])
-    return SumFunction([instance_from_dict(t) for t in d["terms"]])
+        return ConcaveCardinalityFunction(_nums_from_list(d, "table"))
+    return SumFunction([instance_from_dict(t) for t in _listed(d, "terms")])

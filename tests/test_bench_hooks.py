@@ -118,3 +118,15 @@ def test_traced_greedy_sees_the_shared_round_loop(run, name, calls, queries):
     assert out["result"]["correct"]
     layer = out["trace"]["layers"]["solvers.greedy_cardinality"]
     assert (layer["calls"], layer["queries"]) == (calls, queries)
+
+
+def test_traced_greedy_scale_values_every_query(run):
+    """The weight kernel's memo skips only the Fraction build: every query
+    on the trap still reaches the trap's value() and the additive value()."""
+    out = run.run_benchmark("greedy-scale", 0, 0, True, params=run.TINY["greedy-scale"],
+                            setup_probes=0)
+    assert out["result"]["correct"]
+    layers = out["trace"]["layers"]
+    assert layers["sets.query"]["calls"] == 4840
+    assert layers["functions.greedy_trap.value"]["calls"] == 4840
+    assert layers["functions.additive.value"]["calls"] == 4840

@@ -628,6 +628,34 @@ _BAD_COVERAGE = [
      "each entry of covers must be a list of integer elements, got [0, 0.5]"),
     ("coverage-scalar-covers", 4, 5, "covers must be a list, got 5"),
 ]
+_NUMBER = "must be a number or a {'num', 'den'} object, got"
+_INTEGER_PARTS = "given as an object needs an integer 'num' and a nonzero integer 'den', got"
+# (id, instance, message) of list and number keys the CLI must refuse.
+_BAD_NUMBERS = [
+    ("additive-int-weights", {"kind": "additive", "weights": 5}, "weights must be a list, got 5"),
+    ("concave-int-table", {"kind": "concave_cardinality", "table": 3},
+     "table must be a list, got 3"),
+    ("sum-int-terms", {"kind": "sum", "terms": 5}, "terms must be a list, got 5"),
+    ("additive-str-weights", {"kind": "additive", "weights": "ab"},
+     "weights must be a list, got 'ab'"),
+    ("additive-null-weight", {"kind": "additive", "weights": [None, 1]},
+     f"each entry of weights {_NUMBER} None"),
+    ("budget-list-budget", {"kind": "budget_additive", "weights": [1, 2], "budget": [3]},
+     f"budget {_NUMBER} [3]"),
+    ("budget-null-budget", {"kind": "budget_additive", "weights": [1, 2], "budget": None},
+     f"budget {_NUMBER} None"),
+    ("budget-list-weight", {"kind": "budget_additive", "weights": [[1], 2], "budget": 1},
+     f"each entry of weights {_NUMBER} [1]"),
+    ("concave-str-entry", {"kind": "concave_cardinality", "table": [0, "1"]},
+     f"each entry of table {_NUMBER} '1'"),
+    ("additive-str-num", {"kind": "additive", "weights": [{"num": "1", "den": 2}]},
+     f"each entry of weights {_INTEGER_PARTS} {{'num': '1', 'den': 2}}"),
+    ("budget-float-den", {"kind": "budget_additive", "weights": [1], "budget": {"num": 1,
+                                                                             "den": 2.0}},
+     f"budget {_INTEGER_PARTS} {{'num': 1, 'den': 2.0}}"),
+    ("concave-zero-den", {"kind": "concave_cardinality", "table": [0, {"num": 1, "den": 0}]},
+     f"each entry of table {_INTEGER_PARTS} {{'num': 1, 'den': 0}}"),
+]
 _HUGE_INT = {"kind": "additive", "weights": [10 ** 400, 1, 2]}
 _INF_SUM = {"kind": "sum", "terms": [  # {0} and {1} are a finite counterexample
     {"kind": "budget_additive", "weights": [2, -1, 0], "budget": 1},
@@ -817,6 +845,9 @@ _INF_ADDITIVE = {"kind": "additive", "weights": [1e308, 1e308, 1]}
                  id="sample-zero-trials-bad-family"),
     pytest.param(["sample"], '{"n": 5, "trials": 0, "width": -1}',
                  id="sample-zero-trials-negative-width"),
+    # a list or number key of the wrong type once exited 2 naming no key
+    *[pytest.param(["verify", "--property", "submodular"], json.dumps(d), id=i)
+      for i, d, _ in _BAD_NUMBERS],
 ])
 @pytest.mark.filterwarnings("error")
 def test_cli_rejects_malformed_input(tmp_path, capsys, argv, text):
@@ -939,6 +970,16 @@ def test_cli_coverage_message_names_the_key(tmp_path, capsys, universe_size, cov
     path = tmp_path / "cov.json"
     path.write_text(json.dumps({"kind": "coverage", "universe_size": universe_size,
                                 "covers": covers}))
+    assert cli.main(["verify", "--property", "submodular", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("instance, message", [c[1:] for c in _BAD_NUMBERS],
+                         ids=[c[0] for c in _BAD_NUMBERS])
+def test_cli_instance_message_names_the_key(tmp_path, capsys, instance, message):
+    """Each instance once exited 2 with a TypeError that named no key."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(instance))
     assert cli.main(["verify", "--property", "submodular", "--instance", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -191,6 +191,13 @@ def test_number_objects_need_exactly_num_and_den(d):
 
 
 
+def test_instance_numbers_keep_their_json_types():
+    f = instance_from_dict({"kind": "budget_additive", "budget": True,
+                            "weights": [True, 0.5, 3, {"num": True, "den": 3}]})
+    assert [type(w) for w in f.weights] == [bool, float, int, Fraction]
+    assert f.weights[3] == Fraction(1, 3) and f.budget is True
+
+
 @pytest.mark.parametrize("value", [0, 3, -2, 0.5, float("inf"), Fraction(1, 3), 10 ** 400])
 def test_config_number_returns_numbers_unchanged(value):
     assert config_number(value, "width") is value

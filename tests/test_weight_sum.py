@@ -5,7 +5,7 @@ The two reference classes below keep the earlier ``value`` bodies verbatim:
 a running sum from 0 over the set's elements in increasing order.  Every
 result must match in value and in type (int, Fraction, float or numpy), on
 both of the kernel's branches: the walk over a set's bits and the sum over
-weight classes.
+weight classes, and with the memo of Fraction totals hit, missed and cleared.
 """
 
 import random
@@ -20,9 +20,10 @@ from approxsub.adversarial import (
 )
 from approxsub.experiments import run_trap, run_trap_curve
 from approxsub.functions import (
-    AdditiveFunction, BudgetAdditiveFunction, SumFunction, _mask_of, _WeightSum,
+    MEMO_LIMIT, AdditiveFunction, BudgetAdditiveFunction, SumFunction, _mask_of, _WeightSum,
 )
 from approxsub.sets import Subset, ValueOracle, iter_bits
+from approxsub.solvers import brute_force
 from approxsub.verify import check_sandwich, check_submodular
 
 
@@ -326,6 +327,73 @@ def test_weight_types_pick_the_result_type():
     assert_same(h.value(Subset.from_elements([1, 2], 3)), 2)
     assert_same(h.value(Subset.full(3)), 2)
     assert_same(h.value(Subset.from_elements([0, 1], 3)), Fraction(3, 2))
+
+
+# ---------------------------------------------------------------------------
+# The memo of Fraction totals
+# ---------------------------------------------------------------------------
+
+def _fraction_int(n, seed):
+    rng = random.Random(f"fraction-int-{n}-{seed}")
+    return [rng.choice([_int, _fraction])(rng) for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 10])
+def test_memo_returns_the_reference_value_twice(n):
+    """Every mask, queried twice: equal in value and type to the running sum,
+    and a repeated Fraction total is the very object the first call built."""
+    w = _fraction_int(n, 0)
+    pairs = [(AdditiveFunction(w), ReferenceAdditive(w))]
+    pairs += [(BudgetAdditiveFunction(w, b), ReferenceBudgetAdditive(w, b))
+              for b in (7, Fraction(13, 4))]
+    for new, old in pairs:
+        shared = 0
+        for _ in range(2):
+            for mask in range(1 << n):
+                s = Subset._raw(n, mask, mask.bit_count())
+                first, again = new.value(s), new.value(s)
+                assert_same(first, old.value(s))
+                assert_same(again, first)
+                if type(first) is Fraction:
+                    assert again is first
+                    shared += 1
+                assert len(new._sum.memo) <= MEMO_LIMIT
+        assert shared
+
+
+def test_memo_past_its_bound_matches_reference():
+    """14 distinct Fraction weights give every set its own total, so brute
+    force at n = 14 never hits the memo and clears it again and again."""
+    n = 14
+    w = [Fraction(1 << e, 3) for e in range(n)]
+    new, old = AdditiveFunction(w), ReferenceAdditive(w)
+    memo, clears = new._sum.memo, 0
+    for mask in range(1 << n):
+        s = Subset._raw(n, mask, mask.bit_count())
+        before = len(memo)
+        assert_same(new.value(s), old.value(s))
+        assert len(memo) <= MEMO_LIMIT
+        clears += len(memo) < before
+    assert clears == ((1 << n) - 1) // MEMO_LIMIT
+    got, ref = brute_force(AdditiveFunction(w), n), brute_force(ReferenceAdditive(w), n)
+    assert (got.chosen.mask, got.value, type(got.value), got.queries_used) == \
+        (ref.chosen.mask, ref.value, type(ref.value), ref.queries_used)
+
+
+@pytest.mark.parametrize("weights, budget, masks", [
+    ([3, -1, True, 0, 5], None, range(32)),
+    ([0.5, Fraction(1, 3), 2], None, range(8)),  # float weights: summed unscaled
+    ([1, 2, Fraction(1, 2), 4], None, [m for m in range(16) if not m & 4]),
+    ([Fraction(1, 2), Fraction(3, 2), 1], 0, range(8)),  # the cap answers first
+], ids=["ints", "float", "no-fraction-element", "capped"])
+def test_memo_stays_empty_without_a_fraction_total(weights, budget, masks):
+    n = len(weights)
+    new = AdditiveFunction(weights) if budget is None else BudgetAdditiveFunction(weights, budget)
+    old = ReferenceAdditive(weights) if budget is None else ReferenceBudgetAdditive(weights, budget)
+    for mask in masks:
+        s = Subset._raw(n, mask, mask.bit_count())
+        assert_same(new.value(s), old.value(s))
+    assert new._sum.memo == {}
 
 
 # ---------------------------------------------------------------------------
