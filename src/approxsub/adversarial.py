@@ -194,7 +194,10 @@ class Band:
     ints q - p, q and q + p.  For int and Fraction values, clearing the
     positive denominators makes the test (q - p) f.num F.den <= q F.num f.den
     <= (q + p) f.num F.den: :meth:`holds` compares ints and builds no Fraction.
-    Two measured fast paths inline this test on their own ints:
+    :meth:`SandwichFunction.value` calls it directly when both sides have a
+    ``den`` (their values are then int, bool or Fraction), and
+    :meth:`contains` otherwise.  Two measured fast paths inline this test on
+    their own ints:
     :meth:`PairBand.sandwich` and ``verify.check_sandwich``'s band loop.
     :meth:`near` and :meth:`float_holds` are the float forms for noisy values;
     they differ on purpose, and a value just past a rounded edge passes the
@@ -295,9 +298,11 @@ class SandwichFunction(ValueOracle):
     otherwise.  By construction the result is always within the band around
     fh, so fh is a representative.
 
-    eps is taken at its exact binary-float value; the band test is
-    :meth:`Band.contains`, exact integer cross-multiplication when fh and g
-    return ints or Fractions, rational arithmetic on other value types.
+    eps is taken at its exact binary-float value.  When fh and g both have
+    a ``den``, the oracle's ``den`` is their lcm and each set's band test is
+    one :meth:`Band.holds` call, exact integer cross-multiplication; on other
+    value types it is :meth:`Band.contains`, which still takes ``holds`` on
+    int and Fraction values and rational arithmetic on the rest.
     :meth:`exact_table` makes the same choice from fh's and g's tables.
     """
 
@@ -313,20 +318,26 @@ class SandwichFunction(ValueOracle):
         self.g = g
         self.epsilon = float(epsilon)
         self.band = Band(self.epsilon)
+        self._in_band = self.band.contains
+        if fh.den is not None and g.den is not None:
+            self.den = math.lcm(fh.den, g.den)
+            self._in_band = self.band.holds
 
     def value(self, s: Subset):
         fv = self.fh.value(s)
         gv = self.g.value(s)
-        if self.band.contains(gv, fv):
+        if self._in_band(gv, fv):
             return gv
         return fv
 
     def exact_table(self):
-        """``(T, D)`` over D = lcm of fh's and g's denominators, or None when
-        a side has no table, the pair key fh * span + (g - min g) could
-        overflow int64, or an entry reaches ``TABLE_LIMIT``.  Each distinct
-        key gets :meth:`value`'s band choice by the same call,
-        :meth:`Band.contains` on the Fractions of g and fh."""
+        """``(T, D)`` over D = ``den``, or None when a side has no ``den`` or
+        no table, the pair key fh * span + (g - min g) could overflow int64,
+        or an entry reaches ``TABLE_LIMIT``.  Each distinct key gets
+        :meth:`value`'s band choice by the same call, :meth:`Band.holds` on
+        the Fractions of g and fh."""
+        if self.den is None:
+            return None
         fh, g = self.fh.exact_table(), self.g.exact_table()
         if fh is None or g is None:
             return None
@@ -336,12 +347,12 @@ class SandwichFunction(ValueOracle):
         if (int(np.abs(T_fh).max()) + 1) * span > 1 << 63:
             return None
         keys, inverse = np.unique(T_fh * span + (T_g - low), return_inverse=True)
-        den, contains = math.lcm(D_fh, D_g), self.band.contains
+        den, in_band = self.den, self._in_band
         chosen = []
         for t_fh, t_g in (divmod(key, span) for key in keys.tolist()):
             t_g += low
-            in_band = contains(Fraction(t_g, D_g), Fraction(t_fh, D_fh))
-            chosen.append(t_g * (den // D_g) if in_band else t_fh * (den // D_fh))
+            inside = in_band(Fraction(t_g, D_g), Fraction(t_fh, D_fh))
+            chosen.append(t_g * (den // D_g) if inside else t_fh * (den // D_fh))
         if max(map(abs, chosen)) >= TABLE_LIMIT:
             return None
         return np.array(chosen, dtype=np.int64)[inverse], den

@@ -6,6 +6,11 @@ float), so integral and rational instances evaluate exactly.  Each kind is a
 counted ``ValueOracle`` whose ``exact_table()`` builds its whole value table
 in numpy where its data allow; :func:`int_table` is the one rescaler of
 exact values to such a table.
+
+A kind whose data are all exactly int, bool or Fraction keeps its table's D as
+``den`` (see ``ValueOracle``).  A sum of such kinds adds its terms' values as
+ints over the lcm of their ``den``, and like the weight kernel it returns each
+Fraction through a bounded :class:`_FractionMemo`, shared when a total repeats.
 """
 
 from __future__ import annotations
@@ -22,9 +27,35 @@ from .sets import Subset, ValueOracle, iter_bits
 # Every exact table keeps |entry| below this, so the checkers' int64 second
 # differences (four entries) cannot overflow.
 TABLE_LIMIT = 1 << 61
-# Fraction totals a weight kernel keeps; its memo is cleared when full.
+# Fraction totals a memo keeps; it is cleared when full.
 MEMO_LIMIT = 256
 _EXACT_TYPES = (int, bool, Fraction)
+
+
+def _den_of(values):
+    """The lcm of the values' denominators, or None if some value is not
+    exactly an int, bool or Fraction."""
+    if all(type(v) in _EXACT_TYPES for v in values):
+        return math.lcm(*(v.denominator for v in values))
+    return None
+
+
+class _FractionMemo(dict):
+    """Fraction(T, den) keyed by the scaled int total T, built on the first
+    lookup of T and shared (Fractions are immutable) by every later one.  It
+    holds at most ``MEMO_LIMIT`` totals and is cleared when full."""
+
+    __slots__ = ("den",)
+
+    def __init__(self, den):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, total):
+        if len(self) >= MEMO_LIMIT:
+            self.clear()
+        value = self[total] = Fraction(total, self.den)
+        return value
 
 
 def _scaled(values, den: int) -> list[int]:
@@ -36,9 +67,9 @@ def int_table(values):
     """``(T, D)``: D the least common denominator of the values and T the
     int64 array of D * v, or None if some value is not exactly an int, bool
     or Fraction, or some |D * v| reaches the limit."""
-    if any(type(v) not in _EXACT_TYPES for v in values):
+    den = _den_of(values)
+    if den is None:
         return None
-    den = math.lcm(*{v.denominator for v in values})
     scaled = _scaled(values, den)
     if max(map(abs, scaled), default=0) >= TABLE_LIMIT:
         return None
@@ -77,21 +108,20 @@ class _WeightSum:
     floor(D cap), T > limit exactly when cap < T / D, so the call equals
     ``min(sum, cap)``, ties included.
 
-    Each kernel keeps the Fractions it returns in ``memo``, keyed by T, so a
-    repeated total returns the one shared (immutable) Fraction(T, D) built
-    the first time.  The memo holds at most ``MEMO_LIMIT`` totals and is
-    cleared when full.
+    Each kernel returns its Fractions through ``memo``, a
+    :class:`_FractionMemo` keyed by T, so a repeated total returns the one
+    Fraction(T, D) built the first time.
     """
 
     __slots__ = ("terms", "den", "frac_mask", "classes", "memo")
 
     def __init__(self, weights):
         self.terms = weights
-        self.den = self.classes = None
-        self.memo = {}
-        if all(type(w) in (int, bool, Fraction) for w in weights):
+        self.classes = None
+        self.den = _den_of(weights)
+        self.memo = _FractionMemo(self.den)
+        if self.den is not None:
             n = len(weights)
-            self.den = math.lcm(*(w.denominator for w in weights))
             self.terms = _scaled(weights, self.den)
             self.frac_mask = _mask_of((e for e, w in enumerate(weights) if type(w) is Fraction), n)
             groups = {}
@@ -121,12 +151,7 @@ class _WeightSum:
             return cap
         if not mask & self.frac_mask:
             return total // self.den
-        value = self.memo.get(total)
-        if value is None:
-            if len(self.memo) >= MEMO_LIMIT:
-                self.memo.clear()
-            value = self.memo[total] = Fraction(total, self.den)
-        return value
+        return self.memo[total]
 
 
 def _doubling(n: int, dtype, step) -> np.ndarray:
@@ -156,6 +181,7 @@ class AdditiveFunction(ValueOracle):
         if self.n < 1:
             raise ValueError("need at least one element")
         self._sum = _WeightSum(self.weights)
+        self.den = self._sum.den
 
     def value(self, s: Subset):
         if s.n != self.n:
@@ -163,10 +189,10 @@ class AdditiveFunction(ValueOracle):
         return self._sum(s.mask)
 
     def exact_table(self):
-        if self._sum.den is None:
+        if self.den is None:
             return None
         t = _weight_table(self._sum.terms, self.n)
-        return None if t is None else (t, self._sum.den)
+        return None if t is None else (t, self.den)
 
 
 class BudgetAdditiveFunction(ValueOracle):
@@ -188,6 +214,7 @@ class BudgetAdditiveFunction(ValueOracle):
         self._limit = None
         if self._sum.den is not None and type(budget) in _EXACT_TYPES:
             self._limit = budget.numerator * self._sum.den // budget.denominator
+            self.den = math.lcm(self._sum.den, budget.denominator)
 
     def value(self, s: Subset):
         if s.n != self.n:
@@ -197,9 +224,9 @@ class BudgetAdditiveFunction(ValueOracle):
         return self._sum(s.mask, self._limit, self.budget)
 
     def exact_table(self):
-        if self._sum.den is None or type(self.budget) not in _EXACT_TYPES:
+        den = self.den
+        if den is None:
             return None
-        den = math.lcm(self._sum.den, self.budget.denominator)
         budget, = _scaled([self.budget], den)
         t = _weight_table(_scaled(self.weights, den), self.n)
         if t is None or budget >= TABLE_LIMIT:
@@ -215,6 +242,7 @@ class CoverageFunction(ValueOracle):
     """
 
     kind = "coverage"
+    den = 1
 
     def __init__(self, universe_size: int, covers):
         if universe_size < 0:
@@ -275,6 +303,7 @@ class ConcaveCardinalityFunction(ValueOracle):
             d1 = self.table[i + 2] - self.table[i + 1]
             if d1 > d0:
                 raise ValueError(f"table is not concave at size {i + 1}")
+        self.den = _den_of(self.table)
 
     def value(self, s: Subset):
         if s.n != self.n:
@@ -290,7 +319,15 @@ class ConcaveCardinalityFunction(ValueOracle):
 
 
 class SumFunction(ValueOracle):
-    """Pointwise sum of set functions over a common ground set."""
+    """Pointwise sum of set functions over a common ground set.
+
+    ``value`` calls each term's ``value`` once and returns the value and type
+    of adding them to 0 in term order.  When every term has a ``den``, ints
+    and bools are added as they are and each Fraction v as the int D v, D =
+    ``den`` the lcm of the terms' ``den``: a set with a Fraction value returns
+    Fraction(T, D) of the total T through a :class:`_FractionMemo`, so no
+    Fraction is built on the way and a repeated T shares one.
+    """
 
     kind = "sum"
 
@@ -302,20 +339,40 @@ class SumFunction(ValueOracle):
         for t in self.terms:
             if t.n != self.n:
                 raise ValueError("sum terms disagree on ground set size")
+        dens = [t.den for t in self.terms]
+        if None not in dens:
+            self.den = math.lcm(*dens)
+            self._memo = _FractionMemo(self.den)
 
     def value(self, s: Subset):
         if s.n != self.n:
             self._check_ground(s)
-        total = 0
+        den = self.den
+        if den is None:
+            total = 0
+            for t in self.terms:
+                total += t.value(s)
+            return total
+        ints = scaled = 0
+        has_fraction = False
         for t in self.terms:
-            total += t.value(s)
-        return total
+            v = t.value(s)
+            if type(v) is Fraction:
+                scaled += v.numerator * (den // v.denominator)
+                has_fraction = True
+            else:
+                ints += v
+        if has_fraction:
+            return self._memo[ints * den + scaled]
+        return ints
 
     def exact_table(self):
+        den = self.den
+        if den is None:
+            return None
         tables = [t.exact_table() for t in self.terms]
         if None in tables:
             return None
-        den = math.lcm(*(d for _, d in tables))
         # Triangle bound over the terms; it also bounds every partial sum below.
         if sum(int(np.abs(t).max()) * (den // d) for t, d in tables) >= TABLE_LIMIT:
             return None
@@ -379,6 +436,14 @@ def config_number(value, name: str):
     if not isinstance(value, bool) and isinstance(value, numbers.Real):
         return value
     raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def require_keys(d: dict, keys, owner: str) -> None:
+    """Raise a ValueError that names the first of ``keys`` missing from the
+    config block ``d`` and ``owner``, the block that needs it."""
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"{owner} needs the key {key!r}")
 
 
 def _num_to_obj(x):
@@ -462,6 +527,7 @@ def instance_from_dict(d: dict) -> ValueOracle:
     stray = d.keys() - _INSTANCE_KEYS[kind]
     if stray:
         raise ValueError(f"unknown keys in an instance of kind {kind!r}: {sorted(stray)}")
+    require_keys(d, sorted(_INSTANCE_KEYS[kind] - {"kind"}), f"an instance of kind {kind!r}")
     if kind == "additive":
         return AdditiveFunction(_nums_from_list(d, "weights"))
     if kind == "budget_additive":

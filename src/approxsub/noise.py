@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .functions import config_int, config_number
+from .functions import config_int, config_number, require_keys
 from .sets import Subset, ValueOracle
 
 _M64 = (1 << 64) - 1
@@ -182,6 +182,7 @@ def noise_from_dict(base, cfg: dict):
         raise ValueError(f"unknown keys in a {kind} noise block: {sorted(stray)}")
     seed = config_int(cfg.get("seed", 0), "seed")  # None would draw OS entropy
     if kind == "consistent":
+        require_keys(cfg, ["epsilon"], "a consistent noise block")
         return ConsistentNoiseOracle(base, config_number(cfg["epsilon"], "epsilon"), seed)
     if "width" not in cfg:
         raise ValueError("an inconsistent noise block needs 'width', each draw's spread")
@@ -192,6 +193,7 @@ def noise_from_dict(base, cfg: dict):
     elif "B" in cfg:
         if "b" not in cfg:
             raise ValueError("a noise block with 'B' needs 'b', the lower value bound")
+        require_keys(cfg, ["epsilon"], "an inconsistent noise block with 'B'")
         m = required_samples(
             config_number(cfg["B"], "B"), config_number(cfg["b"], "b"), base.n,
             config_number(cfg["epsilon"], "epsilon"),

@@ -121,9 +121,15 @@ class ValueOracle:
     point used by solvers; the counter increments by exactly one per call.
     The class-level count of 0 lets a subclass that sets ``n`` itself skip
     ``__init__``, as the exact function kinds do.
+
+    ``den`` is an int D such that D * value(S) is an int on every set, and
+    every value is an int, bool or Fraction; or None, the default, when the
+    function promises neither.  A kind with an :meth:`exact_table` sets it
+    to the table's D: sums and the sandwich oracle read their terms' ``den``.
     """
 
     _queries = 0
+    den = None
 
     def __init__(self, n: int):
         self.n = n

@@ -69,8 +69,10 @@ def test_traced_run_exercises_every_listed_layer(run, name):
 def test_traced_verify_evaluates_each_sandwich_once(run):
     """A sandwich item's check_sandwich reads the sandwich by value() on
     every set, through one tabulate call, and its check_submodular reads the
-    sandwich's exact table: the planted additive term is valued once per set
-    too.  The corpus items read their own tables and tabulate nothing."""
+    sandwich's exact table: the planted sum and each of its two terms are
+    valued once per set too, so adding the terms in integers skips no
+    value() call.  The corpus items read their own tables and tabulate
+    nothing."""
     params = run.TINY["verify"]
     out = run.run_benchmark("verify", 0, 0, True, params=params, setup_probes=0)
     assert out["result"]["correct"]
@@ -78,7 +80,9 @@ def test_traced_verify_evaluates_each_sandwich_once(run):
     sets = params["sandwiches"] << params["n"]
     assert sets == 512
     assert layers["adversarial.sandwich.value"]["calls"] == sets
+    assert layers["functions.sum.value"]["calls"] == sets
     assert layers["functions.additive.value"]["calls"] == sets
+    assert layers["functions.budget_additive.value"]["calls"] == sets
     items = out["provenance"]["prefix"]
     sandwich_items = range(items - params["sandwiches"], items)
     tabulated = [span[2] for span in out["trace"]["spans"] if span[3] == "verify.tabulate"]

@@ -984,6 +984,29 @@ def test_cli_instance_message_names_the_key(tmp_path, capsys, instance, message)
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("instance, kind, key", [
+    ({"kind": "additive"}, "additive", "weights"),
+    ({"kind": "budget_additive", "weights": [1]}, "budget_additive", "budget"),
+    ({"kind": "budget_additive", "budget": 1}, "budget_additive", "weights"),
+    ({"kind": "coverage", "covers": [[0]]}, "coverage", "universe_size"),
+    ({"kind": "coverage", "universe_size": 2}, "coverage", "covers"),
+    ({"kind": "concave_cardinality"}, "concave_cardinality", "table"),
+    ({"kind": "sum"}, "sum", "terms"),
+    ({"kind": "sum", "terms": [_ADDITIVE, {"kind": "budget_additive", "weights": [1, 2, 3]}]},
+     "budget_additive", "budget"),
+], ids=["additive-weights", "budget-budget", "budget-weights", "coverage-universe-size",
+        "coverage-covers", "concave-table", "sum-terms", "sum-term-budget"])
+def test_cli_instance_missing_key_names_kind_and_key(tmp_path, capsys, instance, kind, key):
+    """Each instance once exited 2 with only the KeyError repr, such as
+    ``error: 'weights'``."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(instance))
+    assert cli.main(["verify", "--property", "monotone", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: an instance of kind {kind!r} needs the key {key!r}\n"
+
+
 @pytest.mark.parametrize("value", [0.5, 3, "ab", {"a": 1}, None, True])
 @pytest.mark.parametrize("key", ["sizes", "seeds", "delta_grid", "instances"])
 def test_cli_sweep_list_key_must_be_a_list(tmp_path, capsys, key, value):

@@ -317,6 +317,18 @@ def test_noise_from_dict_needs_a_sampled_estimator():
         noise_from_dict(AdditiveFunction([1, 2]), {**block, "width": -1})
 
 
+@pytest.mark.parametrize("block, message", [
+    ({"kind": "consistent", "seed": 3}, "a consistent noise block needs the key 'epsilon'"),
+    ({"kind": "inconsistent", "width": 0.5, "B": 3, "b": 1},
+     "an inconsistent noise block with 'B' needs the key 'epsilon'"),
+], ids=["consistent", "inconsistent-B"])
+def test_noise_from_dict_missing_epsilon_names_kind_and_key(block, message):
+    """Each block once raised a bare KeyError('epsilon')."""
+    with pytest.raises(ValueError) as info:
+        noise_from_dict(AdditiveFunction([1, 2]), block)
+    assert str(info.value) == message
+
+
 def test_noise_from_dict_unknown_kind():
     with pytest.raises(ValueError):
         noise_from_dict(AdditiveFunction([1]), {"kind": "laplace"})
