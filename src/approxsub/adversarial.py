@@ -17,7 +17,6 @@ All constructions evaluate exactly (int/Fraction arithmetic).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +28,9 @@ from .functions import (
     BudgetAdditiveFunction,
     ConcaveCardinalityFunction,
     SumFunction,
+    config_int,
     config_number,
+    config_seed,
 )
 from .sets import Subset, ValueOracle
 
@@ -59,9 +60,7 @@ class HardPairParams:
 
     def __post_init__(self):
         for name in ("n", "h", "alpha", "k"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            config_int(getattr(self, name), name)
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
         if not 1 <= self.alpha <= self.k:
@@ -123,7 +122,7 @@ def draw_hidden_set(n: int, h: int, seed: int) -> Subset:
     check_ground_size(n)
     if not 0 < h <= n:
         raise ValueError(f"need 0 < h <= n, got h={h}, n={n}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config_seed(seed))
     # One vectorised draw yields the same stream as h scalar rng.integers(i, n)
     # calls; the swaps stay sequential because later ones read earlier ones.
     targets = rng.integers(np.arange(h), n).tolist()
@@ -190,18 +189,18 @@ def build_coverage_pair(params: HardPairParams, hidden: Subset) -> HardPair:
 class Band:
     """The band (1 - eps) f <= F <= (1 + eps) f, with eps held exactly.
 
-    eps = p/q is ``Fraction(eps)``, a float's exact binary value, kept as the
-    ints q - p, q and q + p.  For int and Fraction values, clearing the
-    positive denominators makes the test (q - p) f.num F.den <= q F.num f.den
-    <= (q + p) f.num F.den: :meth:`holds` compares ints and builds no Fraction.
-    :meth:`SandwichFunction.value` calls it directly when both sides have a
-    ``den`` (their values are then int, bool or Fraction), and
-    :meth:`contains` otherwise.  Two measured fast paths inline this test on
-    their own ints:
-    :meth:`PairBand.sandwich` and ``verify.check_sandwich``'s band loop.
-    :meth:`near` and :meth:`float_holds` are the float forms for noisy values;
-    they differ on purpose, and a value just past a rounded edge passes the
-    first and fails the second.
+    The only holder of eps's exact form: eps = p/q is ``Fraction(eps)``, a
+    float's exact binary value, kept as the ints q - p, q, q + p and the
+    edges lo = 1 - eps, hi = 1 + eps.  For int and Fraction values, clearing
+    the positive denominators makes the test (q - p) f.num F.den <= q F.num
+    f.den <= (q + p) f.num F.den: :meth:`holds` compares ints, no Fraction.
+    Readers: ``SandwichFunction.value`` and ``.exact_table`` call
+    :meth:`holds` when both sides have a ``den``, else :meth:`contains`;
+    the subclass :class:`PairBand` and ``verify.check_sandwich``'s band
+    loop, two measured fast paths, inline it on these ints;
+    ``verify._band_indices`` reads ``lo`` and ``hi``.  :meth:`near` and
+    :meth:`float_holds` are the float forms for noisy values; they differ on
+    purpose: a value just past a rounded edge passes one, fails the other.
     """
 
     __slots__ = ("q", "q_lo", "q_hi", "lo", "hi")
@@ -250,8 +249,8 @@ class Band:
         return float(self.lo * f) <= F <= float(self.hi * f)
 
 
-class PairBand:
-    """Exact sandwich band test for the monotone hard pair, in integers.
+class PairBand(Band):
+    """The :class:`Band` of ``float(eps)``, tested in integers on the monotone pair.
 
     Both pair functions see a set only through s1 = |S inter H| and
     s0 = |S minus H|.  Scaled by n they are integers,
@@ -259,20 +258,19 @@ class PairBand:
         F = n fh = n s1 + min(n s0, alpha (n - h)),
         G = n g  = min(n s, s h + alpha (n - h)),     s = s1 + s0,
 
-    and with the ints q - p, q, q + p of ``Band(float(eps))`` the band test
+    and with the band's ints q - p, q, q + p the test
     (1 - eps) fh <= g <= (1 + eps) fh is (q - p) F <= q G <= (q + p) F.
     Nothing is rounded, so every outcome equals the rational test.  The
     comparison is inlined: the collapsed greedy runs it twice per round.
     """
 
-    __slots__ = ("n", "h", "cap_n", "q", "q_lo", "q_hi")
+    __slots__ = ("n", "h", "cap_n")
 
     def __init__(self, params: HardPairParams):
+        Band.__init__(self, float(params.epsilon))
         self.n = params.n
         self.h = params.h
         self.cap_n = params.alpha * (params.n - params.h)
-        band = Band(float(params.epsilon))
-        self.q, self.q_lo, self.q_hi = band.q, band.q_lo, band.q_hi
 
     def sandwich(self, s1: int, s0: int) -> tuple[int, bool]:
         """(n times the sandwich oracle's value, whether g is inside the band)
@@ -333,9 +331,9 @@ class SandwichFunction(ValueOracle):
     def exact_table(self):
         """``(T, D)`` over D = ``den``, or None when a side has no ``den`` or
         no table, the pair key fh * span + (g - min g) could overflow int64,
-        or an entry reaches ``TABLE_LIMIT``.  Each distinct key gets
-        :meth:`value`'s band choice by the same call, :meth:`Band.holds` on
-        the Fractions of g and fh."""
+        or an entry reaches ``TABLE_LIMIT``.  Each distinct key keeps what
+        :meth:`Band.holds` picks on g's and fh's table ints scaled to ``den``:
+        :meth:`value`'s choice, as ``holds`` does not depend on the scale."""
         if self.den is None:
             return None
         fh, g = self.fh.exact_table(), self.g.exact_table()
@@ -347,12 +345,11 @@ class SandwichFunction(ValueOracle):
         if (int(np.abs(T_fh).max()) + 1) * span > 1 << 63:
             return None
         keys, inverse = np.unique(T_fh * span + (T_g - low), return_inverse=True)
-        den, in_band = self.den, self._in_band
+        den, holds = self.den, self.band.holds
         chosen = []
         for t_fh, t_g in (divmod(key, span) for key in keys.tolist()):
-            t_g += low
-            inside = in_band(Fraction(t_g, D_g), Fraction(t_fh, D_fh))
-            chosen.append(t_g * (den // D_g) if inside else t_fh * (den // D_fh))
+            G, F = (t_g + low) * (den // D_g), t_fh * (den // D_fh)
+            chosen.append(G if holds(G, F) else F)
         if max(map(abs, chosen)) >= TABLE_LIMIT:
             return None
         return np.array(chosen, dtype=np.int64)[inverse], den

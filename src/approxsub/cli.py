@@ -22,7 +22,7 @@ from .adversarial import (
     gap_bound,
     power_law_params,
 )
-from .functions import CoverageFunction, config_int, config_number, instance_from_dict
+from .functions import CoverageFunction, config_int, config_number, config_seed, instance_from_dict
 from .noise import noise_from_dict
 from .verify import check_concentration, check_monotone, check_sandwich, check_submodular
 
@@ -93,8 +93,7 @@ def _cmd_verify(args) -> int:
                 raise ValueError(f"construction family must be 'monotone' or 'coverage', "
                                  f"got {family!r}")
             params = HardPairParams(**construction)
-            hidden = draw_hidden_set(params.n, params.h,
-                                     config_int(cfg.get("seed", args.seed), "seed"))
+            hidden = draw_hidden_set(params.n, params.h, cfg.get("seed", args.seed))
             pair = (build_coverage_pair if family == "coverage"
                     else build_monotone_pair)(params, hidden)
             F, f, epsilon, n = build_sandwich(pair), pair.fh, params.epsilon, params.n
@@ -139,8 +138,9 @@ def _cmd_sweep(args) -> int:
         sizes = tuple(config_int(size, "a size") for size in cfg.pop("sizes", (8, 10)))
         if not all(1 <= size <= experiments.SWEEP_MAX_N for size in sizes):
             raise ValueError(f"sweep sizes must be in 1..{experiments.SWEEP_MAX_N}, got {sizes}")
-        corpus = experiments.instance_corpus(config_int(cfg.pop("corpus_seed", args.seed),
-                                                        "corpus_seed"), sizes=sizes)
+        key = "corpus_seed" if "corpus_seed" in cfg else "seed"
+        corpus = experiments.instance_corpus(config_seed(cfg.pop("corpus_seed", args.seed), key),
+                                             sizes=sizes)
         count = config_int(cfg.pop("count", len(corpus)), "count")
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
@@ -175,9 +175,9 @@ def _cmd_sample(args) -> int:
         # Default fixture: every element covers the same shared block, so the
         # value range over nonempty sets is a single point.
         n, alpha = config_int(cfg.pop("n", 12), "n"), config_int(cfg.pop("alpha", 5), "alpha")
-        if n > experiments.SAMPLE_MAX_N or alpha > _FIXTURE_MAX_ALPHA:
-            raise ValueError(f"the fixture is guarded at n <= {experiments.SAMPLE_MAX_N} and "
-                             f"alpha <= {_FIXTURE_MAX_ALPHA}, got n={n}, alpha={alpha}")
+        if not (1 <= n <= experiments.SAMPLE_MAX_N and 1 <= alpha <= _FIXTURE_MAX_ALPHA):
+            raise ValueError(f"the fixture is guarded at 1 <= n <= {experiments.SAMPLE_MAX_N} and "
+                             f"1 <= alpha <= {_FIXTURE_MAX_ALPHA}, got n={n}, alpha={alpha}")
         f = CoverageFunction(alpha, [(1 << alpha) - 1] * n)
     rows, summary = experiments.run_sampling_validation(f, **{"seed": args.seed, **cfg})
     _emit(rows, args)
@@ -217,20 +217,31 @@ def _cmd_generate(args) -> int:
     return EXIT_PASS
 
 
+_SHARED_FLAGS = {
+    "--config": {"default": None, "help": "JSON config path"},
+    "--seed": {"type": int, "default": 0},
+    "--out": {"default": None, "help": "report output path"},
+    "--format": {"choices": ("csv", "structured"), "default": "csv"},
+}
+
+
+def _shared(*flags) -> list:
+    """A parent parser with only the shared flags a subcommand's handler reads."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for flag in flags:
+        parent.add_argument(flag, **_SHARED_FLAGS[flag])
+    return [parent]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="approxsub",
         description="Maximize approximately submodular functions; generate and "
                     "verify adversarial instances.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="JSON config path")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", default=None, help="report output path")
-    common.add_argument("--format", choices=("csv", "structured"), default="csv")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common], help="property checks")
+    p = sub.add_parser("verify", parents=_shared(*_SHARED_FLAGS), help="property checks")
     p.add_argument("--property", required=True,
                    choices=("submodular", "monotone", "sandwich", "concentration"))
     p.add_argument("--instance", default=None, help="instance JSON path")
@@ -242,17 +253,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=None)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("distinguish", parents=[common],
+    p = sub.add_parser("distinguish", parents=_shared("--seed", "--out", "--format"),
                        help="decoy-following experiment at scale")
     p.add_argument("--n", type=int, default=4096)
     p.add_argument("--beta", type=float, default=0.25)
     p.add_argument("--trials", type=int, default=100)
     p.set_defaults(func=_cmd_distinguish)
 
-    p = sub.add_parser("sweep", parents=[common], help="greedy noise sweep")
+    p = sub.add_parser("sweep", parents=_shared(*_SHARED_FLAGS), help="greedy noise sweep")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("trap", parents=[common], help="greedy trap reproduction")
+    p = sub.add_parser("trap", parents=_shared("--out", "--format"),
+                       help="greedy trap reproduction")
     p.add_argument("--k", type=int, default=16)
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--n", type=int, default=64)
@@ -260,10 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="budgets for a ratio-vs-budget curve")
     p.set_defaults(func=_cmd_trap)
 
-    p = sub.add_parser("sample", parents=[common], help="sampling-rule validation")
+    p = sub.add_parser("sample", parents=_shared(*_SHARED_FLAGS), help="sampling-rule validation")
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("generate", parents=[common],
+    p = sub.add_parser("generate", parents=_shared("--seed", "--out"),
                        help="emit adversarial instance metadata")
     p.add_argument("--construction", required=True,
                    choices=("monotone", "coverage", "trap"))

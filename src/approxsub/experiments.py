@@ -30,6 +30,7 @@ from .functions import (
     SumFunction,
     config_int,
     config_number,
+    config_seed,
 )
 from .noise import ConsistentNoiseOracle, SamplingEstimator, _check_draws, required_samples
 from .sets import Subset
@@ -98,7 +99,7 @@ def instance_corpus(seed: int = 0, sizes=(8, 10, 12)) -> list:
     """Seeded corpus of monotone submodular instances (>= 30 for the default
     sizes): additive, budget-additive, coverage, concave-of-cardinality, and
     sums, all with small integer data so evaluation is exact."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config_seed(seed))
     corpus = []
 
     def rand_weights(n):
@@ -165,7 +166,6 @@ def _sandwich_greedy_fast(params: HardPairParams, hidden: Subset) -> tuple[int, 
     )
     in_ids = np.flatnonzero(bits).tolist()
     out_ids = np.flatnonzero(bits == 0).tolist()
-    p_in = p_out = 0
     s1 = s0 = 0
     escapes = 0
     chosen_mask = 0
@@ -186,15 +186,13 @@ def _sandwich_greedy_fast(params: HardPairParams, hidden: Subset) -> tuple[int, 
         elif v_in != v_out:
             take_in = v_in > v_out
         else:
-            take_in = in_ids[p_in] < out_ids[p_out]
+            take_in = in_ids[s1] < out_ids[s0]
         if take_in:
-            chosen_mask |= 1 << in_ids[p_in]
-            p_in += 1
+            chosen_mask |= 1 << in_ids[s1]
             s1 += 1
             value = v_in
         else:
-            chosen_mask |= 1 << out_ids[p_out]
-            p_out += 1
+            chosen_mask |= 1 << out_ids[s0]
             s0 += 1
             value = v_out
     return chosen_mask, Fraction(value, n), escapes, expected_greedy_queries(n, k)
@@ -387,7 +385,7 @@ def run_sampling_validation(
     m is set from the value range of f over nonempty sets; per-trial rows
     report the violating-set count against the union-bounded prediction.
     """
-    trials, k, seed = config_int(trials, "trials"), config_int(k, "k"), config_int(seed, "seed")
+    trials, k, seed = config_int(trials, "trials"), config_int(k, "k"), config_seed(seed)
     epsilon, width = config_number(epsilon, "epsilon"), config_number(width, "width")
     confidence_constant = config_number(confidence_constant, "confidence_constant")
     _check_draws(family, width)  # the estimator's own check, even when no trial runs

@@ -430,6 +430,15 @@ def config_int(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def config_seed(value, name: str = "seed") -> int:
+    """A seed for ``np.random.default_rng`` as a nonnegative int, or a
+    ValueError that names it: numpy's own refusal names nothing."""
+    seed = config_int(value, name)
+    if seed < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def config_number(value, name: str):
     """A config's real-valued key (an error level, width, bound or constant)
     unchanged, or a ValueError that names it; JSON ``true`` is not 1."""

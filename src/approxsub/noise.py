@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .functions import config_int, config_number, require_keys
+from .functions import config_int, config_number, config_seed, require_keys
 from .sets import Subset, ValueOracle
 
 _M64 = (1 << 64) - 1
@@ -132,7 +132,7 @@ class SamplingEstimator(ValueOracle):
         self.width = float(width)
         self.m = m
         self.samples = 0
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(config_seed(seed))
         self._cache: dict[int, float] = {}
 
     def value(self, s: Subset) -> float:

@@ -42,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .adversarial import Band, PairBand
-from .functions import config_int, int_table
+from .functions import config_int, config_seed, int_table
 from .sets import Subset, ValueOracle
 
 _SUBMODULAR_TOL = 1e-9
@@ -270,9 +270,8 @@ def tail_reference(e2mu: float, epsilon: float = 1.0) -> float:
 
 def _band_indices(n: int, h: int, set_size: int, epsilon) -> tuple[int, int]:
     mu = Fraction(set_size * h, n)
-    eps = Fraction(float(epsilon))
-    lo = math.ceil((1 - eps) * mu)
-    hi = math.floor((1 + eps) * mu)
+    band = Band(float(epsilon))
+    lo, hi = math.ceil(band.lo * mu), math.floor(band.hi * mu)
     support_lo = max(0, set_size + h - n)
     support_hi = min(set_size, h)
     return max(lo, support_lo), min(hi, support_hi)
@@ -311,7 +310,7 @@ def mc_band_probability(
     not grow with ``trials``; the in-band count is an exact int."""
     if trials < 1:
         raise ValueError(f"Monte-Carlo estimate needs trials >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config_seed(seed))
     lo, hi = _band_indices(n, h, set_size, epsilon)
     hits = 0
     for start in range(0, trials, _MC_CHUNK):

@@ -27,6 +27,7 @@ from approxsub.adversarial import (
     build_monotone_pair,
     build_sandwich,
     draw_hidden_set,
+    power_law_params,
 )
 from approxsub.functions import int_table
 from approxsub.sets import Subset
@@ -335,6 +336,35 @@ def test_pair_band_takes_its_ints_from_band(eps):
     params = HardPairParams(24, 12, 3, 8, eps)
     band = PairBand(params)
     assert (band.q, band.q_lo, band.q_hi) == reference_pair_band_ints(params)
+
+
+def _band_state(band: Band) -> tuple:
+    return band.q, band.q_lo, band.q_hi, band.lo, band.hi
+
+
+@pytest.mark.parametrize("params", [power_law_params(4096, 0.25),
+                                    HardPairParams(12, 6, 2, 5, 0.3)], ids=["decoy", "verify"])
+def test_pair_band_is_the_band_of_its_epsilon(params):
+    band = PairBand(params)
+    assert isinstance(band, Band)
+    assert _band_state(band) == _band_state(Band(float(params.epsilon)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pair_band_is_the_band_of_fuzzed_params(data):
+    n = data.draw(st.integers(2, 1000), label="n")
+    h = data.draw(st.integers(1, n // 2), label="h")
+    k = data.draw(st.integers(1, h), label="k")
+    alpha = data.draw(st.integers(1, k), label="alpha")
+    eps = data.draw(st.one_of(
+        st.floats(min_value=1e-12, max_value=1 - 1e-12),
+        st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6).filter(
+            lambda e: 0 < e < 1)), label="epsilon")
+    params = HardPairParams(n, h, alpha, k, eps)
+    band = PairBand(params)
+    assert isinstance(band, Band)
+    assert _band_state(band) == _band_state(Band(float(eps)))
 
 
 # ---------------------------------------------------------------------------

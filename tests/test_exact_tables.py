@@ -947,6 +947,20 @@ def test_sandwich_checks_equal_generic(pair, eps):
     assert_same_report(check_monotone(sw, 12), reference_check_monotone(sw, 12))
 
 
+@pytest.mark.parametrize("pair", list(_pairs(((12, 6, 2, 5),))), ids=["monotone", "coverage"])
+@pytest.mark.parametrize("eps", SANDWICH_EPS)
+def test_sandwich_table_decides_on_ints(monkeypatch, pair, eps):
+    """Each distinct key's band choice is Band.holds on g's and fh's table
+    ints scaled to den: no Fraction reaches the test."""
+    seen = []
+    holds = Band.holds
+    monkeypatch.setattr(Band, "holds",
+                        lambda self, F, f: seen.append((type(F), type(f))) or holds(self, F, f))
+    sw = SandwichFunction(pair.fh, pair.g, eps)  # built after the spy, so value() calls it too
+    assert sw.exact_table() is not None
+    assert seen and set(seen) == {(int, int)}
+
+
 def _count_values(fn) -> list:
     """Masks of the sets fn's ``value()`` is called on from now on."""
     calls = []

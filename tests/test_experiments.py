@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -1421,3 +1422,103 @@ def test_cli_rejects_stray_key(tmp_path, capsys, case):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     _assert_rejected(capsys, argv + ["--config", str(path)])
+
+
+_NEGATIVE_SEEDS = {  # (argv, config or None, the message's key and value)
+    "distinguish": (["distinguish", "--n", "256", "--trials", "5", "--seed", "-1"], None,
+                    "seed", -1),
+    "generate": (["generate", "--construction", "monotone", "--n", "256", "--beta", "0.25",
+                  "--seed", "-1"], None, "seed", -1),
+    "sweep-flag": (["sweep", "--seed", "-1"], None, "seed", -1),
+    "sweep-corpus-seed": (["sweep"], {"corpus_seed": -2}, "corpus_seed", -2),
+    "sandwich-construction": (["verify", "--property", "sandwich"],
+                              {"construction": _CONSTRUCTION, "seed": -3}, "seed", -3),
+    "sandwich-inconsistent-noise": (["verify", "--property", "sandwich"],
+                                    {"instance": _ADDITIVE,
+                                     "noise": {"kind": "inconsistent", "epsilon": 0.3,
+                                               "width": 0.1, "m": 2, "seed": -1}}, "seed", -1),
+    "sample": (["sample"], {"seed": -1}, "seed", -1),
+    "concentration-mc": (["verify", "--property", "concentration", "--mode", "mc", "--n", "100",
+                          "--h", "50", "--set-size", "40", "--epsilon", "0.5", "--seed", "-1"],
+                         None, "seed", -1),
+}
+
+
+@pytest.mark.parametrize("case", list(_NEGATIVE_SEEDS))
+def test_cli_negative_seed_names_its_key(tmp_path, capsys, case):
+    """Each once exited 2 with numpy's "expected non-negative integer",
+    which names no key."""
+    argv, cfg, key, value = _NEGATIVE_SEEDS[case]
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = argv + ["--config", str(path)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {key} must be a nonnegative integer, got {value}\n"
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (["sweep"], {"seeds": [-1], "count": 1, "sizes": [6], "k": 2, "delta_grid": [0.5]}),
+    (["verify", "--property", "sandwich"],
+     {"instance": _ADDITIVE, "noise": {"kind": "consistent", "epsilon": 0.3, "seed": -1}}),
+    (["verify", "--property", "sandwich"], {**_SEEDED_SANDWICHES["sampled-noise"], "seed": -1}),
+], ids=["sweep-seeds", "consistent-noise", "sampled-check"])
+def test_cli_negative_seed_without_numpy_generator_runs(tmp_path, capsys, argv, cfg):
+    """Sweep's seeds and a consistent noise seed feed a hash, and the sampled
+    check's seed a random.Random: negative values give a verdict there."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(argv + ["--config", str(path)]) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_subcommands_take_only_the_shared_flags_they_read():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    shared = {name: sorted(flag for action in p._actions for flag in action.option_strings
+                           if flag in cli._SHARED_FLAGS)
+              for name, p in subparsers.choices.items()}
+    assert shared == {
+        "verify": ["--config", "--format", "--out", "--seed"],
+        "distinguish": ["--format", "--out", "--seed"],
+        "sweep": ["--config", "--format", "--out", "--seed"],
+        "trap": ["--format", "--out"],
+        "sample": ["--config", "--format", "--out", "--seed"],
+        "generate": ["--out", "--seed"],
+    }
+    assert sum(map(len, shared.values())) == 19
+
+
+@pytest.mark.parametrize("argv", [
+    ["distinguish", "--n", "256", "--trials", "1", "--config", "/nonexistent.json"],
+    ["trap", "--seed", "5"],
+    ["trap", "--config", "/nonexistent.json"],
+    ["generate", "--construction", "trap", "--n", "64", "--beta", "0.5",
+     "--config", "/nonexistent.json"],
+    ["generate", "--construction", "trap", "--n", "64", "--beta", "0.5",
+     "--format", "structured"],
+], ids=["distinguish-config", "trap-seed", "trap-config", "generate-config", "generate-format"])
+def test_cli_refuses_a_shared_flag_its_handler_ignores(capsys, argv):
+    """Each once exited 0 with the flag ignored."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg", [{"alpha": -1}, {"alpha": 0}, {"n": 0}, {"n": -2},
+                                 {"n": 21}, {"alpha": 2 ** 24 + 1}],
+                         ids=["alpha-negative", "alpha-zero", "n-zero", "n-negative",
+                              "n-past-20", "alpha-past-2-24"])
+def test_cli_sample_fixture_names_both_bounds(tmp_path, capsys, cfg):
+    """alpha = -1 once printed "negative shift count", alpha = 0 blamed the
+    lower value bound b, and n = 0 printed "need at least one element"."""
+    path = tmp_path / "sample.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["sample", "--config", str(path)]) == 2
+    n, alpha = cfg.get("n", 12), cfg.get("alpha", 5)
+    assert capsys.readouterr().err == (
+        f"error: the fixture is guarded at 1 <= n <= 20 and 1 <= alpha <= {2 ** 24}, "
+        f"got n={n}, alpha={alpha}\n")

@@ -329,6 +329,29 @@ def test_exact_band_probability_stays_a_probability_at_scale():
     assert exact_band_probability(10**5, 50000, 40000, 0.05) <= 1
 
 
+def parent_band_indices(n: int, h: int, set_size: int, epsilon) -> tuple[int, int]:
+    """``verify._band_indices`` before it read its edges from ``Band``, verbatim."""
+    mu = Fraction(set_size * h, n)
+    eps = Fraction(float(epsilon))
+    lo = math.ceil((1 - eps) * mu)
+    hi = math.floor((1 + eps) * mu)
+    support_lo = max(0, set_size + h - n)
+    support_hi = min(set_size, h)
+    return max(lo, support_lo), min(hi, support_hi)
+
+
+# Zero, dyadic epsilons, decimal floats taken at their binary value (0.3 is
+# p / 2^54), bands past 1, and a Fraction that float() rounds.
+@pytest.mark.parametrize("epsilon", [0, 0.5, 0.25, 0.125, 0.3, 0.1, 0.05, 0.9, 1.5, 3.0,
+                                     Fraction(1, 3)])
+def test_band_indices_read_the_band_edges(epsilon):
+    for n in (1, 2, 7, 10, 100, 1000, 4096):
+        for h in sorted({1, max(1, n // 3), max(1, n // 2), n}):
+            for s in sorted({1, max(1, n // 4), max(1, n // 2), max(1, n - 1), n}):
+                assert verify._band_indices(n, h, s, epsilon) == \
+                    parent_band_indices(n, h, s, epsilon), (n, h, s)
+
+
 # (h, n - h, |S|, eps) cases for the chunked Monte-Carlo draws.
 _MC_CASES = [(50, 50, 40, 0.5), (3, 97, 60, 0.9), (200, 800, 500, 0.1), (1, 9, 9, 0.5)]
 
