@@ -195,12 +195,12 @@ class Band:
     the positive denominators makes the test (q - p) f.num F.den <= q F.num
     f.den <= (q + p) f.num F.den: :meth:`holds` compares ints, no Fraction.
     Readers: ``SandwichFunction.value`` and ``.exact_table`` call
-    :meth:`holds` when both sides have a ``den``, else :meth:`contains`;
-    the subclass :class:`PairBand` and ``verify.check_sandwich``'s band
-    loop, two measured fast paths, inline it on these ints;
-    ``verify._band_indices`` reads ``lo`` and ``hi``.  :meth:`near` and
-    :meth:`float_holds` are the float forms for noisy values; they differ on
-    purpose: a value just past a rounded edge passes one, fails the other.
+    :meth:`holds` when both sides have a ``den``, else :meth:`contains`,
+    and ``sample`` counts its estimates' escapes with :meth:`contains`; the
+    subclass :class:`PairBand` and ``verify.check_sandwich``'s band loop,
+    two measured fast paths, inline it on these ints;
+    ``verify._band_indices`` reads ``lo`` and ``hi``.  :meth:`near` is the
+    one float form, with a slack for values built to lie in the band.
     """
 
     __slots__ = ("q", "q_lo", "q_hi", "lo", "hi")
@@ -220,8 +220,8 @@ class Band:
         return self.q_lo * y <= x <= self.q_hi * y
 
     def contains(self, F, f) -> bool:
-        """:meth:`holds` when both values are int or Fraction, otherwise the
-        band test in whatever arithmetic the values bring."""
+        """:meth:`holds` when both values are int or Fraction, otherwise the band
+        test in the values' own arithmetic (a float F meets an exact f's edges exactly)."""
         if isinstance(F, (int, Fraction)) and isinstance(f, (int, Fraction)):
             return self.holds(F, f)
         return self.lo * f <= F <= self.hi * f
@@ -239,14 +239,6 @@ class Band:
             raise ValueError(f"band test with a value or edge that is not finite: "
                              f"F = {F}, f = {f}")
         return low - 1e-12 * max(1.0, abs(low)) <= F <= high + 1e-12 * max(1.0, abs(high))
-
-    def float_holds(self, F: float, f) -> bool:
-        """Float F against the band edges rounded to floats, no slack.
-
-        ``sample`` uses it to count the estimates that leave the band.  An
-        average of noisy draws is not built to sit on an edge, and without
-        slack the count never falls below the one :meth:`near` would give."""
-        return float(self.lo * f) <= F <= float(self.hi * f)
 
 
 class PairBand(Band):

@@ -79,45 +79,42 @@ def _cmd_verify(args) -> int:
               + ("" if report.passed else f"; counterexample: {report.counterexample}"))
         return EXIT_PASS if report.passed else EXIT_COUNTEREXAMPLE
 
-    if prop == "sandwich":
-        if not args.config:
-            raise ValueError("--config required for the sandwich check")
-        cfg = _load_json(args.config)
-        if "construction" in cfg:
-            construction = cfg.pop("construction")
-            if not isinstance(construction, dict):
-                raise ValueError(f"a construction must be a JSON object, "
-                                 f"got {type(construction).__name__}")
-            family = construction.pop("family", "monotone")
-            if family not in ("monotone", "coverage"):
-                raise ValueError(f"construction family must be 'monotone' or 'coverage', "
-                                 f"got {family!r}")
-            params = HardPairParams(**construction)
-            hidden = draw_hidden_set(params.n, params.h, cfg.get("seed", args.seed))
-            pair = (build_coverage_pair if family == "coverage"
-                    else build_monotone_pair)(params, hidden)
-            F, f, epsilon, n = build_sandwich(pair), pair.fh, params.epsilon, params.n
-        else:
-            if "instance" not in cfg:
-                raise ValueError("a sandwich config needs a 'construction' or an 'instance'")
-            f = instance_from_dict(cfg.pop("instance"))
-            if "noise" not in cfg:
-                raise ValueError("a sandwich config with an 'instance' needs a 'noise' block: "
-                                 "it builds the noisy oracle F checked against the instance")
-            noise = cfg.pop("noise")
-            if isinstance(noise, dict) and "epsilon" not in noise:
-                raise ValueError("the noise block needs 'epsilon': the sandwich check tests "
-                                 "F against the band (1 +- epsilon) f")
-            F = noise_from_dict(f, noise)
-            epsilon, n = config_number(noise["epsilon"], "epsilon"), f.n
-        report = check_sandwich(F, f, epsilon, n, **{
-            "mode": args.mode or "exhaustive", "trials": args.trials, "seed": args.seed, **cfg,
-        })
-        print(f"sandwich {report.instance}: {'pass' if report.passed else 'FAIL'} "
-              f"({report.examined} sets)")
-        return EXIT_PASS if report.passed else EXIT_COUNTEREXAMPLE
-
-    raise ValueError(f"unknown property {prop!r}")
+    if not args.config:
+        raise ValueError("--config required for the sandwich check")
+    cfg = _load_json(args.config)
+    if "construction" in cfg:
+        construction = cfg.pop("construction")
+        if not isinstance(construction, dict):
+            raise ValueError(f"a construction must be a JSON object, "
+                             f"got {type(construction).__name__}")
+        family = construction.pop("family", "monotone")
+        if family not in ("monotone", "coverage"):
+            raise ValueError(f"construction family must be 'monotone' or 'coverage', "
+                             f"got {family!r}")
+        params = HardPairParams(**construction)
+        hidden = draw_hidden_set(params.n, params.h, cfg.get("seed", args.seed))
+        pair = (build_coverage_pair if family == "coverage"
+                else build_monotone_pair)(params, hidden)
+        F, f, epsilon, n = build_sandwich(pair), pair.fh, params.epsilon, params.n
+    else:
+        if "instance" not in cfg:
+            raise ValueError("a sandwich config needs a 'construction' or an 'instance'")
+        f = instance_from_dict(cfg.pop("instance"))
+        if "noise" not in cfg:
+            raise ValueError("a sandwich config with an 'instance' needs a 'noise' block: "
+                             "it builds the noisy oracle F checked against the instance")
+        noise = cfg.pop("noise")
+        if isinstance(noise, dict) and "epsilon" not in noise:
+            raise ValueError("the noise block needs 'epsilon': the sandwich check tests "
+                             "F against the band (1 +- epsilon) f")
+        F = noise_from_dict(f, noise)
+        epsilon, n = config_number(noise["epsilon"], "epsilon"), f.n
+    report = check_sandwich(F, f, epsilon, n, **{
+        "mode": args.mode or "exhaustive", "trials": args.trials, "seed": args.seed, **cfg,
+    })
+    print(f"sandwich {report.instance}: {'pass' if report.passed else 'FAIL'} "
+          f"({report.examined} sets)")
+    return EXIT_PASS if report.passed else EXIT_COUNTEREXAMPLE
 
 
 def _cmd_distinguish(args) -> int:
@@ -225,6 +222,53 @@ _SHARED_FLAGS = {
 }
 
 
+# The optional flags each case of verify, trap and generate reads, with the
+# value each takes when it is not given.  In those subcommands these flags
+# parse to None when absent, so a flag given to a case that does not read it
+# exits 2 rather than being ignored.
+_READS = {
+    "verify": {
+        "--property concentration": {"--n": None, "--h": None, "--set-size": None,
+                                     "--epsilon": None, "--mode": None,
+                                     "--trials": 100_000, "--seed": 0},
+        "--property submodular": {"--instance": None},
+        "--property monotone": {"--instance": None},
+        "--property sandwich": {"--config": None, "--mode": None,
+                                "--trials": 100_000, "--seed": 0},
+    },
+    "trap": {
+        "--curve": {"--curve": None, "--beta": 0.5, "--out": None, "--format": "csv"},
+        "without --curve": {"--k": 16, "--n": 64, "--beta": 0.5,
+                            "--out": None, "--format": "csv"},
+    },
+    "generate": {
+        "--construction monotone": {"--n": None, "--beta": None, "--seed": 0, "--out": None},
+        "--construction coverage": {"--n": None, "--beta": None, "--seed": 0, "--out": None},
+        "--construction trap": {"--n": None, "--beta": None, "--k": 16, "--out": None},
+    },
+}
+
+
+def _resolve_flags(args) -> None:
+    """Refuse the flags given that args' case does not read (see ``_READS``),
+    then give each flag it reads that was not given its default."""
+    table = _READS.get(args.command)
+    if table is None:
+        return
+    case = (f"--property {args.property}" if args.command == "verify"
+            else f"--construction {args.construction}" if args.command == "generate"
+            else "--curve" if args.curve is not None else "without --curve")
+    values = vars(args)
+    reads = table[case]
+    dest = {flag: flag[2:].replace("-", "_") for flags in table.values() for flag in flags}
+    unread = [flag for flag in dest if flag not in reads and values[dest[flag]] is not None]
+    if unread:
+        raise ValueError(f"{args.command} {case} does not read {', '.join(unread)}")
+    for flag, default in reads.items():
+        if values[dest[flag]] is None:
+            values[dest[flag]] = default
+
+
 def _shared(*flags) -> list:
     """A parent parser with only the shared flags a subcommand's handler reads."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -241,17 +285,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=_shared(*_SHARED_FLAGS), help="property checks")
+    # verify, trap and generate take their flags' defaults from _READS
+    p = sub.add_parser("verify", parents=_shared("--config", "--seed"), help="property checks")
     p.add_argument("--property", required=True,
                    choices=("submodular", "monotone", "sandwich", "concentration"))
     p.add_argument("--instance", default=None, help="instance JSON path")
     p.add_argument("--mode", default=None, help="exhaustive|sampled|exact|mc")
-    p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--trials", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--h", type=int, default=None)
     p.add_argument("--set-size", type=int, dest="set_size", default=None)
     p.add_argument("--epsilon", type=float, default=None)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, seed=None)
 
     p = sub.add_parser("distinguish", parents=_shared("--seed", "--out", "--format"),
                        help="decoy-following experiment at scale")
@@ -265,9 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trap", parents=_shared("--out", "--format"),
                        help="greedy trap reproduction")
-    p.add_argument("--k", type=int, default=16)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--n", type=int, default=64)
+    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--n", type=int, default=None)
     p.add_argument("--curve", type=int, nargs="*", default=None,
                    help="budgets for a ratio-vs-budget curve")
     p.set_defaults(func=_cmd_trap)
@@ -281,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("monotone", "coverage", "trap"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--k", type=int, default=16, help="budget (trap only)")
-    p.set_defaults(func=_cmd_generate)
+    p.add_argument("--k", type=int, default=None, help="budget (trap only)")
+    p.set_defaults(func=_cmd_generate, seed=None)
 
     return parser
 
@@ -291,6 +336,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _resolve_flags(args)
         return args.func(args)
     except (ValueError, TypeError, OSError, KeyError, RecursionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

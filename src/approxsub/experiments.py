@@ -35,7 +35,7 @@ from .functions import (
 from .noise import ConsistentNoiseOracle, SamplingEstimator, _check_draws, required_samples
 from .sets import Subset
 from .solvers import brute_force, expected_greedy_queries, greedy_bound, greedy_cardinality
-from .verify import chernoff_tails
+from .verify import chernoff_tails, tabulate
 
 REPORT_COLUMNS = [
     "experiment", "n", "k", "h", "alpha", "beta", "epsilon", "seed", "solver",
@@ -398,7 +398,7 @@ def run_sampling_validation(
         raise ValueError(f"sampling validation guarded at n <= {SAMPLE_MAX_N}, got {n}")
     table = f.exact_table()
     if table is None:
-        vals = [f.value(Subset._raw(n, m_, m_.bit_count())) for m_ in range(1, 1 << n)]
+        vals = tabulate(f, n)[1:]
         b, B = float(min(vals)), float(max(vals))
     else:  # int / int is correctly rounded, as float() of the Fraction T / D is
         T, D = table
@@ -416,7 +416,7 @@ def run_sampling_validation(
         violations = 0
         for mk in est.cached_sets():
             s = Subset._raw(n, mk, mk.bit_count())
-            if not band.float_holds(est.value(s), f.value(s)):
+            if not band.contains(est.value(s), f.value(s)):
                 violations += 1
         if violations:
             trials_violating += 1

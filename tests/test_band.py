@@ -29,8 +29,11 @@ from approxsub.adversarial import (
     draw_hidden_set,
     power_law_params,
 )
-from approxsub.functions import int_table
+from approxsub.experiments import run_sampling_validation
+from approxsub.functions import CoverageFunction, int_table
+from approxsub.noise import SamplingEstimator
 from approxsub.sets import Subset
+from approxsub.solvers import greedy_cardinality
 from approxsub.verify import CheckReport, _describe, check_sandwich
 from conftest import TableFunction, _exact_int_table, override_sets
 
@@ -273,16 +276,61 @@ def test_exact_values_take_the_exact_path(monkeypatch):
     assert calls == [(True, 3), (Fraction(4), Fraction(7, 2))]
 
 
-def test_float_holds_matches_sampling_check():
+def test_contains_on_float_estimates():
+    """``sample``'s escape test: a float estimate against an exact f meets
+    the exact edges, so it equals the float-edge predicate of the deleted
+    ``Band.float_holds`` off the rounded edges, and is exact on them; against
+    a float f it is that predicate everywhere."""
     rng = random.Random(5)
     for eps in (0.1, 0.3, 0.05):
         band = Band(eps)
         lo = 1 - Fraction(float(eps))
         hi = 1 + Fraction(float(eps))
-        for fv in [5, 0, Fraction(7, 3), -2, 12]:
-            for ev in [float(lo * fv), float(hi * fv), float(fv)] + [
+        for fv in [5, 0, Fraction(7, 3), -2, 12, 7]:
+            edges = (float(lo * fv), float(hi * fv))
+            for ev in [*edges, float(fv)] + [
                     float(fv) * (1 + rng.uniform(-2 * eps, 2 * eps)) for _ in range(50)]:
-                assert band.float_holds(ev, fv) == (float(lo * fv) <= ev <= float(hi * fv))
+                assert band.contains(ev, fv) == (lo * fv <= Fraction(ev) <= hi * fv)
+                if ev not in edges:
+                    assert band.contains(ev, fv) == (edges[0] <= ev <= edges[1])
+                assert band.contains(ev, float(fv)) == (
+                    float(lo * float(fv)) <= ev <= float(hi * float(fv)))
+    # 6.3 is float((1 - 0.1) * 7), rounded up past the exact edge 6.3 - 0.9 * 2^-54:
+    # the float-edge predicate counted it inside, the exact test an escape.
+    assert Fraction(6.3) < Band(0.1).lo * 7
+    assert not Band(0.1).contains(6.3, 7) and Band(0.1).contains(6.3, 7.0)
+
+
+def test_sample_counts_escapes_with_contains(monkeypatch):
+    """Every (estimate, f(S)) pair the ``sample`` loop tests reaches
+    ``Band.contains``, and its rows count the pairs that fail it."""
+    seen = []
+    original = Band.contains
+
+    def spy(self, F, f):
+        seen.append((F, f, original(self, F, f)))
+        return seen[-1][2]
+
+    f = CoverageFunction(7, [(1 << 7) - 1] * 8)
+    kwargs = dict(epsilon=0.1, confidence_constant=1.0, trials=6, seed=3, k=3,
+                  width=2.0, family="uniform-relative")
+    monkeypatch.setattr(Band, "contains", spy)
+    rows, summary = run_sampling_validation(f, **kwargs)
+    monkeypatch.setattr(Band, "contains", original)
+    want = []
+    for t in range(kwargs["trials"]):
+        est = SamplingEstimator(f, kwargs["family"], kwargs["width"], kwargs["seed"] + t,
+                                summary["m"])
+        greedy_cardinality(est, kwargs["k"])
+        sets = [Subset._raw(f.n, mk, mk.bit_count()) for mk in est.cached_sets()]
+        want.append([(est.value(s), f.value(s)) for s in sets])
+    got = iter(seen)
+    for row, pairs in zip(rows, want, strict=True):
+        tested = [next(got) for _ in pairs]
+        assert [(F, fv) for F, fv, _ in tested] == pairs
+        assert row["band_escapes"] == sum(not inside for *_, inside in tested)
+    assert next(got, None) is None
+    assert 0 < sum(row["band_escapes"] for row in rows) < len(seen)
 
 
 # ---------------------------------------------------------------------------

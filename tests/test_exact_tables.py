@@ -11,7 +11,8 @@ replaced.  The checkers are also compared with their ``parent_*`` copies from
 before ``exact_table`` lost its ground-set argument, and ``check_sandwich``
 with ``subset_check_sandwich``, its loop before the integer band test; the deleted helpers the
 references read (``_tables``, ``_exact_int_table``, ``Band.scaled``, the
-inconsistent-noise source and its estimator) are kept verbatim in ``conftest``.
+inconsistent-noise source and its estimator) are kept verbatim in ``conftest``,
+and the deleted ``Band.float_holds`` inline in the sampling reference.
 """
 
 import copy
@@ -204,7 +205,8 @@ def reference_run_sampling_validation(
         violations = 0
         for mk in est.cached_sets():
             s = Subset._raw(n, mk, mk.bit_count())
-            if not band.float_holds(est.value(s), f.value(s)):
+            F, fv = est.value(s), f.value(s)
+            if not float(band.lo * fv) <= F <= float(band.hi * fv):  # Band.float_holds, verbatim
                 violations += 1
         if violations:
             trials_violating += 1

@@ -1378,7 +1378,7 @@ def test_cli_matches_previous_handlers(tmp_path, monkeypatch, command, cfg, flag
         path.write_text(json.dumps(cfg))
         argv += ["--config", str(path)]
     out = tmp_path / "report.out"
-    argv += flags + ["--out", str(out), "--format", fmt]
+    argv += flags + (["--out", str(out), "--format", fmt] if command != "sandwich" else [])
     got = _cli_outcome(argv, out)
     name, previous = _PREVIOUS[command]
     with monkeypatch.context() as m:
@@ -1481,14 +1481,14 @@ def test_cli_subcommands_take_only_the_shared_flags_they_read():
                            if flag in cli._SHARED_FLAGS)
               for name, p in subparsers.choices.items()}
     assert shared == {
-        "verify": ["--config", "--format", "--out", "--seed"],
+        "verify": ["--config", "--seed"],
         "distinguish": ["--format", "--out", "--seed"],
         "sweep": ["--config", "--format", "--out", "--seed"],
         "trap": ["--format", "--out"],
         "sample": ["--config", "--format", "--out", "--seed"],
         "generate": ["--out", "--seed"],
     }
-    assert sum(map(len, shared.values())) == 19
+    assert sum(map(len, shared.values())) == 17
 
 
 @pytest.mark.parametrize("argv", [
@@ -1499,13 +1499,94 @@ def test_cli_subcommands_take_only_the_shared_flags_they_read():
      "--config", "/nonexistent.json"],
     ["generate", "--construction", "trap", "--n", "64", "--beta", "0.5",
      "--format", "structured"],
-], ids=["distinguish-config", "trap-seed", "trap-config", "generate-config", "generate-format"])
+    ["verify", "--property", "concentration", "--n", "100", "--h", "50", "--set-size", "40",
+     "--epsilon", "0.5", "--out", "x.csv"],
+    ["verify", "--property", "concentration", "--n", "100", "--h", "50", "--set-size", "40",
+     "--epsilon", "0.5", "--format", "structured"],
+], ids=["distinguish-config", "trap-seed", "trap-config", "generate-config", "generate-format",
+        "verify-out", "verify-format"])
 def test_cli_refuses_a_shared_flag_its_handler_ignores(capsys, argv):
     """Each once exited 0 with the flag ignored."""
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_takes_no_report_flags():
+    """No property writes a report, so ``verify`` has no ``--out`` or ``--format``."""
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for action in subparsers.choices["verify"]._actions
+             for flag in action.option_strings}
+    assert not flags & {"--out", "--format"}
+
+
+_SUBMODULAR = ["verify", "--property", "submodular", "--instance", "a.json"]
+_SANDWICH = ["verify", "--property", "sandwich", "--config", "s.json"]
+_UNREAD_FLAGS = {  # id: (argv, the case's words, the one flag it does not read)
+    "submodular-config": (_SUBMODULAR + ["--config", "/nonexistent.json"],
+                          "verify --property submodular", "--config"),
+    "submodular-seed": (_SUBMODULAR + ["--seed", "3"], "verify --property submodular", "--seed"),
+    "submodular-mode": (_SUBMODULAR + ["--mode", "bogus"], "verify --property submodular",
+                        "--mode"),
+    "submodular-trials": (_SUBMODULAR + ["--trials", "-4"], "verify --property submodular",
+                          "--trials"),
+    "sandwich-instance": (_SANDWICH + ["--instance", "a.json"], "verify --property sandwich",
+                          "--instance"),
+    "sandwich-n": (_SANDWICH + ["--n", "5"], "verify --property sandwich", "--n"),
+    "sandwich-epsilon": (_SANDWICH + ["--epsilon", "0.9"], "verify --property sandwich",
+                         "--epsilon"),
+    "trap-curve-k": (["trap", "--curve", "16", "--k", "3"], "trap --curve", "--k"),
+    "trap-curve-n": (["trap", "--curve", "16", "--n", "5"], "trap --curve", "--n"),
+    "generate-monotone-k": (["generate", "--construction", "monotone", "--n", "256",
+                             "--beta", "0.25", "--k", "99"], "generate --construction monotone",
+                            "--k"),
+    "generate-trap-seed": (["generate", "--construction", "trap", "--n", "64", "--beta", "0.5",
+                            "--seed", "123"], "generate --construction trap", "--seed"),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNREAD_FLAGS))
+def test_cli_refuses_a_flag_its_case_does_not_read(capsys, case):
+    """Each once exited 0 with the flag ignored (no file named here exists)."""
+    argv, words, flag = _UNREAD_FLAGS[case]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {words} does not read {flag}\n"
+
+
+@pytest.mark.parametrize("argv, words, flags", [
+    (_SUBMODULAR + ["--config", "/nonexistent.json", "--seed", "3", "--mode", "bogus",
+                    "--trials", "-4"], "verify --property submodular",
+     "--mode, --trials, --seed, --config"),
+    (_SANDWICH + ["--instance", "a.json", "--n", "5", "--epsilon", "0.9"],
+     "verify --property sandwich", "--n, --epsilon, --instance"),
+    (["trap", "--curve", "16", "--k", "3", "--n", "5"], "trap --curve", "--k, --n"),
+], ids=["submodular", "sandwich", "trap-curve"])
+def test_cli_names_every_unread_flag_on_one_line(capsys, argv, words, flags):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {words} does not read {flags}\n"
+
+
+@pytest.mark.parametrize("argv, spelled", [
+    (["trap"], ["trap", "--k", "16", "--n", "64", "--beta", "0.5", "--format", "csv"]),
+    (["trap", "--curve", "16", "64"], ["trap", "--curve", "16", "64", "--beta", "0.5"]),
+    (["generate", "--construction", "monotone", "--n", "256", "--beta", "0.25"],
+     ["generate", "--construction", "monotone", "--n", "256", "--beta", "0.25", "--seed", "0"]),
+    (["generate", "--construction", "trap", "--n", "64", "--beta", "0.5"],
+     ["generate", "--construction", "trap", "--n", "64", "--beta", "0.5", "--k", "16"]),
+    (["verify", "--property", "concentration", "--mode", "mc", "--n", "100", "--h", "50",
+      "--set-size", "40", "--epsilon", "0.5"],
+     ["verify", "--property", "concentration", "--mode", "mc", "--n", "100", "--h", "50",
+      "--set-size", "40", "--epsilon", "0.5", "--trials", "100000", "--seed", "0"]),
+], ids=["trap", "trap-curve", "generate-monotone", "generate-trap", "concentration-mc"])
+def test_cli_unread_flag_defaults_are_the_old_ones(capsys, argv, spelled):
+    """A flag left out takes the default it had when the parser held it."""
+    assert cli.main(argv) == cli.main(spelled) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:len(out) // 2] == out[len(out) // 2:]
 
 
 @pytest.mark.parametrize("cfg", [{"alpha": -1}, {"alpha": 0}, {"n": 0}, {"n": -2},
