@@ -215,9 +215,10 @@ class Band:
 
     def holds(self, F, f) -> bool:
         """Exact band test for int or Fraction F and f."""
-        x = self.q * F.numerator * f.denominator
-        y = f.numerator * F.denominator
-        return self.q_lo * y <= x <= self.q_hi * y
+        Fn, Fd = F.as_integer_ratio()
+        fn, fd = f.as_integer_ratio()
+        y = fn * Fd
+        return self.q_lo * y <= self.q * Fn * fd <= self.q_hi * y
 
     def contains(self, F, f) -> bool:
         """:meth:`holds` when both values are int or Fraction, otherwise the band

@@ -126,6 +126,8 @@ def _cmd_distinguish(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_json(args.config) if args.config else {}
+    if args.seed is not None and ("instances" in cfg or "corpus_seed" in cfg):
+        raise ValueError("sweep with instances or corpus_seed in its config does not read --seed")
     for key in ("instances", "sizes", "seeds", "delta_grid"):
         if key in cfg and not isinstance(cfg[key], list):
             raise ValueError(f"{key} must be a list, got {cfg[key]!r}")
@@ -136,8 +138,8 @@ def _cmd_sweep(args) -> int:
         if not all(1 <= size <= experiments.SWEEP_MAX_N for size in sizes):
             raise ValueError(f"sweep sizes must be in 1..{experiments.SWEEP_MAX_N}, got {sizes}")
         key = "corpus_seed" if "corpus_seed" in cfg else "seed"
-        corpus = experiments.instance_corpus(config_seed(cfg.pop("corpus_seed", args.seed), key),
-                                             sizes=sizes)
+        seed = cfg.pop("corpus_seed", 0 if args.seed is None else args.seed)
+        corpus = experiments.instance_corpus(config_seed(seed, key), sizes=sizes)
         count = config_int(cfg.pop("count", len(corpus)), "count")
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
@@ -218,28 +220,31 @@ _SHARED_FLAGS = {
     "--config": {"default": None, "help": "JSON config path"},
     "--seed": {"type": int, "default": 0},
     "--out": {"default": None, "help": "report output path"},
-    "--format": {"choices": ("csv", "structured"), "default": "csv"},
+    "--format": {"choices": ("csv", "structured"), "default": None,
+                 "help": "report format with --out (default csv)"},
 }
 
 
 # The optional flags each case of verify, trap and generate reads, with the
 # value each takes when it is not given.  In those subcommands these flags
 # parse to None when absent, so a flag given to a case that does not read it
-# exits 2 rather than being ignored.
+# exits 2 rather than being ignored.  --format, wherever it is a flag, is read
+# only with --out.
 _READS = {
     "verify": {
-        "--property concentration": {"--n": None, "--h": None, "--set-size": None,
-                                     "--epsilon": None, "--mode": None,
-                                     "--trials": 100_000, "--seed": 0},
+        "--property concentration --mode exact": {"--n": None, "--h": None, "--set-size": None,
+                                                  "--epsilon": None, "--mode": None},
+        "--property concentration --mode mc": {"--n": None, "--h": None, "--set-size": None,
+                                               "--epsilon": None, "--mode": None,
+                                               "--trials": 100_000, "--seed": 0},
         "--property submodular": {"--instance": None},
         "--property monotone": {"--instance": None},
         "--property sandwich": {"--config": None, "--mode": None,
                                 "--trials": 100_000, "--seed": 0},
     },
     "trap": {
-        "--curve": {"--curve": None, "--beta": 0.5, "--out": None, "--format": "csv"},
-        "without --curve": {"--k": 16, "--n": 64, "--beta": 0.5,
-                            "--out": None, "--format": "csv"},
+        "--curve": {"--curve": None, "--beta": 0.5, "--out": None},
+        "without --curve": {"--k": 16, "--n": 64, "--beta": 0.5, "--out": None},
     },
     "generate": {
         "--construction monotone": {"--n": None, "--beta": None, "--seed": 0, "--out": None},
@@ -249,16 +254,29 @@ _READS = {
 }
 
 
+def _case(args) -> str:
+    """The ``_READS`` key of args' case."""
+    if args.command == "verify":
+        if args.property == "concentration":  # check_concentration refuses other modes
+            return f"--property concentration --mode {'mc' if args.mode == 'mc' else 'exact'}"
+        return f"--property {args.property}"
+    if args.command == "generate":
+        return f"--construction {args.construction}"
+    return "--curve" if args.curve is not None else "without --curve"
+
+
 def _resolve_flags(args) -> None:
     """Refuse the flags given that args' case does not read (see ``_READS``),
     then give each flag it reads that was not given its default."""
+    values = vars(args)
+    if "format" in values:
+        if values["format"] is not None and values["out"] is None:
+            raise ValueError(f"{args.command} reads --format only with --out")
+        values["format"] = values["format"] or "csv"
     table = _READS.get(args.command)
     if table is None:
         return
-    case = (f"--property {args.property}" if args.command == "verify"
-            else f"--construction {args.construction}" if args.command == "generate"
-            else "--curve" if args.curve is not None else "without --curve")
-    values = vars(args)
+    case = _case(args)
     reads = table[case]
     dest = {flag: flag[2:].replace("-", "_") for flags in table.values() for flag in flags}
     unread = [flag for flag in dest if flag not in reads and values[dest[flag]] is not None]
@@ -306,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_distinguish)
 
     p = sub.add_parser("sweep", parents=_shared(*_SHARED_FLAGS), help="greedy noise sweep")
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_sweep, seed=None)  # _cmd_sweep refuses or defaults it
 
     p = sub.add_parser("trap", parents=_shared("--out", "--format"),
                        help="greedy trap reproduction")

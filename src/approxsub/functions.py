@@ -358,7 +358,8 @@ class SumFunction(ValueOracle):
         for t in self.terms:
             v = t.value(s)
             if type(v) is Fraction:
-                scaled += v.numerator * (den // v.denominator)
+                num, d = v.as_integer_ratio()
+                scaled += num * (den // d)
                 has_fraction = True
             else:
                 ints += v

@@ -5,12 +5,23 @@ Both greedy solvers run one round loop, ``_greedy``; a matroid only decides
 which winners are kept.  All solvers are deterministic: ties in every argmax
 break toward the smallest element id, and brute force breaks toward the
 smallest canonical mask.
+
+The argmax of ``_greedy`` keeps the incumbent's integer ratio (bn, bd) from
+``as_integer_ratio()`` while its type is exactly int or Fraction.  A
+candidate of one of those two types then wins iff vn * bd > bn * vd, with
+(vn, vd) = (v, 1) for an int.  Both denominators are positive, so this is the
+test ``Fraction``'s own comparison makes, without its operator dispatch, its
+``numbers.Rational`` check and its property reads.  Any other pair (a float,
+a bool, a numpy scalar, a float against an exact value) is compared with
+``>``.  Each query, and the value each solver returns, are those of comparing
+every pair with ``>``, which ``brute_force`` does.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .matroids import Matroid
 from .sets import Subset, ValueOracle
@@ -46,13 +57,25 @@ def _greedy(F: ValueOracle, rounds: int, matroid: Matroid | None) -> SolveResult
     best_value = 0
     while size <= rounds and pool:
         best = 0
-        best_val = None
+        best_val = bn = bd = None  # (bn, bd): best_val's ratio while it is exact
         rest = pool
         while rest:
             low = rest & -rest
             v = F.query(Subset._raw(n, mask | low, size))
-            if best_val is None or v > best_val:
-                best, best_val = low, v
+            if bn is None:  # no exact incumbent
+                if best_val is None or v > best_val:
+                    best, best_val = low, v
+                    if type(v) in (int, Fraction):
+                        bn, bd = v.as_integer_ratio()
+            elif type(v) is int:
+                if v * bd > bn:
+                    best, best_val, bn, bd = low, v, v, 1
+            elif type(v) is Fraction:
+                vn, vd = v.as_integer_ratio()
+                if vn * bd > bn * vd:
+                    best, best_val, bn, bd = low, v, vn, vd
+            elif v > best_val:
+                best, best_val, bn = low, v, None
             rest ^= low
         pool ^= best
         if matroid is None or matroid.is_independent(Subset._raw(n, mask | best, size)):

@@ -238,9 +238,9 @@ def check_sandwich(
     exact = (int, Fraction)
     for i, (m, Fv, fv) in enumerate(rows):
         if isinstance(Fv, exact) and (f_ints or isinstance(fv, exact)):
-            x = q * Fv.numerator
-            y = fv * Fv.denominator
-            if q_lo * y <= x <= q_hi * y:
+            Fn, Fd = Fv.as_integer_ratio()
+            y = fv * Fd
+            if q_lo * y <= q * Fn <= q_hi * y:
                 continue
         elif band.near(Fv, Fraction(fv, D) if f_ints else fv):
             continue

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import operator
+import os
 import re
 import warnings
 from fractions import Fraction
@@ -402,7 +403,8 @@ def test_cli_concentration_huge_epsilon_passes(capsys, mode):
     """eps = 1e308 once overflowed in eps ** 2; the band then holds every
     overlap, and eps^2 mu = inf gives the reference 1."""
     code = cli.main(["verify", "--property", "concentration", "--n", "100", "--h", "50",
-                     "--set-size", "40", "--epsilon", "1e308", "--mode", mode, "--trials", "100"])
+                     "--set-size", "40", "--epsilon", "1e308", "--mode", mode]
+                    + (["--trials", "100"] if mode == "mc" else []))
     assert code == 0
     assert capsys.readouterr().out.endswith("measured=1.000000 reference=1.000000 [pass]\n")
 
@@ -1310,7 +1312,14 @@ def previous_cmd_verify_sandwich(args):
     return EXIT_PASS if report.passed else EXIT_COUNTEREXAMPLE
 
 
-_PREVIOUS = {"sweep": ("_cmd_sweep", previous_cmd_sweep),
+def previous_cmd_sweep_parsed(args) -> int:
+    """``previous_cmd_sweep`` given the args it was parsed with: sweep's
+    --seed then defaulted to 0, and now parses to None when absent."""
+    return previous_cmd_sweep(argparse.Namespace(**{
+        **vars(args), "seed": 0 if args.seed is None else args.seed}))
+
+
+_PREVIOUS = {"sweep": ("_cmd_sweep", previous_cmd_sweep_parsed),
              "sample": ("_cmd_sample", previous_cmd_sample),
              "sandwich": ("_cmd_verify", previous_cmd_verify_sandwich)}
 _CONSTRUCTION = {"n": 12, "h": 5, "alpha": 2, "k": 5, "epsilon": 0.3}
@@ -1524,6 +1533,9 @@ def test_verify_takes_no_report_flags():
 
 _SUBMODULAR = ["verify", "--property", "submodular", "--instance", "a.json"]
 _SANDWICH = ["verify", "--property", "sandwich", "--config", "s.json"]
+_CONCENTRATION = ["verify", "--property", "concentration", "--n", "2000", "--h", "200",
+                  "--set-size", "500", "--epsilon", "0.3"]
+_EXACT = "verify --property concentration --mode exact"
 _UNREAD_FLAGS = {  # id: (argv, the case's words, the one flag it does not read)
     "submodular-config": (_SUBMODULAR + ["--config", "/nonexistent.json"],
                           "verify --property submodular", "--config"),
@@ -1544,6 +1556,11 @@ _UNREAD_FLAGS = {  # id: (argv, the case's words, the one flag it does not read)
                             "--k"),
     "generate-trap-seed": (["generate", "--construction", "trap", "--n", "64", "--beta", "0.5",
                             "--seed", "123"], "generate --construction trap", "--seed"),
+    "concentration-exact-trials": (_CONCENTRATION + ["--mode", "exact", "--trials", "-7"],
+                                   _EXACT, "--trials"),
+    "concentration-exact-seed": (_CONCENTRATION + ["--mode", "exact", "--seed", "99"],
+                                 _EXACT, "--seed"),
+    "concentration-default-trials": (_CONCENTRATION + ["--trials", "5"], _EXACT, "--trials"),
 }
 
 
@@ -1564,14 +1581,16 @@ def test_cli_refuses_a_flag_its_case_does_not_read(capsys, case):
     (_SANDWICH + ["--instance", "a.json", "--n", "5", "--epsilon", "0.9"],
      "verify --property sandwich", "--n, --epsilon, --instance"),
     (["trap", "--curve", "16", "--k", "3", "--n", "5"], "trap --curve", "--k, --n"),
-], ids=["submodular", "sandwich", "trap-curve"])
+    (_CONCENTRATION + ["--mode", "exact", "--trials", "-7", "--seed", "99"], _EXACT,
+     "--trials, --seed"),
+], ids=["submodular", "sandwich", "trap-curve", "concentration-exact"])
 def test_cli_names_every_unread_flag_on_one_line(capsys, argv, words, flags):
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"error: {words} does not read {flags}\n"
 
 
 @pytest.mark.parametrize("argv, spelled", [
-    (["trap"], ["trap", "--k", "16", "--n", "64", "--beta", "0.5", "--format", "csv"]),
+    (["trap"], ["trap", "--k", "16", "--n", "64", "--beta", "0.5"]),
     (["trap", "--curve", "16", "64"], ["trap", "--curve", "16", "64", "--beta", "0.5"]),
     (["generate", "--construction", "monotone", "--n", "256", "--beta", "0.25"],
      ["generate", "--construction", "monotone", "--n", "256", "--beta", "0.25", "--seed", "0"]),
@@ -1587,6 +1606,78 @@ def test_cli_unread_flag_defaults_are_the_old_ones(capsys, argv, spelled):
     assert cli.main(argv) == cli.main(spelled) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[:len(out) // 2] == out[len(out) // 2:]
+
+
+_SWEEP_INSTANCES = {"instances": [_ADDITIVE], "k": 2, "seeds": [0], "delta_grid": [0.5]}
+
+
+@pytest.mark.parametrize("cfg", [
+    _SWEEP_INSTANCES,
+    {"corpus_seed": 3, "sizes": [6], "count": 1, "k": 2, "seeds": [0], "delta_grid": [0.5]},
+], ids=["instances", "corpus-seed"])
+@pytest.mark.parametrize("seed", ["5", "1234", "0"])
+def test_cli_sweep_refuses_an_unread_seed(tmp_path, capsys, cfg, seed):
+    """Both once ran with --seed ignored: --seed 5 and --seed 1234 printed
+    the same bytes."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["sweep", "--config", str(path), "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: sweep with instances or corpus_seed in its config "
+                            "does not read --seed\n")
+    assert cli.main(["sweep", "--config", str(path)]) == 0
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("seed", [[], ["--seed", "1"]], ids=["no-seed", "seed"])
+def test_cli_sweep_reads_its_config_once(tmp_path, capsys, seed):
+    """A config that can be read only once, as from a shell's <(...): a pipe
+    whose writer has closed reads empty the second time it is opened."""
+    cfg = {"sizes": [6], "count": 1, "k": 2, "seeds": [0], "delta_grid": [0.5]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["sweep", "--config", str(path), *seed]) == 0
+    want = capsys.readouterr().out
+    r, w = os.pipe()
+    try:
+        os.write(w, json.dumps(cfg).encode())
+        os.close(w)
+        assert cli.main(["sweep", "--config", f"/dev/fd/{r}", *seed]) == 0
+    finally:
+        os.close(r)
+    assert capsys.readouterr().out == want
+
+
+def test_cli_concentration_unknown_mode_is_refused_by_the_check(capsys):
+    assert cli.main(_CONCENTRATION + ["--mode", "bogus"]) == 2
+    assert capsys.readouterr().err == "error: unknown method 'bogus'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["distinguish", "--n", "256", "--trials", "1"],
+    ["sweep"],
+    ["trap"],
+    ["trap", "--curve", "16"],
+    ["sample"],
+], ids=["distinguish", "sweep", "trap", "trap-curve", "sample"])
+@pytest.mark.parametrize("fmt", ["csv", "structured"])
+def test_cli_refuses_format_without_out(capsys, argv, fmt):
+    """Each once exited 0 with --format ignored."""
+    assert cli.main(argv + ["--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {argv[0]} reads --format only with --out\n"
+
+
+@pytest.mark.parametrize("argv", [["trap"], ["trap", "--curve", "16"],
+                                  ["distinguish", "--n", "256", "--trials", "2"]],
+                         ids=["trap", "trap-curve", "distinguish"])
+def test_cli_out_without_format_writes_csv(tmp_path, capsys, argv):
+    default, spelled = tmp_path / "default.out", tmp_path / "spelled.out"
+    assert cli.main(argv + ["--out", str(default)]) == 0
+    assert cli.main(argv + ["--out", str(spelled), "--format", "csv"]) == 0
+    assert default.read_bytes() == spelled.read_bytes()
 
 
 @pytest.mark.parametrize("cfg", [{"alpha": -1}, {"alpha": 0}, {"n": 0}, {"n": -2},
