@@ -53,12 +53,9 @@ def _emit(rows, args, default_stdout=False):
 def _cmd_verify(args) -> int:
     prop = args.property
     if prop == "concentration":
-        if None in (args.n, args.h, args.set_size, args.epsilon):
-            raise ValueError("concentration needs --n, --h, --set-size, --epsilon")
         report = check_concentration(
             args.n, args.h, args.set_size, args.epsilon,
-            method=args.mode or "exact",
-            trials=args.trials, seed=args.seed,
+            method=args.mode, trials=args.trials, seed=args.seed,
         )
         print(f"concentration n={report.n} h={report.h} |S|={report.set_size} "
               f"eps={report.epsilon}: measured={report.measured:.6f} "
@@ -67,10 +64,7 @@ def _cmd_verify(args) -> int:
         return EXIT_PASS if report.passed else EXIT_COUNTEREXAMPLE
 
     if prop in ("submodular", "monotone"):
-        if args.instance:
-            inst = instance_from_dict(_load_json(args.instance))
-        else:
-            raise ValueError("--instance required for submodular/monotone checks")
+        inst = instance_from_dict(_load_json(args.instance))
         check = check_submodular if prop == "submodular" else check_monotone
         report = check(inst, inst.n)
         print(f"{report.property_name} {report.instance}: "
@@ -79,9 +73,7 @@ def _cmd_verify(args) -> int:
               + ("" if report.passed else f"; counterexample: {report.counterexample}"))
         return EXIT_PASS if report.passed else EXIT_COUNTEREXAMPLE
 
-    if not args.config:
-        raise ValueError("--config required for the sandwich check")
-    cfg = _load_json(args.config)
+    cfg = args.cfg
     if "construction" in cfg:
         construction = cfg.pop("construction")
         if not isinstance(construction, dict):
@@ -92,7 +84,7 @@ def _cmd_verify(args) -> int:
             raise ValueError(f"construction family must be 'monotone' or 'coverage', "
                              f"got {family!r}")
         params = HardPairParams(**construction)
-        hidden = draw_hidden_set(params.n, params.h, cfg.get("seed", args.seed))
+        hidden = draw_hidden_set(params.n, params.h, args.seed)
         pair = (build_coverage_pair if family == "coverage"
                 else build_monotone_pair)(params, hidden)
         F, f, epsilon, n = build_sandwich(pair), pair.fh, params.epsilon, params.n
@@ -109,9 +101,7 @@ def _cmd_verify(args) -> int:
                              "F against the band (1 +- epsilon) f")
         F = noise_from_dict(f, noise)
         epsilon, n = config_number(noise["epsilon"], "epsilon"), f.n
-    report = check_sandwich(F, f, epsilon, n, **{
-        "mode": args.mode or "exhaustive", "trials": args.trials, "seed": args.seed, **cfg,
-    })
+    report = check_sandwich(F, f, epsilon, n, args.mode, args.trials, args.seed, **cfg)
     print(f"sandwich {report.instance}: {'pass' if report.passed else 'FAIL'} "
           f"({report.examined} sets)")
     return EXIT_PASS if report.passed else EXIT_COUNTEREXAMPLE
@@ -125,9 +115,7 @@ def _cmd_distinguish(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_json(args.config) if args.config else {}
-    if args.seed is not None and ("instances" in cfg or "corpus_seed" in cfg):
-        raise ValueError("sweep with instances or corpus_seed in its config does not read --seed")
+    cfg = args.cfg
     for key in ("instances", "sizes", "seeds", "delta_grid"):
         if key in cfg and not isinstance(cfg[key], list):
             raise ValueError(f"{key} must be a list, got {cfg[key]!r}")
@@ -137,9 +125,7 @@ def _cmd_sweep(args) -> int:
         sizes = tuple(config_int(size, "a size") for size in cfg.pop("sizes", (8, 10)))
         if not all(1 <= size <= experiments.SWEEP_MAX_N for size in sizes):
             raise ValueError(f"sweep sizes must be in 1..{experiments.SWEEP_MAX_N}, got {sizes}")
-        key = "corpus_seed" if "corpus_seed" in cfg else "seed"
-        seed = cfg.pop("corpus_seed", 0 if args.seed is None else args.seed)
-        corpus = experiments.instance_corpus(config_seed(seed, key), sizes=sizes)
+        corpus = experiments.instance_corpus(args.seed, sizes=sizes)
         count = config_int(cfg.pop("count", len(corpus)), "count")
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
@@ -167,7 +153,7 @@ def _cmd_trap(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    cfg = _load_json(args.config) if args.config else {}
+    cfg = args.cfg
     if "instance" in cfg:
         f = instance_from_dict(cfg.pop("instance"))
     else:
@@ -178,7 +164,7 @@ def _cmd_sample(args) -> int:
             raise ValueError(f"the fixture is guarded at 1 <= n <= {experiments.SAMPLE_MAX_N} and "
                              f"1 <= alpha <= {_FIXTURE_MAX_ALPHA}, got n={n}, alpha={alpha}")
         f = CoverageFunction(alpha, [(1 << alpha) - 1] * n)
-    rows, summary = experiments.run_sampling_validation(f, **{"seed": args.seed, **cfg})
+    rows, summary = experiments.run_sampling_validation(f, seed=args.seed, **cfg)
     _emit(rows, args)
     print(json.dumps({"summary": summary}, sort_keys=True))
     ok = summary["violating_fraction"] <= summary["prediction"] + 1e-12
@@ -186,7 +172,6 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    meta: dict
     if args.construction == "trap":
         trap = build_greedy_trap(args.k, args.beta, args.n)
         meta = {
@@ -216,83 +201,128 @@ def _cmd_generate(args) -> int:
     return EXIT_PASS
 
 
-_SHARED_FLAGS = {
-    "--config": {"default": None, "help": "JSON config path"},
-    "--seed": {"type": int, "default": 0},
-    "--out": {"default": None, "help": "report output path"},
-    "--format": {"choices": ("csv", "structured"), "default": None,
+# Each flag's argparse keywords.  A flag parses to None when absent; its
+# default comes from the case that reads it (``_READS``).
+_FLAGS = {
+    "--property": {"required": True,
+                   "choices": ("submodular", "monotone", "sandwich", "concentration")},
+    "--construction": {"required": True, "choices": ("monotone", "coverage", "trap")},
+    "--instance": {"help": "instance JSON path"},
+    "--config": {"help": "JSON config path"},
+    "--mode": {"help": "exhaustive|sampled|exact|mc"},
+    "--n": {"type": int},
+    "--h": {"type": int},
+    "--set-size": {"type": int},
+    "--epsilon": {"type": float},
+    "--k": {"type": int, "help": "greedy budget"},
+    "--beta": {"type": float},
+    "--curve": {"type": int, "nargs": "*", "help": "budgets for a ratio-vs-budget curve"},
+    "--trials": {"type": int},
+    "--seed": {"type": int},
+    "--out": {"help": "report output path"},
+    "--format": {"choices": ("csv", "structured"),
                  "help": "report format with --out (default csv)"},
 }
 
-
-# The optional flags each case of verify, trap and generate reads, with the
-# value each takes when it is not given.  In those subcommands these flags
-# parse to None when absent, so a flag given to a case that does not read it
-# exits 2 rather than being ignored.  --format, wherever it is a flag, is read
-# only with --out.
+# The flags each case of each subcommand reads, with the value each takes when
+# it is not given; a _REQUIRED flag must be given.  A flag given to a case that
+# does not read it exits 2 rather than being ignored; --format is read only
+# with --out.
+_REQUIRED = object()
+_REPORT = {"--out": None, "--format": "csv"}
+_CONCENTRATION = {"--property": _REQUIRED, "--n": _REQUIRED, "--h": _REQUIRED,
+                  "--set-size": _REQUIRED, "--epsilon": _REQUIRED, "--mode": "exact"}
+_SANDWICH = {"--property": _REQUIRED, "--config": _REQUIRED, "--mode": "exhaustive", "--seed": 0}
+_GENERATE = {"--construction": _REQUIRED, "--n": _REQUIRED, "--beta": _REQUIRED, "--out": None}
 _READS = {
     "verify": {
-        "--property concentration --mode exact": {"--n": None, "--h": None, "--set-size": None,
-                                                  "--epsilon": None, "--mode": None},
-        "--property concentration --mode mc": {"--n": None, "--h": None, "--set-size": None,
-                                               "--epsilon": None, "--mode": None,
-                                               "--trials": 100_000, "--seed": 0},
-        "--property submodular": {"--instance": None},
-        "--property monotone": {"--instance": None},
-        "--property sandwich": {"--config": None, "--mode": None,
-                                "--trials": 100_000, "--seed": 0},
+        "--property concentration --mode exact": _CONCENTRATION,
+        "--property concentration --mode mc": {**_CONCENTRATION, "--trials": 100_000, "--seed": 0},
+        "--property submodular": {"--property": _REQUIRED, "--instance": _REQUIRED},
+        "--property monotone": {"--property": _REQUIRED, "--instance": _REQUIRED},
+        "--property sandwich --mode exhaustive": _SANDWICH,
+        "--property sandwich --mode sampled": {**_SANDWICH, "--trials": 100_000},
+    },
+    "distinguish": {"": {"--n": 4096, "--beta": 0.25, "--trials": 100, "--seed": 0, **_REPORT}},
+    "sweep": {
+        "with instances in its config": {"--config": None, **_REPORT},
+        "": {"--config": None, "--seed": 0, **_REPORT},
     },
     "trap": {
-        "--curve": {"--curve": None, "--beta": 0.5, "--out": None},
-        "without --curve": {"--k": 16, "--n": 64, "--beta": 0.5, "--out": None},
+        "--curve": {"--curve": None, "--beta": 0.5, **_REPORT},
+        "without --curve": {"--k": 16, "--n": 64, "--beta": 0.5, **_REPORT},
     },
+    "sample": {"": {"--config": None, "--seed": 0, **_REPORT}},
     "generate": {
-        "--construction monotone": {"--n": None, "--beta": None, "--seed": 0, "--out": None},
-        "--construction coverage": {"--n": None, "--beta": None, "--seed": 0, "--out": None},
-        "--construction trap": {"--n": None, "--beta": None, "--k": 16, "--out": None},
+        "--construction monotone": {**_GENERATE, "--seed": 0},
+        "--construction coverage": {**_GENERATE, "--seed": 0},
+        "--construction trap": {**_GENERATE, "--k": 16},
     },
+}
+# The config keys that give the same setting as a flag: a run takes it from
+# one or the other, never both.  A seed from a config is checked by its key.
+_KEYS = {
+    "verify": {"seed": "--seed", "mode": "--mode", "trials": "--trials"},
+    "sweep": {"corpus_seed": "--seed"},
+    "sample": {"seed": "--seed"},
 }
 
 
-def _case(args) -> str:
-    """The ``_READS`` key of args' case."""
-    if args.command == "verify":
-        if args.property == "concentration":  # check_concentration refuses other modes
-            return f"--property concentration --mode {'mc' if args.mode == 'mc' else 'exact'}"
-        return f"--property {args.property}"
+def _case(args, cfg: dict) -> str:
+    """The ``_READS`` key of args' case, given its config."""
+    if args.command == "verify":  # the check refuses a mode it does not know
+        modes = {"concentration": ("mc", "exact"), "sandwich": ("sampled", "exhaustive")}
+        if args.property not in modes:
+            return f"--property {args.property}"
+        other, default = modes[args.property]
+        return f"--property {args.property} --mode {other if args.mode == other else default}"
+    if args.command == "sweep":
+        return "with instances in its config" if "instances" in cfg else ""
+    if args.command == "trap":
+        return "--curve" if args.curve is not None else "without --curve"
     if args.command == "generate":
         return f"--construction {args.construction}"
-    return "--curve" if args.curve is not None else "without --curve"
+    return ""
 
 
-def _resolve_flags(args) -> None:
-    """Refuse the flags given that args' case does not read (see ``_READS``),
-    then give each flag it reads that was not given its default."""
-    values = vars(args)
-    if "format" in values:
-        if values["format"] is not None and values["out"] is None:
-            raise ValueError(f"{args.command} reads --format only with --out")
-        values["format"] = values["format"] or "csv"
-    table = _READS.get(args.command)
-    if table is None:
-        return
-    case = _case(args)
-    reads = table[case]
-    dest = {flag: flag[2:].replace("-", "_") for flags in table.values() for flag in flags}
-    unread = [flag for flag in dest if flag not in reads and values[dest[flag]] is not None]
+def _refuse_unread(args, case: str, given: dict, reads) -> None:
+    unread = [name for flag, name in given.items() if flag not in reads]
     if unread:
         raise ValueError(f"{args.command} {case} does not read {', '.join(unread)}")
-    for flag, default in reads.items():
-        if values[dest[flag]] is None:
+
+
+def _resolve(args) -> None:
+    """Settle args' settings from its flags and its config, read once into
+    ``args.cfg``: move each config key that gives a flag's setting
+    (``_KEYS``) into it, refuse a setting given both ways and a flag or key
+    args' case does not read (``_READS``), then give each flag the case
+    reads that was not given its default, or refuse a required one."""
+    values, table = vars(args), _READS[args.command]
+    dest = {flag: flag[2:].replace("-", "_") for reads in table.values() for flag in reads}
+    given = {flag: flag for flag in dest if values[dest[flag]] is not None}
+    if "--format" in given and values["out"] is None:
+        raise ValueError(f"{args.command} reads --format only with --out")
+    args.cfg = {}
+    case = _case(args, args.cfg)
+    if values.get("config") is not None and "--config" in table[case]:
+        # before opening the config, refuse what no case with a config reads
+        _refuse_unread(args, case, given, {flag for reads in table.values()
+                                           if "--config" in reads for flag in reads})
+        args.cfg = cfg = _load_json(args.config)
+        for key, flag in _KEYS[args.command].items():
+            if key in cfg:
+                if flag in given:
+                    raise ValueError(f"{args.command} gets {key} from both {flag} and its config")
+                value = cfg.pop(key)
+                values[dest[flag]] = config_seed(value, key) if flag == "--seed" else value
+                given[flag] = f"{key} from its config"
+        case = _case(args, cfg)
+    _refuse_unread(args, case, given, table[case])
+    for flag, default in table[case].items():
+        if flag not in given:
+            if default is _REQUIRED:
+                raise ValueError(f"{args.command} {case} needs {flag}")
             values[dest[flag]] = default
-
-
-def _shared(*flags) -> list:
-    """A parent parser with only the shared flags a subcommand's handler reads."""
-    parent = argparse.ArgumentParser(add_help=False)
-    for flag in flags:
-        parent.add_argument(flag, **_SHARED_FLAGS[flag])
-    return [parent]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,51 +332,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "verify adversarial instances.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # verify, trap and generate take their flags' defaults from _READS
-    p = sub.add_parser("verify", parents=_shared("--config", "--seed"), help="property checks")
-    p.add_argument("--property", required=True,
-                   choices=("submodular", "monotone", "sandwich", "concentration"))
-    p.add_argument("--instance", default=None, help="instance JSON path")
-    p.add_argument("--mode", default=None, help="exhaustive|sampled|exact|mc")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--h", type=int, default=None)
-    p.add_argument("--set-size", type=int, dest="set_size", default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.set_defaults(func=_cmd_verify, seed=None)
-
-    p = sub.add_parser("distinguish", parents=_shared("--seed", "--out", "--format"),
-                       help="decoy-following experiment at scale")
-    p.add_argument("--n", type=int, default=4096)
-    p.add_argument("--beta", type=float, default=0.25)
-    p.add_argument("--trials", type=int, default=100)
-    p.set_defaults(func=_cmd_distinguish)
-
-    p = sub.add_parser("sweep", parents=_shared(*_SHARED_FLAGS), help="greedy noise sweep")
-    p.set_defaults(func=_cmd_sweep, seed=None)  # _cmd_sweep refuses or defaults it
-
-    p = sub.add_parser("trap", parents=_shared("--out", "--format"),
-                       help="greedy trap reproduction")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--curve", type=int, nargs="*", default=None,
-                   help="budgets for a ratio-vs-budget curve")
-    p.set_defaults(func=_cmd_trap)
-
-    p = sub.add_parser("sample", parents=_shared(*_SHARED_FLAGS), help="sampling-rule validation")
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("generate", parents=_shared("--seed", "--out"),
-                       help="emit adversarial instance metadata")
-    p.add_argument("--construction", required=True,
-                   choices=("monotone", "coverage", "trap"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--k", type=int, default=None, help="budget (trap only)")
-    p.set_defaults(func=_cmd_generate, seed=None)
-
+    for name, func, help_ in (
+        ("verify", _cmd_verify, "property checks"),
+        ("distinguish", _cmd_distinguish, "decoy-following experiment at scale"),
+        ("sweep", _cmd_sweep, "greedy noise sweep"),
+        ("trap", _cmd_trap, "greedy trap reproduction"),
+        ("sample", _cmd_sample, "sampling-rule validation"),
+        ("generate", _cmd_generate, "emit adversarial instance metadata"),
+    ):
+        p = sub.add_parser(name, help=help_)
+        cases = _READS[name].values()
+        for flag in dict.fromkeys(flag for reads in cases for flag in reads):
+            p.add_argument(flag, default=None, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -354,7 +352,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _resolve_flags(args)
+        _resolve(args)
         return args.func(args)
     except (ValueError, TypeError, OSError, KeyError, RecursionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

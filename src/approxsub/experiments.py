@@ -272,7 +272,7 @@ def run_noise_sweep(instances, k: int = 4, delta_grid=(0.0, 0.5, 1 - 1e-9),
             raise ValueError(f"sweep instances must allow brute force, got n={inst.n}")
     rows = []
     for seed in seeds:
-        seed = config_int(seed, "seed")
+        seed = config_seed(seed)
         for idx, inst in enumerate(instances):
             for delta in delta_grid:
                 eps = float(config_number(delta, "a delta_grid entry")) / k

@@ -180,7 +180,7 @@ def noise_from_dict(base, cfg: dict):
     stray = cfg.keys() - _NOISE_KEYS[kind]
     if stray:
         raise ValueError(f"unknown keys in a {kind} noise block: {sorted(stray)}")
-    seed = config_int(cfg.get("seed", 0), "seed")  # None would draw OS entropy
+    seed = config_seed(cfg.get("seed", 0))  # None would draw OS entropy
     if kind == "consistent":
         require_keys(cfg, ["epsilon"], "a consistent noise block")
         return ConsistentNoiseOracle(base, config_number(cfg["epsilon"], "epsilon"), seed)

@@ -225,7 +225,7 @@ def check_sandwich(
     elif mode == "sampled":
         if trials is None or not (total := config_int(trials, "trials")) >= 1 or seed is None:
             raise ValueError(f"sampled mode needs trials >= 1 and a seed, got trials={trials}")
-        rng = random.Random(config_int(seed, "seed"))
+        rng = random.Random(config_seed(seed))
         sets = (Subset._raw(n, m, m.bit_count())
                 for m in (rng.getrandbits(n) for _ in range(total)))
         rows = ((s.mask, F.value(s), f.value(s)) for s in sets)

@@ -1450,6 +1450,17 @@ _NEGATIVE_SEEDS = {  # (argv, config or None, the message's key and value)
     "concentration-mc": (["verify", "--property", "concentration", "--mode", "mc", "--n", "100",
                           "--h", "50", "--set-size", "40", "--epsilon", "0.5", "--seed", "-1"],
                          None, "seed", -1),
+    # these three once ran: a hash or random.Random took the negative seed
+    "sweep-seeds": (["sweep"], {"seeds": [-1], "count": 1, "sizes": [6], "k": 2,
+                                "delta_grid": [0.5]}, "seed", -1),
+    "consistent-noise": (["verify", "--property", "sandwich"],
+                         {"instance": _ADDITIVE,
+                          "noise": {"kind": "consistent", "epsilon": 0.3, "seed": -1}}, "seed", -1),
+    "sampled-check": (["verify", "--property", "sandwich"],
+                      {**_SEEDED_SANDWICHES["sampled-noise"], "seed": -1}, "seed", -1),
+    "sampled-check-flag": (["verify", "--property", "sandwich", "--seed", "-2"],
+                           {key: value for key, value in _SEEDED_SANDWICHES["sampled-noise"].items()
+                            if key != "seed"}, "seed", -2),
 }
 
 
@@ -1468,26 +1479,11 @@ def test_cli_negative_seed_names_its_key(tmp_path, capsys, case):
     assert captured.err == f"error: {key} must be a nonnegative integer, got {value}\n"
 
 
-@pytest.mark.parametrize("argv, cfg", [
-    (["sweep"], {"seeds": [-1], "count": 1, "sizes": [6], "k": 2, "delta_grid": [0.5]}),
-    (["verify", "--property", "sandwich"],
-     {"instance": _ADDITIVE, "noise": {"kind": "consistent", "epsilon": 0.3, "seed": -1}}),
-    (["verify", "--property", "sandwich"], {**_SEEDED_SANDWICHES["sampled-noise"], "seed": -1}),
-], ids=["sweep-seeds", "consistent-noise", "sampled-check"])
-def test_cli_negative_seed_without_numpy_generator_runs(tmp_path, capsys, argv, cfg):
-    """Sweep's seeds and a consistent noise seed feed a hash, and the sampled
-    check's seed a random.Random: negative values give a verdict there."""
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert cli.main(argv + ["--config", str(path)]) in (0, 1)
-    assert capsys.readouterr().err == ""
-
-
 def test_cli_subcommands_take_only_the_shared_flags_they_read():
     parser = cli.build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     shared = {name: sorted(flag for action in p._actions for flag in action.option_strings
-                           if flag in cli._SHARED_FLAGS)
+                           if flag in ("--config", "--seed", "--out", "--format"))
               for name, p in subparsers.choices.items()}
     assert shared == {
         "verify": ["--config", "--seed"],
@@ -1533,6 +1529,7 @@ def test_verify_takes_no_report_flags():
 
 _SUBMODULAR = ["verify", "--property", "submodular", "--instance", "a.json"]
 _SANDWICH = ["verify", "--property", "sandwich", "--config", "s.json"]
+_EXHAUSTIVE = "verify --property sandwich --mode exhaustive"
 _CONCENTRATION = ["verify", "--property", "concentration", "--n", "2000", "--h", "200",
                   "--set-size", "500", "--epsilon", "0.3"]
 _EXACT = "verify --property concentration --mode exact"
@@ -1544,11 +1541,9 @@ _UNREAD_FLAGS = {  # id: (argv, the case's words, the one flag it does not read)
                         "--mode"),
     "submodular-trials": (_SUBMODULAR + ["--trials", "-4"], "verify --property submodular",
                           "--trials"),
-    "sandwich-instance": (_SANDWICH + ["--instance", "a.json"], "verify --property sandwich",
-                          "--instance"),
-    "sandwich-n": (_SANDWICH + ["--n", "5"], "verify --property sandwich", "--n"),
-    "sandwich-epsilon": (_SANDWICH + ["--epsilon", "0.9"], "verify --property sandwich",
-                         "--epsilon"),
+    "sandwich-instance": (_SANDWICH + ["--instance", "a.json"], _EXHAUSTIVE, "--instance"),
+    "sandwich-n": (_SANDWICH + ["--n", "5"], _EXHAUSTIVE, "--n"),
+    "sandwich-epsilon": (_SANDWICH + ["--epsilon", "0.9"], _EXHAUSTIVE, "--epsilon"),
     "trap-curve-k": (["trap", "--curve", "16", "--k", "3"], "trap --curve", "--k"),
     "trap-curve-n": (["trap", "--curve", "16", "--n", "5"], "trap --curve", "--n"),
     "generate-monotone-k": (["generate", "--construction", "monotone", "--n", "256",
@@ -1578,8 +1573,8 @@ def test_cli_refuses_a_flag_its_case_does_not_read(capsys, case):
     (_SUBMODULAR + ["--config", "/nonexistent.json", "--seed", "3", "--mode", "bogus",
                     "--trials", "-4"], "verify --property submodular",
      "--mode, --trials, --seed, --config"),
-    (_SANDWICH + ["--instance", "a.json", "--n", "5", "--epsilon", "0.9"],
-     "verify --property sandwich", "--n, --epsilon, --instance"),
+    (_SANDWICH + ["--instance", "a.json", "--n", "5", "--epsilon", "0.9"], _EXHAUSTIVE,
+     "--n, --epsilon, --instance"),
     (["trap", "--curve", "16", "--k", "3", "--n", "5"], "trap --curve", "--k, --n"),
     (_CONCENTRATION + ["--mode", "exact", "--trials", "-7", "--seed", "99"], _EXACT,
      "--trials, --seed"),
@@ -1611,12 +1606,13 @@ def test_cli_unread_flag_defaults_are_the_old_ones(capsys, argv, spelled):
 _SWEEP_INSTANCES = {"instances": [_ADDITIVE], "k": 2, "seeds": [0], "delta_grid": [0.5]}
 
 
-@pytest.mark.parametrize("cfg", [
-    _SWEEP_INSTANCES,
-    {"corpus_seed": 3, "sizes": [6], "count": 1, "k": 2, "seeds": [0], "delta_grid": [0.5]},
+@pytest.mark.parametrize("cfg, message", [
+    (_SWEEP_INSTANCES, "sweep with instances in its config does not read --seed"),
+    ({"corpus_seed": 3, "sizes": [6], "count": 1, "k": 2, "seeds": [0], "delta_grid": [0.5]},
+     "sweep gets corpus_seed from both --seed and its config"),
 ], ids=["instances", "corpus-seed"])
 @pytest.mark.parametrize("seed", ["5", "1234", "0"])
-def test_cli_sweep_refuses_an_unread_seed(tmp_path, capsys, cfg, seed):
+def test_cli_sweep_refuses_an_unread_seed(tmp_path, capsys, cfg, message, seed):
     """Both once ran with --seed ignored: --seed 5 and --seed 1234 printed
     the same bytes."""
     path = tmp_path / "cfg.json"
@@ -1624,8 +1620,7 @@ def test_cli_sweep_refuses_an_unread_seed(tmp_path, capsys, cfg, seed):
     assert cli.main(["sweep", "--config", str(path), "--seed", seed]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: sweep with instances or corpus_seed in its config "
-                            "does not read --seed\n")
+    assert captured.err == f"error: {message}\n"
     assert cli.main(["sweep", "--config", str(path)]) == 0
 
 
@@ -1647,6 +1642,102 @@ def test_cli_sweep_reads_its_config_once(tmp_path, capsys, seed):
     finally:
         os.close(r)
     assert capsys.readouterr().out == want
+
+
+_ONCE_CONFIGS = {  # the other subcommands' configs: (argv, config)
+    "sample": (["sample"], {"n": 5, "trials": 3, "k": 2}),
+    "sandwich": (["verify", "--property", "sandwich"], {"construction": _CONSTRUCTION}),
+    "sandwich-sampled": (["verify", "--property", "sandwich"],
+                         {key: value for key, value in _SEEDED_SANDWICHES["sampled-noise"].items()
+                          if key != "seed"}),
+}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("seed", [[], ["--seed", "1"]], ids=["no-seed", "seed"])
+@pytest.mark.parametrize("case", list(_ONCE_CONFIGS))
+def test_cli_reads_every_config_once(tmp_path, capsys, case, seed):
+    """``test_cli_sweep_reads_its_config_once`` for sample and the sandwich
+    check, whose configs the flag resolver reads before the handler runs."""
+    argv, cfg = _ONCE_CONFIGS[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main([*argv, "--config", str(path), *seed]) in (0, 1)
+    want = capsys.readouterr()
+    r, w = os.pipe()
+    try:
+        os.write(w, json.dumps(cfg).encode())
+        os.close(w)
+        assert cli.main([*argv, "--config", f"/dev/fd/{r}", *seed]) in (0, 1)
+    finally:
+        os.close(r)
+    assert capsys.readouterr() == want and want.err == ""
+
+
+_BOTH_WAYS = {  # id: (argv, config, the key, its flag); the first, third and fourth
+    # once printed the config's setting with the flag's ignored
+    "sample-seed": (["sample", "--seed", "5"], {"trials": 5, "seed": 3}, "seed", "--seed"),
+    "sweep-corpus-seed": (["sweep", "--seed", "1"], {"corpus_seed": 2, "sizes": [6], "count": 1},
+                          "corpus_seed", "--seed"),
+    "sandwich-seed": (["verify", "--property", "sandwich", "--trials", "5", "--seed", "9"],
+                      {"construction": _CONSTRUCTION, "seed": 8}, "seed", "--seed"),
+    "sandwich-mode": (["verify", "--property", "sandwich", "--mode", "sampled", "--trials", "5"],
+                      {"construction": _CONSTRUCTION, "seed": 8, "mode": "exhaustive"},
+                      "mode", "--mode"),
+    "sandwich-trials": (["verify", "--property", "sandwich", "--trials", "5"],
+                        {"construction": _CONSTRUCTION, "mode": "sampled", "trials": 7},
+                        "trials", "--trials"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BOTH_WAYS))
+def test_cli_refuses_a_setting_given_both_ways(tmp_path, capsys, case):
+    """A flag and its config key once named one setting with the config's
+    value taken silently: sample printed the same bytes for any --seed, and
+    the sandwich check ran exhaustively on 4096 sets."""
+    argv, cfg, key, flag = _BOTH_WAYS[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(argv + ["--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {argv[0]} gets {key} from both {flag} and its config\n"
+
+
+@pytest.mark.parametrize("cfg, flags, unread", [
+    ({"construction": _CONSTRUCTION, "trials": 5}, [], "trials from its config"),
+    ({"construction": _CONSTRUCTION, "mode": "exhaustive", "trials": 5}, [],
+     "trials from its config"),
+    ({"construction": _CONSTRUCTION}, ["--trials", "5"], "--trials"),
+    ({"construction": _CONSTRUCTION, "mode": "exhaustive"}, ["--trials", "5"], "--trials"),
+], ids=["key", "key-with-mode", "flag", "flag-with-mode"])
+def test_cli_exhaustive_sandwich_reads_no_trials(tmp_path, capsys, cfg, flags, unread):
+    """Each once ran the exhaustive check with the trials ignored."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["verify", "--property", "sandwich", "--config", str(path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: verify --property sandwich --mode exhaustive "
+                            f"does not read {unread}\n")
+
+
+@pytest.mark.parametrize("argv, words, flag", [
+    (["generate", "--construction", "monotone", "--beta", "0.25"],
+     "generate --construction monotone", "--n"),
+    (["verify", "--property", "concentration", "--n", "100", "--set-size", "40",
+      "--epsilon", "0.5"], _EXACT, "--h"),
+    (["verify", "--property", "submodular"], "verify --property submodular", "--instance"),
+    (["verify", "--property", "sandwich", "--mode", "sampled"],
+     "verify --property sandwich --mode sampled", "--config"),
+], ids=["generate-n", "concentration-h", "submodular-instance", "sandwich-config"])
+def test_cli_names_a_flag_its_case_needs(capsys, argv, words, flag):
+    """Each once exited 2 with argparse's usage text or a message of the
+    handler's own wording."""
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {words} needs {flag}\n"
 
 
 def test_cli_concentration_unknown_mode_is_refused_by_the_check(capsys):
