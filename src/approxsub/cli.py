@@ -232,7 +232,7 @@ _REQUIRED = object()
 _REPORT = {"--out": None, "--format": "csv"}
 _CONCENTRATION = {"--property": _REQUIRED, "--n": _REQUIRED, "--h": _REQUIRED,
                   "--set-size": _REQUIRED, "--epsilon": _REQUIRED, "--mode": "exact"}
-_SANDWICH = {"--property": _REQUIRED, "--config": _REQUIRED, "--mode": "exhaustive", "--seed": 0}
+_SANDWICH = {"--property": _REQUIRED, "--config": _REQUIRED, "--mode": "exhaustive"}
 _GENERATE = {"--construction": _REQUIRED, "--n": _REQUIRED, "--beta": _REQUIRED, "--out": None}
 _READS = {
     "verify": {
@@ -240,8 +240,9 @@ _READS = {
         "--property concentration --mode mc": {**_CONCENTRATION, "--trials": 100_000, "--seed": 0},
         "--property submodular": {"--property": _REQUIRED, "--instance": _REQUIRED},
         "--property monotone": {"--property": _REQUIRED, "--instance": _REQUIRED},
-        "--property sandwich --mode exhaustive": _SANDWICH,
-        "--property sandwich --mode sampled": {**_SANDWICH, "--trials": 100_000},
+        "--property sandwich --mode exhaustive": {**_SANDWICH, "--seed": 0},
+        "--property sandwich --mode exhaustive with an instance in its config": _SANDWICH,
+        "--property sandwich --mode sampled": {**_SANDWICH, "--trials": 100_000, "--seed": 0},
     },
     "distinguish": {"": {"--n": 4096, "--beta": 0.25, "--trials": 100, "--seed": 0, **_REPORT}},
     "sweep": {
@@ -275,7 +276,10 @@ def _case(args, cfg: dict) -> str:
         if args.property not in modes:
             return f"--property {args.property}"
         other, default = modes[args.property]
-        return f"--property {args.property} --mode {other if args.mode == other else default}"
+        case = f"--property {args.property} --mode {other if args.mode == other else default}"
+        if case.endswith("exhaustive") and "instance" in cfg and "construction" not in cfg:
+            case += " with an instance in its config"  # only a construction reads --seed
+        return case
     if args.command == "sweep":
         return "with instances in its config" if "instances" in cfg else ""
     if args.command == "trap":

@@ -85,8 +85,9 @@ def _mask_of(elements, n: int) -> int:
 
 
 class _WeightSum:
-    """Sum of weights over a mask's set bits, equal in value and type to
-    adding them to 0 one by one in increasing element order.
+    """:meth:`total` sums the weights over a mask's set bits, equal in value
+    and type to adding them to 0 one by one in increasing element order.  It
+    is a plain method, as ``__call__`` would cost a slot dispatch on each call.
 
     If every weight is exactly an int, bool or Fraction, each is scaled once by
     D = lcm of the denominators to an int, so a set's int total T is exactly D
@@ -131,7 +132,7 @@ class _WeightSum:
             if len(groups) <= 64:
                 self.classes = [(t, _mask_of(es, n)) for t, es in groups.items()]
 
-    def __call__(self, mask: int, limit=None, cap=None):
+    def total(self, mask: int, limit=None, cap=None):
         classes = self.classes
         if classes is not None and mask.bit_count() > len(classes):
             total = 0
@@ -186,7 +187,7 @@ class AdditiveFunction(ValueOracle):
     def value(self, s: Subset):
         if s.n != self.n:
             self._check_ground(s)
-        return self._sum(s.mask)
+        return self._sum.total(s.mask)
 
     def exact_table(self):
         if self.den is None:
@@ -220,8 +221,8 @@ class BudgetAdditiveFunction(ValueOracle):
         if s.n != self.n:
             self._check_ground(s)
         if self._limit is None:
-            return min(self._sum(s.mask), self.budget)
-        return self._sum(s.mask, self._limit, self.budget)
+            return min(self._sum.total(s.mask), self.budget)
+        return self._sum.total(s.mask, self._limit, self.budget)
 
     def exact_table(self):
         den = self.den
@@ -406,15 +407,11 @@ def curvature(inst: ValueOracle):
         if single == 0:
             raise ValueError(f"singleton {{{a}}} has value 0; curvature undefined")
         last = f_full - inst.value(full.remove(a))
-        ratio = Fraction(last, single) if _is_rational(last) and _is_rational(single) \
-            else last / single
+        exact = isinstance(last, (int, Fraction)) and isinstance(single, (int, Fraction))
+        ratio = Fraction(last, single) if exact else last / single
         if worst is None or ratio < worst:
             worst = ratio
     return 1 - worst
-
-
-def _is_rational(x) -> bool:
-    return isinstance(x, (int, Fraction))
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,11 @@ class Subset:
         self.mask = mask
         self.size = mask.bit_count()
 
-    @classmethod
-    def _raw(cls, n: int, mask: int, size: int) -> "Subset":
+    @staticmethod
+    def _raw(n: int, mask: int, size: int, _new=object.__new__) -> "Subset":
         # Unchecked constructor for hot loops; callers guarantee invariants.
-        s = object.__new__(cls)
+        # Static, with object.__new__ bound once: no method is bound per call.
+        s = _new(Subset)
         s.n = n
         s.mask = mask
         s.size = size

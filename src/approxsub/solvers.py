@@ -42,25 +42,24 @@ class SolveResult:
 
 
 def _greedy(F: ValueOracle, rounds: int, matroid: Matroid | None) -> SolveResult:
-    """The round loop of both greedy solvers.  Each round walks the pool
-    mask's bits in increasing order and queries chosen + {a} for each; only a
-    strictly larger value replaces the best, so ties go to the smallest id.
-    The winner leaves the pool and joins the chosen set unless ``matroid``
-    says the result is dependent.  Stops after ``rounds`` accepted elements
-    or when the pool is empty."""
+    """The round loop of both greedy solvers.  ``pool`` lists the remaining
+    elements' single-bit masks in increasing id order, so a candidate costs no
+    n-bit ``rest & -rest`` and ``rest ^= low``; it holds about n^2/15 bytes
+    of ints (1.1 MB at n = 4096).  Each round queries chosen + {a} for each
+    a in the pool; only a strictly larger value replaces the best, so ties
+    go to the smallest id.  The winner leaves the pool and joins the chosen
+    set unless ``matroid`` says the result is dependent.  Stops after
+    ``rounds`` accepted elements or when the pool is empty."""
     n = F.n
     start = F.query_count
-    pool = (1 << n) - 1
+    pool = [1 << a for a in range(n)]
     mask = 0
     size = 1  # the size of every set this round queries
     trace: list[tuple[int, int]] = []
     best_value = 0
     while size <= rounds and pool:
-        best = 0
         best_val = bn = bd = None  # (bn, bd): best_val's ratio while it is exact
-        rest = pool
-        while rest:
-            low = rest & -rest
+        for low in pool:
             v = F.query(Subset._raw(n, mask | low, size))
             if bn is None:  # no exact incumbent
                 if best_val is None or v > best_val:
@@ -76,8 +75,7 @@ def _greedy(F: ValueOracle, rounds: int, matroid: Matroid | None) -> SolveResult
                     best, best_val, bn, bd = low, v, vn, vd
             elif v > best_val:
                 best, best_val, bn = low, v, None
-            rest ^= low
-        pool ^= best
+        pool.remove(best)
         if matroid is None or matroid.is_independent(Subset._raw(n, mask | best, size)):
             mask |= best
             size += 1

@@ -30,7 +30,7 @@ from approxsub.adversarial import (
     power_law_params,
 )
 from approxsub.experiments import run_sampling_validation
-from approxsub.functions import CoverageFunction, int_table
+from approxsub.functions import AdditiveFunction, CoverageFunction, int_table
 from approxsub.noise import SamplingEstimator
 from approxsub.sets import Subset
 from approxsub.solvers import greedy_cardinality
@@ -260,6 +260,32 @@ def test_near_refuses_values_and_edges_that_are_not_finite(F, f):
     with pytest.raises(ValueError, match="not finite"):
         Band(0.5).near(F, f)
     assert Band(0.5).near(1e308, 1e308)
+
+@pytest.mark.parametrize("past, passed", [(1e-10, False), (1e-13, True)])
+@pytest.mark.parametrize("edge", ["hi", "lo"])
+@pytest.mark.parametrize("table", [True, False], ids=["f-exact-table", "f-float"])
+def test_check_sandwich_float_slack_is_one_part_in_1e12(past, passed, edge, table):
+    """A float F past an edge (1 +- eps) f by a relative 1e-10 is an escape,
+    found on that set; past it by 1e-13 it is rounding, inside
+    :meth:`Band.near`'s 1e-12 slack.  Every other F is float(f), in the band.
+    f is read from its exact int table or as floats by ``value()``."""
+    n, eps, witness = 3, 0.3, 0b110
+    f = AdditiveFunction([3, 5, 7])
+    if not table:
+        f = TableFunction(n, [float(f.value(Subset(n, m))) for m in range(1 << n)])
+    F_tab = [float(f.value(Subset(n, m))) for m in range(1 << n)]
+    band = Band(eps)
+    side = band.hi if edge == "hi" else band.lo
+    F_tab[witness] = float(side * f.value(Subset(n, witness))) * (
+        1 + past if edge == "hi" else 1 - past)
+    report = check_sandwich(TableFunction(n, F_tab), f, eps, n)
+    assert report.passed is passed
+    if passed:
+        assert report.examined == 1 << n
+    else:
+        assert report.examined == witness + 1
+        assert report.counterexample == (Subset(n, witness), F_tab[witness], 12)
+
 
 def test_exact_values_take_the_exact_path(monkeypatch):
     calls = []

@@ -1359,7 +1359,7 @@ _VALID_CONFIGS = [  # (command, config or None, extra flags)
                             "B": 6, "b": 1, "epsilon": 0.4, "confidence_constant": 2.0,
                             "seed": 2}, "mode": "sampled", "trials": 40}, []),
     ("sandwich", {"instance": _ADDITIVE, "noise": {"kind": "consistent", "epsilon": 0.3}},
-     ["--seed", "6"]),
+     ["--mode", "sampled", "--trials", "5", "--seed", "6"]),
     ("sandwich", _NOISE_RANGE, []),
 ]
 
@@ -1720,6 +1720,50 @@ def test_cli_exhaustive_sandwich_reads_no_trials(tmp_path, capsys, cfg, flags, u
     assert captured.out == ""
     assert captured.err == (f"error: verify --property sandwich --mode exhaustive "
                             f"does not read {unread}\n")
+
+
+_NOISY = {"instance": _ADDITIVE, "noise": {"kind": "consistent", "epsilon": 0.3}}
+
+
+@pytest.mark.parametrize("cfg, flags", [
+    (_NOISY, []),
+    (_NOISY, ["--seed", "5"]),
+    (_NOISY, ["--seed", "1234"]),
+    ({**_NOISY, "seed": 5}, []),
+], ids=["no-seed", "seed-5", "seed-1234", "seed-key"])
+def test_cli_exhaustive_sandwich_on_an_instance_reads_no_seed(tmp_path, capsys, cfg, flags):
+    """The first three once printed the same line and exited 0: nothing on
+    the exhaustive check of an instance with a noise block reads a seed."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = cli.main(["verify", "--property", "sandwich", "--config", str(path), *flags])
+    captured = capsys.readouterr()
+    if cfg is _NOISY and not flags:
+        assert code == 0 and captured.err == ""
+        assert captured.out == ("sandwich ConsistentNoiseOracle(n=3) vs additive(n=3) "
+                                "@ eps=0.3: pass (8 sets)\n")
+        return
+    assert code == 2 and captured.out == ""
+    unread = "--seed" if flags else "seed from its config"
+    assert captured.err == ("error: verify --property sandwich --mode exhaustive with an "
+                            f"instance in its config does not read {unread}\n")
+
+
+@pytest.mark.parametrize("cfg, flags", [
+    ({"construction": _CONSTRUCTION}, []),
+    ({"construction": _CONSTRUCTION}, ["--mode", "exhaustive"]),
+    (_NOISY, ["--mode", "sampled", "--trials", "5"]),
+    ({**_NOISY, "mode": "sampled"}, ["--trials", "5"]),
+    ({"construction": _CONSTRUCTION}, ["--mode", "sampled", "--trials", "5"]),
+], ids=["construction", "construction-exhaustive", "instance-sampled", "instance-sampled-key",
+        "construction-sampled"])
+def test_cli_sandwich_reads_the_seed_it_uses(tmp_path, capsys, cfg, flags):
+    """A construction's hidden set and the sampled draws read --seed."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["verify", "--property", "sandwich", "--config", str(path), *flags, "--seed", "7"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv, words, flag", [

@@ -8,8 +8,11 @@ On seeded dict-backed oracles whose values mix int, bool, Fraction (also
 infinite values, with many ties within and across those types, the solvers
 must return the same chosen set, a value equal by ``==`` and of the same
 type, the same trace and query count, and issue the same queries in the
-same order.  The trap of the ``greedy-scale`` benchmark is covered at every
-even n from 64 to 256.
+same order.  The same holds on a seeded oracle that hashes each mask to a
+value from those pools, at widths around one and two 64-bit words (n = 61 to
+66, 127, 128, 130), where the pool of single-bit masks holds multi-word ints.
+The trap of the ``greedy-scale`` benchmark is covered at every even n from 64
+to 256.
 """
 
 import random
@@ -71,6 +74,21 @@ class DictOracle(ValueOracle):
         return self.values[s.mask]
 
 
+class HashOracle(ValueOracle):
+    """Counted oracle at any width: a set's value is drawn from ``pool`` by a
+    seeded hash of its mask (int and tuple hashes are not salted per
+    process); logs every query."""
+
+    def __init__(self, n, seed, pool):
+        super().__init__(n)
+        self.seed, self.pool = seed, pool
+        self.log: list[int] = []
+
+    def value(self, s: Subset):
+        self.log.append(s.mask)
+        return self.pool[hash((self.seed, s.mask)) % len(self.pool)]
+
+
 def _exact_pool(rng):
     """Ints and Fractions, negatives included, with Fraction(k, 1) and
     unreduced spellings of the same value so that ties are common."""
@@ -103,7 +121,12 @@ def _outcome(res: SolveResult, oracle: DictOracle):
 
 
 def assert_same(solve, reference, n, values, constraint):
-    new, old = DictOracle(n, values), DictOracle(n, values)
+    assert_same_on(solve, reference, lambda: DictOracle(n, values), constraint)
+
+
+def assert_same_on(solve, reference, make, constraint):
+    """The two solvers on two fresh oracles from ``make``."""
+    new, old = make(), make()
     got, want = solve(new, constraint), reference(old, constraint)
     assert _outcome(got, new) == _outcome(want, old)
     assert type(got.value) is type(want.value)
@@ -133,6 +156,28 @@ def test_greedy_matroid_matches_parent(n, seed, pool):
     values = _values(n, seed, pool)
     for matroid in _matroids(n):
         assert_same(greedy_matroid, lambda F, m: parent_greedy(F, n, m), n, values, matroid)
+
+
+WIDE = [pytest.param(n, seed, pool, id=f"{pool}-n{n}-s{seed}")
+        for pool in POOLS for n in (*range(61, 67), 127, 128, 130) for seed in range(4)]
+
+
+@pytest.mark.parametrize("n, seed, pool", WIDE)
+def test_greedy_cardinality_matches_parent_at_multi_word_widths(n, seed, pool):
+    values = POOLS[pool](random.Random(seed))
+    for k in range(6):
+        assert_same_on(greedy_cardinality, lambda F, k: parent_greedy(F, k, None),
+                       lambda: HashOracle(n, seed, values), k)
+
+
+@pytest.mark.parametrize("n, seed, pool", [
+    pytest.param(n, seed, pool, id=f"{pool}-n{n}-s{seed}")
+    for pool in POOLS for n in (61, 64, 65, 70) for seed in range(3)])
+def test_greedy_matroid_matches_parent_at_multi_word_widths(n, seed, pool):
+    values = POOLS[pool](random.Random(seed))
+    for matroid in _matroids(n):
+        assert_same_on(greedy_matroid, lambda F, m: parent_greedy(F, n, m),
+                       lambda: HashOracle(n, seed, values), matroid)
 
 
 def test_exact_ties_go_to_the_first_candidate():
