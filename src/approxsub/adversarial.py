@@ -31,6 +31,7 @@ from .functions import (
     config_int,
     config_number,
     config_seed,
+    _mask_of,
 )
 from .sets import Subset, ValueOracle
 
@@ -129,10 +130,7 @@ def draw_hidden_set(n: int, h: int, seed: int) -> Subset:
     arr = list(range(n))
     for i, j in enumerate(targets):
         arr[i], arr[j] = arr[j], arr[i]
-    mask = 0
-    for e in arr[:h]:
-        mask |= 1 << e
-    return Subset._raw(n, mask, h)
+    return Subset._raw(n, _mask_of(arr[:h], n), h)
 
 
 @dataclass(frozen=True)
@@ -233,8 +231,9 @@ class Band:
         ``check_sandwich`` uses it on a float F built to lie in the band,
         such as consistent noise xi * f with xi in [1 - eps, 1 + eps]: the
         product is rounded, so a value the construction puts on an edge can
-        land just past it, and that is no counterexample.  A side or an
-        edge that is not finite raises ValueError: it has no band test."""
+        land just past it, and that is no counterexample; the slack goes once
+        noisy values are exact rationals.  A side or an edge that is not
+        finite raises ValueError: it has no band test."""
         low, high, F = float(self.lo * f), float(self.hi * f), float(F)
         if not (math.isfinite(low) and math.isfinite(high) and math.isfinite(F)):
             raise ValueError(f"band test with a value or edge that is not finite: "

@@ -167,7 +167,7 @@ def _cmd_sample(args) -> int:
     rows, summary = experiments.run_sampling_validation(f, seed=args.seed, **cfg)
     _emit(rows, args)
     print(json.dumps({"summary": summary}, sort_keys=True))
-    ok = summary["violating_fraction"] <= summary["prediction"] + 1e-12
+    ok = summary["violating_fraction"] <= summary["prediction"]
     return EXIT_PASS if ok else EXIT_COUNTEREXAMPLE
 
 

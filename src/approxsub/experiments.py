@@ -261,8 +261,9 @@ def run_noise_sweep(instances, k: int = 4, delta_grid=(0.0, 0.5, 1 - 1e-9),
     consistent noise, run greedy, and compare against the brute-force optimum
     of the noisy oracle and the closed-form ratio guarantee.
 
-    Rows carry an extra 'ok' flag (value >= bound * optimum up to float dust);
-    instances must be small enough to brute force.  Row order is seed-major.
+    Rows carry an extra 'ok' flag, value >= bound * optimum with no slack (the float
+    tolerances left, :meth:`Band.near` and ``verify._SUBMODULAR_TOL``, are for rounded
+    noise products and float tables).  Instances must allow brute force; rows are seed-major.
     """
     k = config_int(k, "k")
     if k < 1:
@@ -286,7 +287,7 @@ def run_noise_sweep(instances, k: int = 4, delta_grid=(0.0, 0.5, 1 - 1e-9),
                     raise ValueError(f"sweep values are not finite: greedy {val}, "
                                      f"optimum {best} on instance #{idx}")
                 ratio = val / best if best > 0 else 1.0
-                ok = val >= bound * best - 1e-12 * max(1.0, abs(best))
+                ok = val >= bound * best
                 rows.append({
                     "experiment": "sweep", "n": inst.n, "k": k, "h": "", "alpha": "",
                     "beta": "", "epsilon": eps, "seed": seed,
@@ -365,12 +366,12 @@ def sampling_union_bound(n_sets: int, m: int, epsilon: float, width: float,
     deviation delta = eps/width (relative noise) at the band edge; the
     two :func:`~approxsub.verify.chernoff_tails` are summed and
     union-bounded over the queried sets.  Without noise (width 0) no
-    estimate leaves the band.
+    estimate leaves the band, nor at a width so small that delta overflows.
     """
-    if not width > 0:
+    delta = epsilon * b / width if width > 0 else math.inf
+    if math.isinf(delta):
         return 0.0
-    delta = epsilon * b / width
-    per_set = sum(chernoff_tails(delta ** 2 * (m / 2.0), delta))
+    per_set = sum(chernoff_tails(delta * delta * (m / 2.0), delta))
     return min(1.0, n_sets * per_set)
 
 

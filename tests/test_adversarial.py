@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import approxsub.cli as cli
 from approxsub.adversarial import (
     HardPairParams,
     build_coverage_pair,
@@ -49,6 +50,16 @@ def test_power_law_params_rejects_small_n():
     # n below ~2^(2/beta) leaves h > n/2 after rounding
     with pytest.raises(ValueError, match="n/2"):
         power_law_params(100, 0.25)
+
+
+def test_float_dust_snaps_to_the_exact_power(capsys):
+    """1024^0.9 evaluates to 512.0000000000001 and 27^(2/3) to
+    8.999999999999998.  Unsnapped, h = 513 breaks h <= n/2, so ``distinguish``
+    exits 2, and the trap's eps misses 1/9."""
+    assert power_law_params(1024, 0.2).h == 512
+    assert cli.main(["distinguish", "--n", "1024", "--beta", "0.2", "--trials", "1"]) == 0
+    assert '"h": 512' in capsys.readouterr().out
+    assert build_greedy_trap(27, 1 / 3, 64).epsilon == Fraction(1, 9)
 
 
 def test_params_invariants():

@@ -369,6 +369,19 @@ def test_cli_sample_runs(capsys):
     assert "violating_fraction" in out
 
 
+@pytest.mark.parametrize("width", [1e-160, 1e-201, 5e-324])
+def test_cli_sample_at_tiny_widths_predicts_no_escape(tmp_path, capsys, width):
+    """delta = eps b / width once overflowed ``delta ** 2`` (exit 2 with
+    "Numerical result out of range") or reached inf, where inf / inf gave the
+    vacuous prediction 1.0."""
+    assert sampling_union_bound(11, 538, 0.1, width) == 0.0
+    path = tmp_path / "sample.json"
+    path.write_text(json.dumps({"n": 6, "trials": 1, "k": 2, "width": width}))
+    assert cli.main(["sample", "--config", str(path)]) == EXIT_PASS
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["prediction"] == summary["violating_fraction"] == 0.0
+
+
 def test_cli_generate_all_constructions(tmp_path, capsys):
     for construction, extra in [
         ("monotone", ["--n", "1024", "--beta", "0.3"]),
@@ -559,6 +572,57 @@ def test_distinguish_decides_the_bound_exactly(monkeypatch, capsys):
     assert _distinguish_on_bound(monkeypatch, capsys, below=True) == (False, EXIT_COUNTEREXAMPLE)
 
 
+def _sweep_on_floor(monkeypatch, tmp_path, capsys, bound):
+    """Run ``sweep`` at eps = 0 on an additive instance, where greedy's value
+    equals the optimum, with the guarantee ``bound`` in place of greedy_bound."""
+    monkeypatch.setattr(experiments, "greedy_bound", lambda k, eps: bound)
+    inst = {"kind": "additive", "weights": [1, 2, 3, 4, 5]}
+    rows = run_noise_sweep([instance_from_dict(inst)], 2, [0.0], [0])
+    assert rows[0]["value"] == rows[0]["baseline"] == 9
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"instances": [inst], "k": 2, "delta_grid": [0.0],
+                                "seeds": [0]}))
+    code = cli.main(["sweep", "--config", str(path)])
+    capsys.readouterr()
+    return rows[0]["ok"], code
+
+
+def test_sweep_value_on_its_floor_passes(monkeypatch, tmp_path, capsys):
+    assert _sweep_on_floor(monkeypatch, tmp_path, capsys, 1.0) == (True, EXIT_PASS)
+
+
+def test_sweep_decides_its_floor_without_slack(monkeypatch, tmp_path, capsys):
+    """A bound one ulp above 1 puts the floor just over the value, which once
+    passed inside the 1e-12 slack."""
+    bound = math.nextafter(1.0, 2.0)
+    assert _sweep_on_floor(monkeypatch, tmp_path, capsys, bound) == (False, EXIT_COUNTEREXAMPLE)
+
+
+def _sample_on_prediction(monkeypatch, tmp_path, capsys, prediction=None):
+    """``sample`` with one draw per set (m = 1), so every trial has an escape
+    and the violating fraction is 1.0, against the union bound (1.0 here) or
+    ``prediction`` in its place."""
+    if prediction is not None:
+        monkeypatch.setattr(experiments, "sampling_union_bound", lambda *a: prediction)
+    path = tmp_path / "sample.json"
+    path.write_text(json.dumps({"n": 6, "k": 2, "trials": 3, "confidence_constant": 0.001}))
+    code = cli.main(["sample", "--config", str(path)])
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["m"] == 1 and summary["violating_fraction"] == 1.0
+    return summary["prediction"], code
+
+
+def test_sample_fraction_on_its_prediction_passes(monkeypatch, tmp_path, capsys):
+    assert _sample_on_prediction(monkeypatch, tmp_path, capsys) == (1.0, EXIT_PASS)
+
+
+def test_sample_decides_its_prediction_without_slack(monkeypatch, tmp_path, capsys):
+    """A prediction one ulp under the fraction once passed inside the 1e-12 slack."""
+    below = math.nextafter(1.0, 0.0)
+    assert (_sample_on_prediction(monkeypatch, tmp_path, capsys, below)
+            == (below, EXIT_COUNTEREXAMPLE))
+
+
 def test_zero_trials_report_empty_summaries():
     rows, summary = run_distinguishability(256, 0.45, trials=0, seed=0)
     assert rows == [] and summary["trials"] == 0
@@ -582,6 +646,13 @@ def test_cli_verify_submodular_report_lines(tmp_path, capsys):
         path.write_text(json.dumps(inst))
         assert cli.main(["verify", "--property", "submodular", "--instance", str(path)]) == code
         assert capsys.readouterr().out == line
+
+
+def test_cli_verify_refuses_a_negative_budget(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"kind": "budget_additive", "weights": [1, 2], "budget": -1}))
+    assert cli.main(["verify", "--property", "monotone", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err == "error: budget must be nonnegative, got -1\n"
 
 
 def test_readme_cli_lines_parse():

@@ -26,6 +26,12 @@ def test_coverage_union_is_universe():
     assert f.value(Subset.empty(2)) == 0
 
 
+@pytest.mark.parametrize("cover", [0b1000, -1], ids=["past-the-universe", "negative"])
+def test_coverage_refuses_an_int_cover_outside_its_universe(cover):
+    with pytest.raises(ValueError, match="cover extends past the universe"):
+        CoverageFunction(3, [cover])
+
+
 def test_budget_additive_cap_binds():
     f = BudgetAdditiveFunction([1, 1, 1, 1], 2.5)
     assert f.value(Subset.from_elements([0, 1, 2], 4)) == 2.5
