@@ -321,30 +321,29 @@ class SandwichFunction(ValueOracle):
         return fv
 
     def exact_table(self):
-        """``(T, D)`` over D = ``den``, or None when a side has no ``den`` or
+        """The table over ``den``, or None when a side has no ``den`` or
         no table, the pair key fh * span + (g - min g) could overflow int64,
         or an entry reaches ``TABLE_LIMIT``.  Each distinct key keeps what
         :meth:`Band.holds` picks on g's and fh's table ints scaled to ``den``:
         :meth:`value`'s choice, as ``holds`` does not depend on the scale."""
         if self.den is None:
             return None
-        fh, g = self.fh.exact_table(), self.g.exact_table()
-        if fh is None or g is None:
+        T_fh, T_g = self.fh.exact_table(), self.g.exact_table()
+        if T_fh is None or T_g is None:
             return None
-        (T_fh, D_fh), (T_g, D_g) = fh, g
         low = int(T_g.min())
         span = int(T_g.max()) - low + 1
         if (int(np.abs(T_fh).max()) + 1) * span > 1 << 63:
             return None
         keys, inverse = np.unique(T_fh * span + (T_g - low), return_inverse=True)
-        den, holds = self.den, self.band.holds
+        holds, s_fh, s_g = self.band.holds, self.den // self.fh.den, self.den // self.g.den
         chosen = []
         for t_fh, t_g in (divmod(key, span) for key in keys.tolist()):
-            G, F = (t_g + low) * (den // D_g), t_fh * (den // D_fh)
+            G, F = (t_g + low) * s_g, t_fh * s_fh
             chosen.append(G if holds(G, F) else F)
         if max(map(abs, chosen)) >= TABLE_LIMIT:
             return None
-        return np.array(chosen, dtype=np.int64)[inverse], den
+        return np.array(chosen, dtype=np.int64)[inverse]
 
 
 def build_sandwich(pair) -> SandwichFunction:

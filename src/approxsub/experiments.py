@@ -397,13 +397,12 @@ def run_sampling_validation(
     n = f.n
     if n > SAMPLE_MAX_N:
         raise ValueError(f"sampling validation guarded at n <= {SAMPLE_MAX_N}, got {n}")
-    table = f.exact_table()
-    if table is None:
+    T = f.exact_table()
+    if T is None:
         vals = tabulate(f, n)[1:]
         b, B = float(min(vals)), float(max(vals))
-    else:  # int / int is correctly rounded, as float() of the Fraction T / D is
-        T, D = table
-        b, B = int(T[1:].min()) / D, int(T[1:].max()) / D
+    else:  # int / int is correctly rounded, as float() of the Fraction T / den is
+        b, B = int(T[1:].min()) / f.den, int(T[1:].max()) / f.den
     m = required_samples(B, b, n, epsilon, confidence_constant)
     band = Band(float(epsilon))
     rows = []

@@ -4,8 +4,8 @@ concave-of-cardinality, and sums thereof, plus exact curvature.
 Values stay in whatever number type the construction uses (int, Fraction,
 float), so integral and rational instances evaluate exactly.  Each kind is a
 counted ``ValueOracle`` whose ``exact_table()`` builds its whole value table
-in numpy where its data allow; :func:`int_table` is the one rescaler of
-exact values to such a table.
+in numpy, as ints over ``den``, where its data allow; :func:`int_table` is
+the one rescaler of exact values to such a table.
 
 A kind whose data are all exactly int, bool or Fraction keeps its table's D as
 ``den`` (see ``ValueOracle``).  A sum of such kinds adds its terms' values as
@@ -64,16 +64,16 @@ def _scaled(values, den: int) -> list[int]:
 
 
 def int_table(values):
-    """``(T, D)``: D the least common denominator of the values and T the
-    int64 array of D * v, or None if some value is not exactly an int, bool
-    or Fraction, or some |D * v| reaches the limit."""
+    """The int64 array of D * v, D the least common denominator of the
+    values, or None if some value is not exactly an int, bool or Fraction, or
+    some |D * v| reaches the limit."""
     den = _den_of(values)
     if den is None:
         return None
     scaled = _scaled(values, den)
     if max(map(abs, scaled), default=0) >= TABLE_LIMIT:
         return None
-    return np.array(scaled, dtype=np.int64), den
+    return np.array(scaled, dtype=np.int64)
 
 
 def _mask_of(elements, n: int) -> int:
@@ -192,8 +192,7 @@ class AdditiveFunction(ValueOracle):
     def exact_table(self):
         if self.den is None:
             return None
-        t = _weight_table(self._sum.terms, self.n)
-        return None if t is None else (t, self.den)
+        return _weight_table(self._sum.terms, self.n)
 
 
 class BudgetAdditiveFunction(ValueOracle):
@@ -232,7 +231,7 @@ class BudgetAdditiveFunction(ValueOracle):
         t = _weight_table(_scaled(self.weights, den), self.n)
         if t is None or budget >= TABLE_LIMIT:
             return None
-        return np.minimum(t, budget), den
+        return np.minimum(t, budget)
 
 
 class CoverageFunction(ValueOracle):
@@ -279,7 +278,7 @@ class CoverageFunction(ValueOracle):
             return None
         covers = np.array(self.covers, dtype=np.uint64)
         covered = _doubling(self.n, np.uint64, lambda t, i: t | covers[i])
-        return np.bitwise_count(covered).astype(np.int64), 1
+        return np.bitwise_count(covered).astype(np.int64)
 
 
 class ConcaveCardinalityFunction(ValueOracle):
@@ -316,7 +315,7 @@ class ConcaveCardinalityFunction(ValueOracle):
         if table is None:
             return None
         sizes = np.bitwise_count(np.arange(1 << self.n, dtype=np.uint64))
-        return table[0][sizes], table[1]
+        return table[sizes]
 
 
 class SumFunction(ValueOracle):
@@ -372,17 +371,17 @@ class SumFunction(ValueOracle):
         den = self.den
         if den is None:
             return None
-        tables = [t.exact_table() for t in self.terms]
-        if None in tables:
+        tables = [(t.exact_table(), den // t.den) for t in self.terms]
+        if any(t is None for t, _ in tables):
             return None
         # Triangle bound over the terms; it also bounds every partial sum below.
-        if sum(int(np.abs(t).max()) * (den // d) for t, d in tables) >= TABLE_LIMIT:
+        if sum(int(np.abs(t).max()) * scale for t, scale in tables) >= TABLE_LIMIT:
             return None
         total = np.zeros(1 << self.n, dtype=np.int64)
-        for t, d in tables:
-            if t.any():  # an all-zero term's factor den // d may not fit int64
-                total += t * (den // d)
-        return total, den
+        for t, scale in tables:
+            if t.any():  # an all-zero term's scale den // term.den may not fit int64
+                total += t * scale
+        return total
 
 
 def marginal(inst: ValueOracle, s: Subset, a: int):

@@ -139,8 +139,8 @@ class ValueOracle:
         raise NotImplementedError
 
     def exact_table(self):
-        """``(T, D)``, an int64 array over all 2^n masks and a positive int
-        with ``value(S) == Fraction(T[S.mask], D)`` on every set, or None.
+        """T, an int64 array over all 2^n masks with
+        ``value(S) == Fraction(T[S.mask], self.den)`` on every set, or None.
 
         None, the default, means a reader evaluates ``value()`` set by set:
         the function has no table form, some datum is not exactly an int,

@@ -85,14 +85,20 @@ def _greedy(F: ValueOracle, rounds: int, matroid: Matroid | None) -> SolveResult
                        F.query_count - start)
 
 
+def _budget(k, n: int | None = None) -> int:
+    """k as ``operator.index`` reads it; a negative k, or one past n, is refused."""
+    if n is not None and k > n:
+        raise ValueError(f"budget k={k} exceeds n={n}")
+    if (k := operator.index(k)) < 0:
+        raise ValueError(f"budget k={k} is negative")
+    return k
+
+
 def greedy_cardinality(F: ValueOracle, k: int) -> SolveResult:
     """Plain greedy under a cardinality budget: exactly k rounds (monotone
     oracles never lose by filling the budget), so queries_used is
     :func:`expected_greedy_queries`."""
-    n = F.n
-    if k > n:
-        raise ValueError(f"budget k={k} exceeds n={n}")
-    return _greedy(F, operator.index(k), None)
+    return _greedy(F, _budget(k, F.n), None)
 
 
 def greedy_matroid(F: ValueOracle, matroid: Matroid) -> SolveResult:
@@ -111,8 +117,7 @@ def curvature_topk(F: ValueOracle, k: int) -> SolveResult:
     Queries exactly n + 1 times.
     """
     n = F.n
-    if k > n:
-        raise ValueError(f"budget k={k} exceeds n={n}")
+    k = _budget(k, n)
     start = F.query_count
     singles = [F.query(Subset._raw(n, 1 << a, 1)) for a in range(n)]
     order = sorted(range(n), key=singles.__getitem__, reverse=True)
@@ -138,9 +143,7 @@ def brute_force(F: ValueOracle, constraint) -> SolveResult:
     if n > 24:
         raise ValueError(f"brute force guarded at n <= 24, got {n}")
     matroid = constraint if isinstance(constraint, Matroid) else None
-    limit = n if matroid is not None else int(constraint)
-    if limit < 0:  # no feasible set; the jump would stall at mask 0
-        return SolveResult(None, None, [], 0)
+    limit = n if matroid is not None else _budget(constraint)
     start = F.query_count
     best = None
     best_val = None

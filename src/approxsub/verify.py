@@ -3,17 +3,16 @@
 Exhaustive checks (submodularity, monotonicity, multiplicative sandwich) take
 ``ValueOracle``s over the checked ground set and work on a full table of
 values indexed by subset mask.  A function whose ``exact_table()`` gives an
-int64 table T over a denominator D (the five exact kinds in ``functions`` and
-the sandwich oracle) is read from it: T / D is every value, so comparisons on
-T are exact.  Any other function (floats, numpy scalars, entries that could
-reach 2^61) is evaluated set by set; ``functions.int_table`` rescales the
-values to integers when all are exact, otherwise comparisons are float with
-the stated tolerances.  The sandwich check reads its F by ``value()`` alone,
-once per set through :func:`tabulate` in exhaustive mode, and tests every set
-in one band loop: beside the Python ints of f's table when f has one, else
-beside f's ``value()``, and in sampled mode beside both sides' ``value()`` on
-each drawn set.  A ``Subset`` is built only for a witness or a ``value()``
-call.
+int64 table T (the five exact kinds in ``functions`` and the sandwich oracle)
+is read from it: T / ``den`` is every value, so comparisons on T are exact.
+Any other function (floats, numpy scalars, entries that could reach 2^61) is
+evaluated set by set; ``functions.int_table`` rescales the values to integers
+when all are exact, otherwise comparisons are float with the stated
+tolerances.  The sandwich check reads its F by ``value()`` alone, once per set
+through :func:`tabulate` in exhaustive mode, and tests every set in one band
+loop: beside the Python ints of f's table when f has one, else beside f's
+``value()``, and in sampled mode beside both sides' ``value()`` on each drawn
+set.  A ``Subset`` is built only for a witness or a ``value()`` call.
 
 Submodularity of an exact table is certified by the local form
 f(S+a) + f(S+b) >= f(S+a+b) + f(S), equivalent to the pair form in exact
@@ -118,7 +117,7 @@ def _table_of(fn: ValueOracle, n: int):
                 raise ValueError(f"{_describe(fn)} reaches |value| = {top:.6g}, too large "
                                  f"for the float checks (sums of two values must stay finite)")
             return tab, _SUBMODULAR_TOL * max(1.0, top)
-    return exact[0], 0
+    return exact, 0
 
 
 def _marginal_rises(tab: np.ndarray, n: int, b: int) -> bool:
@@ -198,10 +197,10 @@ def check_sandwich(
     ``mode='exhaustive'`` visits all subsets (n <= 20), reading F through
     :func:`tabulate` (a sandwich's own table would make the band choice
     under test), so a failing check has evaluated F on every set.  f is read
-    as the Python ints of its exact table (T, D) when it has one, else by
-    ``value()`` set by set up to the first escape.  ``mode='sampled'`` draws
-    ``trials`` uniform subsets with the given seed and reads F, then f, by
-    ``value()`` on each.  One loop tests every set: exactly whenever both
+    as the Python ints of its exact table (over ``f.den``) when it has one,
+    else by ``value()`` set by set up to the first escape.  ``mode='sampled'``
+    draws ``trials`` uniform subsets with the given seed and reads F, then f,
+    by ``value()`` on each.  One loop tests every set: exactly whenever both
     values are rational, otherwise float with a 1e-12 relative slack for
     noise paths (:meth:`Band.near`).  A ``Subset`` is built only for a
     ``value()`` call or a witness, which carries both sides' own ``value()``.
@@ -215,12 +214,12 @@ def check_sandwich(
         if n > 20:
             raise ValueError(f"exhaustive sandwich check guarded at n <= 20, got {n}")
         total = 1 << n
-        F_vals, f_tab = tabulate(F, n), f.exact_table()
-        if f_tab is None:
+        F_vals, T = tabulate(F, n), f.exact_table()
+        if T is None:
             rows = ((m, Fv, f.value(Subset._raw(n, m, m.bit_count())))
                     for m, Fv in enumerate(F_vals))
         else:
-            (T, D), f_ints = f_tab, True
+            D, f_ints = f.den, True
             rows = zip(range(total), F_vals, T.tolist())
     elif mode == "sampled":
         if trials is None or not (total := config_int(trials, "trials")) >= 1 or seed is None:

@@ -487,15 +487,15 @@ def test_exact_int_table_matches_fraction_scaling(table):
 
 
 def assert_same_int_table(got, want, values):
-    """int_table's T equals the reference table, over D the values' least
-    common denominator."""
+    """int_table's array equals the reference table, and each entry is D * v
+    for D the values' least common denominator."""
     if want is None:
         assert got is None
     else:
-        T, D = got
-        assert T.dtype == want.dtype == np.int64
-        assert np.array_equal(T, want)
-        assert type(D) is int and D == math.lcm(*(v.denominator for v in values))
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+        D = math.lcm(*(v.denominator for v in values))
+        assert got.tolist() == [D * v for v in values]
 
 
 def test_exact_int_table_matches_on_random_mixed_tables():

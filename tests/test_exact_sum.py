@@ -189,17 +189,19 @@ def exact_data(fn) -> bool:
 
 
 def assert_den_contract(fn, n):
-    """den is None exactly when some datum is inexact, equals the table's D
-    when the table exists, and scales every value to an int."""
+    """den is None exactly when some datum is inexact, and then there is no
+    table; otherwise it scales every value to an int, and a table is over
+    it: T == den * value on every mask."""
     assert (fn.den is None) == (not exact_data(fn))
     table = fn.exact_table()
-    if table is not None:
-        assert fn.den == table[1]
-    if fn.den is not None:
+    if fn.den is None:
+        assert table is None
+    else:
         for s in _subsets(n):
             v = fn.value(s)
             assert type(v) in (int, bool, Fraction)
             assert (fn.den * v).denominator == 1
+            assert table is None or int(table[s.mask]) == fn.den * v
 
 
 @settings(max_examples=150, deadline=None)
@@ -293,7 +295,9 @@ def test_hard_pair_sandwich_matches_reference(build_pair, seed):
     assert new.den is not None and new._in_band == new.band.holds
     assert_values_match(new, ref, n)
     assert_values_match(pair.fh, ref_fh, n)
-    assert_den_contract(new, n)
+    for fn in (new, pair.fh, pair.g):
+        assert fn.exact_table() is not None
+        assert_den_contract(fn, n)
     for against in (0.3, 0.05):
         assert _report(check_sandwich(new, pair.fh, against, n)) == \
             _report(check_sandwich(ref, ref_fh, against, n))
@@ -340,8 +344,8 @@ def test_noisy_side_keeps_contains():
 def test_corpus_den_matches_table(seed):
     for fn in instance_corpus(seed, sizes=(8, 10, 12)):
         assert fn.den is not None
-        assert fn.den == fn.exact_table()[1]
-        assert exact_data(fn)
+        assert fn.exact_table() is not None
+        assert_den_contract(fn, fn.n)
 
 
 def test_den_without_a_table():

@@ -239,12 +239,20 @@ def assert_same_report(got: CheckReport, ref: CheckReport):
 # The checkers as they stood when each function kind had its own
 # ``exact_table(n)``, verbatim but for the ``parent_`` names.  The helper they
 # called read ``fn.exact_table(n)``, None for any n but fn's own ground set;
-# ``parent_exact_table`` keeps that rule over the argument-free method.
+# ``parent_exact_table`` keeps that rule over the argument-free method.  Both
+# it and ``subset_check_sandwich`` below read the pair ``(T, D)`` that
+# ``exact_table()`` returned then, which ``table_pair`` rebuilds from the
+# table and ``den``.
 # ---------------------------------------------------------------------------
+
+def table_pair(fn):
+    T = fn.exact_table()
+    return None if T is None else (T, fn.den)
+
 
 def parent_exact_table(fn, n: int):
     table = getattr(fn, "exact_table", None)
-    return None if table is None or n != fn.n else table()
+    return None if table is None or n != fn.n else table_pair(fn)
 
 
 def parent_table_of(fn, n: int):
@@ -368,7 +376,7 @@ def parent_check_sandwich(
 # ---------------------------------------------------------------------------
 # The sandwich checker as it stood when its loop built a Subset per set and
 # read F's tabulated values through a second isinstance, verbatim but for the
-# name.
+# name and ``table_pair``.
 # ---------------------------------------------------------------------------
 
 def subset_check_sandwich(
@@ -395,7 +403,7 @@ def subset_check_sandwich(
             raise ValueError(f"exhaustive sandwich check guarded at n <= 20, got {n}")
         masks = range(1 << n)
         total = 1 << n
-        F_vals, f_tab = tabulate(F, n), f.exact_table()
+        F_vals, f_tab = tabulate(F, n), table_pair(f)
     elif mode == "sampled":
         if trials is None or not config_int(trials, "trials") >= 1 or seed is None:
             raise ValueError(f"sampled mode needs trials >= 1 and a seed, got trials={trials}")
@@ -486,7 +494,7 @@ def sized_instances(inexact=(0.5, 2.0, np.int64(3))):
 
 
 def assert_table_matches(fn, n):
-    T, D = fn.exact_table()
+    T, D = fn.exact_table(), fn.den
     assert T.dtype == np.int64 and T.shape == (1 << n,)
     assert type(D) is int and D > 0
     for m in range(1 << n):
@@ -577,7 +585,7 @@ def test_sum_table_is_over_the_lcm_of_its_terms():
         SumFunction([BudgetAdditiveFunction([Fraction(1, 5), 2, True], Fraction(16, 7)),
                      CoverageFunction(4, [[0], [1, 2], [2, 3]])]),
     ])
-    assert fn.exact_table()[1] == 2 * 3 * 5 * 7
+    assert fn.den == 2 * 3 * 5 * 7
     assert_table_matches(fn, 3)
 
 
@@ -629,7 +637,7 @@ def test_hard_pair_sandwiches_equal_generic(seed):
     for F in (pair.fh, pair.g):
         assert_same_report(check_sandwich(F, sw, eps, 12), reference_check_sandwich(F, sw, eps, 12))
     # A float F against g's table, whose denominator is 2: a pass and a failure.
-    assert pair.g.exact_table()[1] == 2
+    assert pair.g.den == 2 and pair.g.exact_table() is not None
     for band_eps in (0.25, 0.1):
         noisy = ConsistentNoiseOracle(pair.g, 0.25, seed)
         assert_same_report(check_sandwich(noisy, pair.g, band_eps, 12),
@@ -828,7 +836,7 @@ class _PrebuiltTable(ValueOracle):
 
     def __init__(self, fn, n):
         super().__init__(n)
-        self._table = fn.exact_table()
+        self._table, self.den = fn.exact_table(), fn.den
 
     def exact_table(self):
         return self._table

@@ -100,10 +100,9 @@ def test_coverage_pair_has_exact_tables(fixture):
     n = fixture[0]
     pair, refs = _pair(*fixture)
     for fn, ref in zip((pair.fh, pair.g), refs):
-        table = fn.exact_table()
-        assert table is not None
-        T, D = table
-        assert [Fraction(int(t), D) for t in T] == [
+        T = fn.exact_table()
+        assert T is not None
+        assert [Fraction(int(t), fn.den) for t in T] == [
             ref.value(Subset._raw(n, m, m.bit_count())) for m in range(1 << n)]
 
 

@@ -33,7 +33,13 @@ from approxsub.functions import (
 from approxsub.matroids import Matroid, PartitionMatroid
 from approxsub.noise import ConsistentNoiseOracle, SamplingEstimator
 from approxsub.sets import Subset, ValueOracle
-from approxsub.solvers import SolveResult, brute_force, greedy_cardinality, greedy_matroid
+from approxsub.solvers import (
+    SolveResult,
+    brute_force,
+    curvature_topk,
+    greedy_cardinality,
+    greedy_matroid,
+)
 
 from conftest import TableFunction, as_oracle
 
@@ -218,7 +224,7 @@ def _cases():
 
 
 def _budgets(n):
-    return sorted({-1, 0, 1, 2, n - 1, n, n + 2})
+    return sorted({0, 1, 2, n - 1, n, n + 2})
 
 
 @pytest.mark.parametrize("n, name", _cases())
@@ -226,11 +232,8 @@ def test_brute_force_matches_full_enumeration(n, name):
     make = _oracle_factories(n)[name]
     for k in _budgets(n):
         got, rec = assert_same_run(make, n, k, reference_brute_force, brute_force)
-        if k < 0:
-            assert got == (None, None, type(None), [], 0)
-        else:
-            assert rec.log == [m for m in range(1 << n) if m.bit_count() <= k]
-        if name == "constant" and k >= 0:
+        assert rec.log == [m for m in range(1 << n) if m.bit_count() <= k]
+        if name == "constant":
             assert got[0] == (n, 0, 0)  # the smallest mask wins a tie
 
 
@@ -242,7 +245,7 @@ def test_greedy_matches_range_scan(n, name):
                                  greedy_cardinality)
         if k > n:
             assert got[0] == "error"
-        if name == "constant" and 0 <= k <= n:
+        if name == "constant" and k <= n:
             assert got[0] == (n, (1 << k) - 1, k)  # ties go to the smallest ids
 
 
@@ -338,7 +341,13 @@ def test_greedy_matroid_keeps_its_ground_check():
 
 @pytest.mark.parametrize("k", [0, -1, -5])
 def test_greedy_empty_budget(k):
-    """No round runs: the empty set, the int 0, and no query."""
+    """No round runs: at k = 0 the empty set, the int 0 and no query, and a
+    negative k is refused before any query."""
+    if k < 0:
+        rec = Recording(AdditiveFunction([3, 1, 2]))
+        assert _outcome(greedy_cardinality, rec, k) == ("error", f"budget k={k} is negative")
+        assert rec.log == []
+        return
     got, rec = assert_same_run(lambda: AdditiveFunction([3, 1, 2]), 3, k,
                                _without_n(reference_mask_walk_greedy), greedy_cardinality)
     assert got == ((3, 0, 0), 0, int, [], 0)
@@ -356,6 +365,26 @@ def test_greedy_budget_errors():
             reference_mask_walk_greedy(Recording(F.base), k)
         assert str(new.value) == str(old.value)
     assert F.log == []
+
+
+@pytest.mark.parametrize("solve", [greedy_cardinality, curvature_topk, brute_force],
+                         ids=["greedy", "topk", "brute"])
+def test_cardinality_solvers_read_a_budget_alike(solve):
+    """Each cardinality solver reads its budget with operator.index (no
+    number is truncated to a count) and refuses a negative one by name,
+    before any query."""
+    for n in range(1, 11):
+        for make in _oracle_factories(n).values():
+            for k in (-1, -5):
+                rec = Recording(make())
+                assert _outcome(solve, rec, k) == ("error", f"budget k={k} is negative")
+                assert rec.log == []
+    rec = Recording(AdditiveFunction([3, 1, 4, 1, 5]))
+    for k in (2.5, 2.0, Fraction(2)):
+        with pytest.raises(TypeError, match=r"cannot be interpreted as an integer$"):
+            solve(rec, k)
+    assert rec.log == []
+    assert _outcome(solve, rec, 2)[1] == 9  # the same budget as an int: {2, 4}
 
 
 @st.composite

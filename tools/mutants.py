@@ -76,6 +76,24 @@ CATALOGUE = (
            ("tests/test_ratio_argmax.py",)),
     Mutant("greedy-fraction-ties", "solvers.py", "if vn * bd > bn * vd:",
            "if vn * bd >= bn * vd:", ("tests/test_ratio_argmax.py",)),
+    # The other exact fast paths, each mutated so that a result changes (a
+    # value, a verdict, a drawn set or the memo's bound), not only the time.
+    Mutant("weight-sum-class-walk", "functions.py", "for t, c in classes:",
+           "for t, c in classes[1:]:", ("tests/test_weight_sum.py",)),
+    Mutant("fraction-memo-bound", "functions.py", "if len(self) >= MEMO_LIMIT:",
+           "if len(self) > MEMO_LIMIT:",
+           ("tests/test_weight_sum.py::test_memo_past_its_bound_matches_reference",)),
+    Mutant("submodular-certificate", "verify.py", "for a in range(b + 1, n):",
+           "for a in range(b + 2, n):", ("tests/test_submodular_local.py",)),
+    Mutant("hidden-set-targets", "adversarial.py",
+           "targets = rng.integers(np.arange(h), n).tolist()",
+           "targets = rng.integers(0, n, size=h).tolist()", ("tests/test_band_kernel.py",)),
+    Mutant("budget-integer-cap", "functions.py",
+           "self._limit = budget.numerator * self._sum.den // budget.denominator",
+           "self._limit = -(-budget.numerator * self._sum.den // budget.denominator)",
+           ("tests/test_weight_sum.py",)),
+    Mutant("sum-integer-sum", "functions.py", "scaled += num * (den // d)", "scaled += num",
+           ("tests/test_exact_sum.py",)),
     # The guarantee verdicts decide on the computed values, with no slack.
     Mutant("sweep-ok-strict", "experiments.py", "ok = val >= bound * best",
            "ok = val > bound * best",
@@ -109,9 +127,9 @@ CATALOGUE = (
            '                                     f"optimum {best} on instance #{idx}")\n',
            "", ("tests/test_experiments.py",)),
     Mutant("sum-table-all-zero", "functions.py",
-           "            if t.any():  # an all-zero term's factor den // d may not fit int64\n"
-           "                total += t * (den // d)\n",
-           "            total += t * (den // d)\n", ("tests/test_exact_tables.py",)),
+           "            if t.any():  # an all-zero term's scale den // term.den may not fit int64\n"
+           "                total += t * scale\n",
+           "            total += t * scale\n", ("tests/test_exact_tables.py",)),
     Mutant("sandwich-table-int64", "adversarial.py",
            "        if (int(np.abs(T_fh).max()) + 1) * span > 1 << 63:\n"
            "            return None\n",
