@@ -112,7 +112,7 @@ def power_law_params(n: int, beta: float) -> HardPairParams:
     if 2 * h > n:
         raise ValueError(
             f"rounded parameters violate h <= n/2: h={h}, n={n} "
-            f"(need roughly n >= 2^(2/beta) = {2 ** (2 / beta):.3g})"
+            f"(need roughly n >= 2^(2/beta) = 2^{2 / beta:.4g})"
         )
     return HardPairParams(n=n, h=h, alpha=alpha, k=h, epsilon=epsilon)
 

@@ -110,7 +110,7 @@ def instance_corpus(seed: int = 0, sizes=(8, 10, 12)) -> list:
         covers = []
         for _ in range(n):
             m = int(rng.integers(2, 6))
-            pts = rng.choice(universe, size=m, replace=False)
+            pts = rng.choice(universe, size=min(m, universe), replace=False)
             covers.append([int(p) for p in pts])
         return CoverageFunction(universe, covers)
 

@@ -268,9 +268,11 @@ class CoverageFunction(ValueOracle):
     def value(self, s: Subset) -> int:
         if s.n != self.n:
             self._check_ground(s)
-        covered = 0
-        for e in iter_bits(s.mask):
-            covered |= self.covers[e]
+        covers, covered, m = self.covers, 0, s.mask
+        while m:
+            low = m & -m
+            covered |= covers[low.bit_length() - 1]
+            m ^= low
         return covered.bit_count()
 
     def exact_table(self):

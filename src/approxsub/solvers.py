@@ -133,11 +133,11 @@ def brute_force(F: ValueOracle, constraint) -> SolveResult:
 
     ``constraint`` is either an integer budget k or a matroid.  Masks are
     visited in increasing order and ties break toward the smallest mask.
-    Under a budget, a mask with more than k elements jumps to
-    mask + lowbit(mask): every mask in between keeps all of mask's bits from
-    lowbit up, so none of them is feasible, and exactly the masks with at
-    most k elements are queried.  A matroid never jumps (its ``rank()`` is
-    not trusted); ``is_independent`` filters every mask.  Guarded at n <= 24.
+    Under a budget only feasible masks are visited: after a mask with exactly
+    k elements the walk jumps to mask + lowbit(mask), as every mask in between
+    adds a bit below lowbit, and after a smaller one it steps to mask + 1.  A
+    matroid never jumps before the full mask (its ``rank()`` is not trusted);
+    ``is_independent`` filters every mask.  Guarded at n <= 24.
     """
     n = F.n
     if n > 24:
@@ -151,15 +151,13 @@ def brute_force(F: ValueOracle, constraint) -> SolveResult:
     mask = 0
     while mask < end:
         size = mask.bit_count()
-        if size > limit:
-            mask += mask & -mask
-            continue
         s = Subset._raw(n, mask, size)
         if matroid is None or matroid.is_independent(s):
             v = F.query(s)
             if best_val is None or v > best_val:
                 best, best_val = s, v
-        mask += 1
+        # At k = 0 the empty set has no low bit and is the only feasible mask.
+        mask += 1 if size < limit else (mask & -mask) or end
     return SolveResult(best, best_val, [], F.query_count - start)
 
 

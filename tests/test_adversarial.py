@@ -52,6 +52,24 @@ def test_power_law_params_rejects_small_n():
         power_law_params(100, 0.25)
 
 
+@pytest.mark.parametrize("n, beta, exponent", [(100, 0.25, "8"), (100, 0.3, "6.667"),
+                                                (4096, 0.001, "2000"), (4096, 1e-300, "2e+300")])
+def test_power_law_params_small_n_hint_prints_the_exponent(n, beta, exponent):
+    """The hint once computed 2 ** (2 / beta) as a float, which overflows for
+    any beta < 2/1024 and replaced the message with "Numerical result out of
+    range"."""
+    with pytest.raises(ValueError, match="^rounded parameters violate h <= n/2") as err:
+        power_law_params(n, beta)
+    assert str(err.value).endswith(f", n={n} (need roughly n >= 2^(2/beta) = 2^{exponent})")
+
+
+def test_cli_distinguish_tiny_beta_names_the_bound(capsys):
+    assert cli.main(["distinguish", "--n", "4096", "--beta", "0.001", "--trials", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: rounded parameters violate h <= n/2: h=4080, n=4096 "
+        "(need roughly n >= 2^(2/beta) = 2^2000)\n")
+
+
 def test_float_dust_snaps_to_the_exact_power(capsys):
     """1024^0.9 evaluates to 512.0000000000001 and 27^(2/3) to
     8.999999999999998.  Unsnapped, h = 513 breaks h <= n/2, so ``distinguish``

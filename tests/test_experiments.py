@@ -68,6 +68,31 @@ def test_corpus_seeded_reproducibility():
     assert [instance_to_dict(x) for x in a] == [instance_to_dict(x) for x in b]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 7])
+@pytest.mark.parametrize("n", [1, 2])
+def test_corpus_builds_at_sizes_one_and_two(n, seed):
+    """A cover draws 2..5 distinct points from a universe of 2n; at n = 1 and 2
+    it takes at most the whole universe, where numpy once raised "Cannot take a
+    larger sample than population".  From n = 3 on the cap never binds."""
+    corpus = instance_corpus(seed, sizes=(n,))
+    assert len(corpus) == 11 and all(inst.n == n for inst in corpus)
+    for inst in corpus:
+        assert check_submodular(inst, n).passed and check_monotone(inst, n).passed
+        if inst.kind == "coverage":
+            assert inst.universe_size == 2 * n and all(c for c in inst.covers)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cli_sweep_runs_at_sizes_one_and_two(tmp_path, capsys, n):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"sizes": [n], "k": n, "seeds": [0, 1, 2]}))
+    assert cli.main(["sweep", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == "sweep: 99 runs, 0 below the guarantee\n"
+    path.write_text(json.dumps({"sizes": [n]}))  # the default budget k = 4 exceeds n
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: budget k=4 exceeds n={n}\n"
+
+
 # ---------------------------------------------------------------------------
 # Fast decoy-greedy equivalence
 # ---------------------------------------------------------------------------

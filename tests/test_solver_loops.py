@@ -291,18 +291,20 @@ def test_brute_force_matroids_match(n):
 
 
 def test_brute_force_n24_small_budget():
-    """The old loop is too slow at n = 24; check against combinations."""
-    n, k = 24, 2
+    """The old loop is too slow at n = 24; check against combinations.  k = 0
+    queries the empty set alone (its mask has no low bit to jump by)."""
+    n = 24
     weights = [(7 * i) % 5 for i in range(n)]  # ties: the smallest mask must win
-    rec = Recording(AdditiveFunction(weights))
-    res = brute_force(rec, k)
-    masks = sorted(sum(1 << e for e in combo)
-                   for size in range(k + 1) for combo in itertools.combinations(range(n), size))
-    assert rec.log == masks and res.queries_used == len(masks) == 301
-    values = [sum(weights[e] for e in range(n) if m >> e & 1) for m in masks]
-    best = max(values)
-    assert res.value == best and type(res.value) is int
-    assert res.chosen.mask == masks[values.index(best)]
+    for k, count in ((0, 1), (1, 25), (2, 301), (3, 2325)):
+        rec = Recording(AdditiveFunction(weights))
+        res = brute_force(rec, k)
+        masks = sorted(sum(1 << e for e in combo)
+                       for size in range(k + 1) for combo in itertools.combinations(range(n), size))
+        assert rec.log == masks and res.queries_used == len(masks) == count
+        values = [sum(weights[e] for e in range(n) if m >> e & 1) for m in masks]
+        best = max(values)
+        assert res.value == best and type(res.value) is int
+        assert res.chosen.mask == masks[values.index(best)]
 
 
 def _without_n(reference):

@@ -94,6 +94,16 @@ CATALOGUE = (
            ("tests/test_weight_sum.py",)),
     Mutant("sum-integer-sum", "functions.py", "scaled += num * (den // d)", "scaled += num",
            ("tests/test_exact_sum.py",)),
+    # Brute force visits only feasible masks, and coverage walks its set bits;
+    # each mutant changes the queried sets or a value.
+    Mutant("brute-jump-too-long", "solvers.py", "(mask & -mask) or end",
+           "((mask & -mask) << 1) or end", ("tests/test_solver_loops.py",)),
+    Mutant("brute-jump-at-limit", "solvers.py", "mask += 1 if size < limit else",
+           "mask += 1 if size <= limit else", ("tests/test_solver_loops.py",)),
+    Mutant("coverage-walk-drops-a-bit", "functions.py",
+           "covers, covered, m = self.covers, 0, s.mask\n        while m:",
+           "covers, covered, m = self.covers, 0, s.mask\n        while m & (m - 1):",
+           ("tests/test_functions.py",)),
     # The guarantee verdicts decide on the computed values, with no slack.
     Mutant("sweep-ok-strict", "experiments.py", "ok = val >= bound * best",
            "ok = val > bound * best",
