@@ -8,6 +8,7 @@ preconditions or bad configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -22,7 +23,8 @@ from .adversarial import (
     gap_bound,
     power_law_params,
 )
-from .functions import CoverageFunction, config_int, config_number, config_seed, instance_from_dict
+from .functions import (CoverageFunction, config_int, config_number, config_seed,
+                        instance_from_dict, refuse_stray_keys, require_keys)
 from .noise import noise_from_dict
 from .verify import check_concentration, check_monotone, check_sandwich, check_submodular
 
@@ -30,6 +32,7 @@ EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_REJECTED = 2
 _FIXTURE_MAX_ALPHA = 1 << 24  # the sample fixture's shared block is one alpha-bit int
+_PAIR_KEYS = [f.name for f in dataclasses.fields(HardPairParams)]  # a construction needs each
 
 
 def _load_json(path: str) -> dict:
@@ -46,8 +49,7 @@ def _emit(rows, args, default_stdout=False):
         print(f"wrote {len(rows)} rows to {args.out}")
     elif default_stdout:
         for row in rows:
-            print(json.dumps({k: experiments._json_cell(v) for k, v in row.items()},
-                             sort_keys=True))
+            print(json.dumps(row, sort_keys=True))
 
 
 def _cmd_verify(args) -> int:
@@ -75,10 +77,13 @@ def _cmd_verify(args) -> int:
 
     cfg = args.cfg
     if "construction" in cfg:
-        construction = cfg.pop("construction")
+        refuse_stray_keys(cfg, ["construction"], "a sandwich config with a 'construction'")
+        construction = cfg["construction"]
         if not isinstance(construction, dict):
             raise ValueError(f"a construction must be a JSON object, "
                              f"got {type(construction).__name__}")
+        refuse_stray_keys(construction, ["family", *_PAIR_KEYS], "a construction")
+        require_keys(construction, _PAIR_KEYS, "a construction")
         family = construction.pop("family", "monotone")
         if family not in ("monotone", "coverage"):
             raise ValueError(f"construction family must be 'monotone' or 'coverage', "
@@ -91,17 +96,18 @@ def _cmd_verify(args) -> int:
     else:
         if "instance" not in cfg:
             raise ValueError("a sandwich config needs a 'construction' or an 'instance'")
-        f = instance_from_dict(cfg.pop("instance"))
+        refuse_stray_keys(cfg, ["instance", "noise"], "a sandwich config with an 'instance'")
+        f = instance_from_dict(cfg["instance"])
         if "noise" not in cfg:
             raise ValueError("a sandwich config with an 'instance' needs a 'noise' block: "
                              "it builds the noisy oracle F checked against the instance")
-        noise = cfg.pop("noise")
+        noise = cfg["noise"]
         if isinstance(noise, dict) and "epsilon" not in noise:
             raise ValueError("the noise block needs 'epsilon': the sandwich check tests "
                              "F against the band (1 +- epsilon) f")
         F = noise_from_dict(f, noise)
         epsilon, n = config_number(noise["epsilon"], "epsilon"), f.n
-    report = check_sandwich(F, f, epsilon, n, args.mode, args.trials, args.seed, **cfg)
+    report = check_sandwich(F, f, epsilon, n, args.mode, args.trials, args.seed)
     print(f"sandwich {report.instance}: {'pass' if report.passed else 'FAIL'} "
           f"({report.examined} sets)")
     return EXIT_PASS if report.passed else EXIT_COUNTEREXAMPLE

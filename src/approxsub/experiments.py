@@ -48,47 +48,31 @@ REPORT_COLUMNS = [
 # ---------------------------------------------------------------------------
 
 def _format_cell(v) -> str:
-    if v is None or v == "":
-        return ""
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, Fraction):
-        v = float(v)
-    if isinstance(v, float):
-        return "%.17g" % v
-    return str(v)
+    return "%.17g" % v if isinstance(v, float) else str(v)
 
 
 def emit_report(rows, path: str, format: str = "csv") -> None:
-    """Write rows over the fixed column set; deterministic for fixed input."""
+    """Write rows over the fixed column set; deterministic for fixed input.
+    Each row has every column, and each cell is a str ("" for none), an int
+    or a float: CSV writes a float as ``%.17g``, the rest by ``str``."""
     if not rows:
         raise ValueError("refusing to emit an empty report")
     if format == "csv":
         lines = [",".join(REPORT_COLUMNS)]
         for row in rows:
-            lines.append(",".join(_format_cell(row.get(c)) for c in REPORT_COLUMNS))
+            lines.append(",".join(_format_cell(row[c]) for c in REPORT_COLUMNS))
         with open(path, "w", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
     elif format == "structured":
         doc = {
             "columns": REPORT_COLUMNS,
-            "rows": [[_json_cell(row.get(c)) for c in REPORT_COLUMNS] for row in rows],
+            "rows": [[row[c] for c in REPORT_COLUMNS] for row in rows],
         }
         with open(path, "w", newline="\n") as fh:
             json.dump(doc, fh, sort_keys=True, indent=2)
             fh.write("\n")
     else:
         raise ValueError(f"unknown report format {format!r}")
-
-
-def _json_cell(v):
-    if isinstance(v, Fraction):
-        return float(v)
-    if isinstance(v, (bool, int, float, str)) or v is None:
-        return v
-    return str(v)
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +131,14 @@ def _sandwich_greedy_fast(params: HardPairParams, hidden: Subset) -> tuple[int, 
     """Greedy on the sandwich oracle, collapsed by candidate type.
 
     Every candidate inside the planted set yields one (planted, decoy) value
-    pair and every candidate outside yields another, so each round reduces to
-    comparing two exact values and charging escapes per candidate count.
-    Values are compared as n times the oracle's value and the band with eps
-    scaled by its power-of-two denominator q (see :class:`PairBand`); both
-    scalings are exact integer identities, so every comparison, and the
-    returned ``Fraction(V, n)``, equals its rational counterpart.  Produces
-    exactly the generic greedy's chosen set, value, query count, and
-    per-query escape count (verified against the generic path in tests).
+    pair and every candidate outside yields another, so each round compares
+    two exact values and charges h - s1 or n - h - s0 escapes.  Both kinds are
+    left in every round: k <= h <= n/2 (``HardPairParams``), and the planted
+    set has exactly h elements.  Values are n times the oracle's and the band
+    is scaled by eps's power-of-two denominator (:class:`PairBand`), both exact
+    integer identities, so every comparison and the returned ``Fraction(V, n)``
+    equal their rational counterparts: the generic greedy's chosen set, value,
+    query count and per-query escape count (verified against it in tests).
     """
     n, h, k = params.n, params.h, params.k
     band = PairBand(params)
@@ -171,19 +155,13 @@ def _sandwich_greedy_fast(params: HardPairParams, hidden: Subset) -> tuple[int, 
     chosen_mask = 0
     value = 0
     for _ in range(k):
-        r1 = h - s1
-        r0 = (n - h) - s0
         v_in, band_in = band.sandwich(s1 + 1, s0)
         v_out, band_out = band.sandwich(s1, s0 + 1)
         if not band_in:
-            escapes += r1
+            escapes += h - s1
         if not band_out:
-            escapes += r0
-        if r1 == 0:
-            take_in = False
-        elif r0 == 0:
-            take_in = True
-        elif v_in != v_out:
+            escapes += (n - h) - s0
+        if v_in != v_out:
             take_in = v_in > v_out
         else:
             take_in = in_ids[s1] < out_ids[s0]
@@ -263,14 +241,14 @@ def run_noise_sweep(instances, k: int = 4, delta_grid=(0.0, 0.5, 1 - 1e-9),
 
     Rows carry an extra 'ok' flag, value >= bound * optimum with no slack (the float
     tolerances left, :meth:`Band.near` and ``verify._SUBMODULAR_TOL``, are for rounded
-    noise products and float tables).  Instances must allow brute force; rows are seed-major.
+    noise products and float tables).  Rows are seed-major; every n must be in k..SWEEP_MAX_N.
     """
     k = config_int(k, "k")
     if k < 1:
         raise ValueError(f"sweep budget k must be >= 1, got {k}")
-    for inst in instances:
-        if inst.n > SWEEP_MAX_N:
-            raise ValueError(f"sweep instances must allow brute force, got n={inst.n}")
+    for inst in instances:  # before any run: greedy refuses k > n, brute force n > 14
+        if not k <= inst.n <= SWEEP_MAX_N:
+            raise ValueError(f"sweep instances need k <= n <= {SWEEP_MAX_N}, got k={k}, n={inst.n}")
     rows = []
     for seed in seeds:
         seed = config_seed(seed)

@@ -454,6 +454,14 @@ def require_keys(d: dict, keys, owner: str) -> None:
             raise ValueError(f"{owner} needs the key {key!r}")
 
 
+def refuse_stray_keys(d: dict, keys, owner: str) -> None:
+    """Raise a ValueError that names ``owner``, the config block ``d``, and
+    each key of ``d`` that is not among ``keys``, the keys the block reads."""
+    stray = d.keys() - set(keys)
+    if stray:
+        raise ValueError(f"unknown keys in {owner}: {sorted(stray)}")
+
+
 def _num_to_obj(x):
     if isinstance(x, Fraction):
         return {"num": x.numerator, "den": x.denominator}
@@ -532,10 +540,9 @@ def instance_from_dict(d: dict) -> ValueOracle:
     kind = d.get("kind")
     if not isinstance(kind, str) or kind not in _INSTANCE_KEYS:
         raise ValueError(f"unknown instance kind {kind!r}")
-    stray = d.keys() - _INSTANCE_KEYS[kind]
-    if stray:
-        raise ValueError(f"unknown keys in an instance of kind {kind!r}: {sorted(stray)}")
-    require_keys(d, sorted(_INSTANCE_KEYS[kind] - {"kind"}), f"an instance of kind {kind!r}")
+    owner = f"an instance of kind {kind!r}"
+    refuse_stray_keys(d, _INSTANCE_KEYS[kind], owner)
+    require_keys(d, sorted(_INSTANCE_KEYS[kind] - {"kind"}), owner)
     if kind == "additive":
         return AdditiveFunction(_nums_from_list(d, "weights"))
     if kind == "budget_additive":

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .functions import config_int, config_number, config_seed, require_keys
+from .functions import config_int, config_number, config_seed, refuse_stray_keys, require_keys
 from .sets import Subset, ValueOracle
 
 _M64 = (1 << 64) - 1
@@ -177,9 +177,7 @@ def noise_from_dict(base, cfg: dict):
     kind = cfg.get("kind")
     if kind not in ("consistent", "inconsistent"):
         raise ValueError(f"unknown noise kind {kind!r}")
-    stray = cfg.keys() - _NOISE_KEYS[kind]
-    if stray:
-        raise ValueError(f"unknown keys in a {kind} noise block: {sorted(stray)}")
+    refuse_stray_keys(cfg, _NOISE_KEYS[kind], f"a {kind} noise block")
     seed = config_seed(cfg.get("seed", 0))  # None would draw OS entropy
     if kind == "consistent":
         require_keys(cfg, ["epsilon"], "a consistent noise block")

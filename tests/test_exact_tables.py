@@ -935,6 +935,8 @@ def test_sandwich_table_equals_value_on_every_mask():
     *[(ConcaveCardinalityFunction([c, c + Fraction(1, 3), c + Fraction(1, 3)]),
        ConcaveCardinalityFunction([c, c + 1, c + 1]), has)
       for c, has in (((EDGE - 5) // 3, True), ((EDGE - 2) // 3, False))],
+    # Both sides have a den, but a coverage over 64 points has no table.
+    (CoverageFunction(64, [[63], [0]]), ConcaveCardinalityFunction([0, 1, 2]), False),
 ])
 def test_sandwich_table_falls_back_at_the_edge(fh, g, has_table):
     sw = SandwichFunction(fh, g, 0.3)

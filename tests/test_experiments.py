@@ -90,7 +90,33 @@ def test_cli_sweep_runs_at_sizes_one_and_two(tmp_path, capsys, n):
     assert capsys.readouterr().out == "sweep: 99 runs, 0 below the guarantee\n"
     path.write_text(json.dumps({"sizes": [n]}))  # the default budget k = 4 exceeds n
     assert cli.main(["sweep", "--config", str(path)]) == 2
-    assert capsys.readouterr().err == f"error: budget k=4 exceeds n={n}\n"
+    assert capsys.readouterr().err == f"error: sweep instances need k <= n <= 14, got k=4, n={n}\n"
+
+
+@pytest.mark.parametrize("cfg, k, n", [
+    ({"sizes": [3]}, 4, 3),
+    ({"instances": [{"kind": "additive", "weights": [1] * 8},
+                    {"kind": "additive", "weights": [1] * 3}]}, 4, 3),
+    ({"instances": [{"kind": "additive", "weights": [1] * 15}], "k": 2}, 2, 15),
+], ids=["sizes-3", "instances-8-then-3", "instance-15"])
+def test_cli_sweep_refuses_an_instance_before_any_run(tmp_path, capsys, monkeypatch, cfg, k, n):
+    """An instance smaller than the budget once ran into greedy's own
+    refusal, "budget k=4 exceeds n=3", after every run on the instances
+    before it; the runner now names both bounds before greedy runs once."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return greedy_cardinality(*args)
+
+    monkeypatch.setattr(experiments, "greedy_cardinality", spy)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: sweep instances need k <= n <= 14, got k={k}, n={n}\n"
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +445,19 @@ def test_cli_generate_all_constructions(tmp_path, capsys):
         assert meta["construction"] == construction
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--construction", "coverage", "--n", "1024", "--beta", "0.3", "--seed", "3"],
+    ["generate", "--construction", "trap", "--n", "64", "--beta", "0.5"],
+], ids=["coverage", "trap"])
+def test_cli_generate_out_holds_the_printed_bytes(tmp_path, capsys, argv):
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "meta.json"
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == f"wrote instance metadata to {path}\n"
+    assert path.read_bytes() == printed.encode()
+
+
 def _assert_rejected(capsys, argv):
     """Exit 2 with a one-line ``error:`` message on stderr and no traceback."""
     code = cli.main(argv)
@@ -516,6 +555,14 @@ def test_cli_sample_rejects_large_ground_set(tmp_path, capsys, n):
     path = tmp_path / "sample.json"
     path.write_text(json.dumps({"n": n}))
     _assert_rejected(capsys, ["sample", "--config", str(path)])
+
+
+def test_cli_sample_refuses_a_large_instance(tmp_path, capsys):
+    """The runner's own guard: an instance does not pass the fixture's."""
+    path = tmp_path / "sample.json"
+    path.write_text(json.dumps({"instance": {"kind": "additive", "weights": [1] * 21}}))
+    assert cli.main(["sample", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: sampling validation guarded at n <= 20, got 21\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -1005,10 +1052,25 @@ def test_cli_rejects_malformed_input(tmp_path, capsys, argv, text):
     ({"instance": _ADDITIVE, "noise": {"kind": "inconsistent", "epsilon": 0.3, "width": 0.1,
                                        "B": 3, "b": 1, "confidence_constant": "3"}},
      "error: confidence_constant must be a number, got '3'\n"),
+    # these once named an argument of check_sandwich() or HardPairParams.__init__()
+    ({**_SANDWICH_SAMPLED, "n": 12},
+     "error: unknown keys in a sandwich config with a 'construction': ['n']\n"),
+    ({**_SANDWICH_SAMPLED, "instance": _ADDITIVE},
+     "error: unknown keys in a sandwich config with a 'construction': ['instance']\n"),
+    ({"instance": _ADDITIVE, "noise": {"kind": "consistent", "epsilon": 0.3}, "foo": 3},
+     "error: unknown keys in a sandwich config with an 'instance': ['foo']\n"),
+    ({"construction": {**_SANDWICH_SAMPLED["construction"], "beta": 0.25, "kk": 5}},
+     "error: unknown keys in a construction: ['beta', 'kk']\n"),
+    ({"construction": {key: v for key, v in _SANDWICH_SAMPLED["construction"].items()
+                       if key != "k"}},
+     "error: a construction needs the key 'k'\n"),
+    ({"construction": {"family": "coverage"}}, "error: a construction needs the key 'n'\n"),
 ], ids=["no-noise", "inconsistent-no-epsilon", "consistent-no-epsilon", "bool-alpha",
         "no-width", "no-b", "no-instance", "float-seed", "list-seed-zero-epsilon",
         "str-epsilon", "str-width", "str-b", "str-construction-epsilon", "bool-width",
-        "bool-epsilon", "list-band-epsilon", "null-B", "str-confidence-constant"])
+        "bool-epsilon", "list-band-epsilon", "null-B", "str-confidence-constant",
+        "construction-stray-n", "construction-stray-instance", "instance-stray-foo",
+        "construction-stray-beta", "construction-no-k", "construction-family-only"])
 def test_cli_sandwich_names_the_key(tmp_path, capsys, cfg, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

@@ -94,6 +94,16 @@ CATALOGUE = (
            ("tests/test_weight_sum.py",)),
     Mutant("sum-integer-sum", "functions.py", "scaled += num * (den // d)", "scaled += num",
            ("tests/test_exact_sum.py",)),
+    # The sandwich's table keys, the collapsed decoy greedy's tie-break and
+    # check_sandwich's scale for f's table ints.
+    Mutant("sandwich-table-span-short", "adversarial.py",
+           "span = int(T_g.max()) - low + 1", "span = int(T_g.max()) - low",
+           ("tests/test_exact_tables.py",)),
+    Mutant("decoy-tie-break-reversed", "experiments.py",
+           "take_in = in_ids[s1] < out_ids[s0]", "take_in = in_ids[s1] > out_ids[s0]",
+           ("tests/test_band_kernel.py",)),
+    Mutant("check-sandwich-drops-f-den", "verify.py",
+           "D, f_ints = f.den, True", "D, f_ints = 1, True", ("tests/test_exact_tables.py",)),
     # Brute force visits only feasible masks, and coverage walks its set bits;
     # each mutant changes the queried sets or a value.
     Mutant("brute-jump-too-long", "solvers.py", "(mask & -mask) or end",
