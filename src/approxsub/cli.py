@@ -23,7 +23,7 @@ from .adversarial import (
     gap_bound,
     power_law_params,
 )
-from .functions import (CoverageFunction, config_int, config_number, config_seed,
+from .functions import (ConcaveCardinalityFunction, config_int, config_number, config_seed,
                         instance_from_dict, refuse_stray_keys, require_keys)
 from .noise import noise_from_dict
 from .verify import check_concentration, check_monotone, check_sandwich, check_submodular
@@ -31,7 +31,6 @@ from .verify import check_concentration, check_monotone, check_sandwich, check_s
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_REJECTED = 2
-_FIXTURE_MAX_ALPHA = 1 << 24  # the sample fixture's shared block is one alpha-bit int
 _PAIR_KEYS = [f.name for f in dataclasses.fields(HardPairParams)]  # a construction needs each
 
 
@@ -116,7 +115,7 @@ def _cmd_verify(args) -> int:
 def _cmd_distinguish(args) -> int:
     rows, summary = experiments.run_distinguishability(args.n, args.beta, args.trials, args.seed)
     _emit(rows, args)
-    print(json.dumps({"summary": summary}, sort_keys=True, default=str))
+    print(json.dumps({"summary": summary}, sort_keys=True))
     return EXIT_PASS if all(r["ok"] for r in rows) else EXIT_COUNTEREXAMPLE
 
 
@@ -138,7 +137,7 @@ def _cmd_sweep(args) -> int:
         instances = corpus[:count]
     rows = experiments.run_noise_sweep(instances, **cfg)
     _emit(rows, args)
-    bad = [r for r in rows if not r.get("ok", True)]
+    bad = [r for r in rows if not r["ok"]]
     print(f"sweep: {len(rows)} runs, {len(bad)} below the guarantee")
     return EXIT_COUNTEREXAMPLE if bad else EXIT_PASS
 
@@ -163,13 +162,12 @@ def _cmd_sample(args) -> int:
     if "instance" in cfg:
         f = instance_from_dict(cfg.pop("instance"))
     else:
-        # Default fixture: every element covers the same shared block, so the
-        # value range over nonempty sets is a single point.
+        # Default fixture: the step alpha * [S nonempty], one value on every nonempty set.
         n, alpha = config_int(cfg.pop("n", 12), "n"), config_int(cfg.pop("alpha", 5), "alpha")
-        if not (1 <= n <= experiments.SAMPLE_MAX_N and 1 <= alpha <= _FIXTURE_MAX_ALPHA):
+        if not (1 <= n <= experiments.SAMPLE_MAX_N and alpha >= 1):
             raise ValueError(f"the fixture is guarded at 1 <= n <= {experiments.SAMPLE_MAX_N} and "
-                             f"1 <= alpha <= {_FIXTURE_MAX_ALPHA}, got n={n}, alpha={alpha}")
-        f = CoverageFunction(alpha, [(1 << alpha) - 1] * n)
+                             f"alpha >= 1, got n={n}, alpha={alpha}")
+        f = ConcaveCardinalityFunction([0] + [alpha] * n)
     rows, summary = experiments.run_sampling_validation(f, seed=args.seed, **cfg)
     _emit(rows, args)
     print(json.dumps({"summary": summary}, sort_keys=True))

@@ -52,11 +52,9 @@ def _format_cell(v) -> str:
 
 
 def emit_report(rows, path: str, format: str = "csv") -> None:
-    """Write rows over the fixed column set; deterministic for fixed input.
-    Each row has every column, and each cell is a str ("" for none), an int
-    or a float: CSV writes a float as ``%.17g``, the rest by ``str``."""
-    if not rows:
-        raise ValueError("refusing to emit an empty report")
+    """Write rows (none: the header alone) over the fixed column set; deterministic
+    for fixed input.  Each row has every column, and each cell is a str ("" for
+    none), an int or a float: CSV writes a float as ``%.17g``, the rest by ``str``."""
     if format == "csv":
         lines = [",".join(REPORT_COLUMNS)]
         for row in rows:
@@ -241,7 +239,8 @@ def run_noise_sweep(instances, k: int = 4, delta_grid=(0.0, 0.5, 1 - 1e-9),
 
     Rows carry an extra 'ok' flag, value >= bound * optimum with no slack (the float
     tolerances left, :meth:`Band.near` and ``verify._SUBMODULAR_TOL``, are for rounded
-    noise products and float tables).  Rows are seed-major; every n must be in k..SWEEP_MAX_N.
+    noise products and float tables).  Rows are seed-major.  Before any run, every n must
+    be in k..SWEEP_MAX_N, every seed nonnegative and every delta/k in [0, 1).
     """
     k = config_int(k, "k")
     if k < 1:
@@ -249,12 +248,15 @@ def run_noise_sweep(instances, k: int = 4, delta_grid=(0.0, 0.5, 1 - 1e-9),
     for inst in instances:  # before any run: greedy refuses k > n, brute force n > 14
         if not k <= inst.n <= SWEEP_MAX_N:
             raise ValueError(f"sweep instances need k <= n <= {SWEEP_MAX_N}, got k={k}, n={inst.n}")
+    seeds = [config_seed(seed) for seed in seeds]
+    epsilons = [float(config_number(delta, "a delta_grid entry")) / k for delta in delta_grid]
+    for delta, eps in zip(delta_grid, epsilons):
+        if not 0 <= eps < 1:
+            raise ValueError(f"delta_grid entries need 0 <= delta/k < 1, got delta={delta}, k={k}")
     rows = []
     for seed in seeds:
-        seed = config_seed(seed)
         for idx, inst in enumerate(instances):
-            for delta in delta_grid:
-                eps = float(config_number(delta, "a delta_grid entry")) / k
+            for eps in epsilons:
                 F = ConsistentNoiseOracle(inst, eps, seed)
                 res = greedy_cardinality(F, k)
                 opt = brute_force(F, k)
@@ -347,9 +349,13 @@ def sampling_union_bound(n_sets: int, m: int, epsilon: float, width: float,
     estimate leaves the band, nor at a width so small that delta overflows.
     """
     delta = epsilon * b / width if width > 0 else math.inf
-    if math.isinf(delta):
+    try:  # delta ** 2, not delta * delta: libm's square can differ in the last bit
+        x = delta ** 2 * (m / 2.0)
+    except OverflowError:
+        x = math.inf
+    if math.isinf(x):
         return 0.0
-    per_set = sum(chernoff_tails(delta * delta * (m / 2.0), delta))
+    per_set = sum(chernoff_tails(x, delta))
     return min(1.0, n_sets * per_set)
 
 
@@ -370,9 +376,9 @@ def run_sampling_validation(
     _check_draws(family, width)  # the estimator's own check, even when no trial runs
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    if not k >= 1:
-        raise ValueError(f"greedy budget k must be >= 1, got {k}")
     n = f.n
+    if not 1 <= k <= n:
+        raise ValueError(f"greedy budget k must be in 1..n, got k={k}, n={n}")
     if n > SAMPLE_MAX_N:
         raise ValueError(f"sampling validation guarded at n <= {SAMPLE_MAX_N}, got {n}")
     T = f.exact_table()

@@ -119,6 +119,39 @@ def test_cli_sweep_refuses_an_instance_before_any_run(tmp_path, capsys, monkeypa
     assert calls == []
 
 
+@pytest.mark.parametrize("cfg, message", [
+    ({"sizes": [14], "seeds": [0, 1, -1], "delta_grid": [0.5]},
+     "seed must be a nonnegative integer, got -1"),
+    ({"sizes": [8], "delta_grid": [0.5, 4.0]},
+     "delta_grid entries need 0 <= delta/k < 1, got delta=4.0, k=4"),
+    ({"sizes": [8], "delta_grid": [0.5, -0.5]},
+     "delta_grid entries need 0 <= delta/k < 1, got delta=-0.5, k=4"),
+    ({"sizes": [8], "k": 2, "delta_grid": [0.5, 2]},
+     "delta_grid entries need 0 <= delta/k < 1, got delta=2, k=2"),
+    ({"sizes": [8], "delta_grid": [0.5, "x"]}, "a delta_grid entry must be a number, got 'x'"),
+], ids=["seed-negative", "delta-4", "delta-negative", "delta-equals-k", "delta-str"])
+def test_cli_sweep_reads_every_seed_and_delta_before_any_run(tmp_path, capsys, monkeypatch,
+                                                             cfg, message):
+    """A bad seed or delta once exited 2 only when its own cell ran, after
+    greedy and brute force had run every cell before it (22 cells for the
+    first config), and delta = 4.0 at k = 4 named no delta_grid entry:
+    "epsilon must be in [0, 1), got 1.0"."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return greedy_cardinality(*args)
+
+    monkeypatch.setattr(experiments, "greedy_cardinality", spy)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # Fast decoy-greedy equivalence
 # ---------------------------------------------------------------------------
@@ -287,9 +320,34 @@ def test_sampling_union_bound_shape():
 # Reports
 # ---------------------------------------------------------------------------
 
-def test_emit_report_rejects_empty(tmp_path):
-    with pytest.raises(ValueError):
-        emit_report([], tmp_path / "r.csv")
+def test_emit_report_writes_a_header_only_report(tmp_path):
+    """No rows once raised "refusing to emit an empty report", so --out made a
+    run that exits 0 without it exit 2; the report is now its header."""
+    emit_report([], tmp_path / "r.csv")
+    assert (tmp_path / "r.csv").read_text() == ",".join(REPORT_COLUMNS) + "\n"
+    emit_report([], tmp_path / "r.json", "structured")
+    assert (tmp_path / "r.json").read_text() == (
+        json.dumps({"columns": REPORT_COLUMNS, "rows": []}, sort_keys=True, indent=2) + "\n")
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (["distinguish", "--n", "256", "--trials", "0"], None),
+    (["sweep"], {"seeds": []}),
+    (["sample"], {"trials": 0}),
+], ids=["distinguish", "sweep", "sample"])
+@pytest.mark.parametrize("fmt", ["csv", "structured"])
+def test_cli_out_keeps_the_exit_code_of_a_zero_row_run(tmp_path, capsys, argv, cfg, fmt):
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = argv + ["--config", str(path)]
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "report.out"
+    assert cli.main(argv + ["--out", str(out), "--format", fmt]) == 0
+    assert capsys.readouterr().out == f"wrote 0 rows to {out}\n" + printed
+    emit_report([], tmp_path / "empty.out", fmt)
+    assert out.read_bytes() == (tmp_path / "empty.out").read_bytes()
 
 
 def test_emit_report_deterministic_bytes(tmp_path):
@@ -836,7 +894,8 @@ _INF_ADDITIVE = {"kind": "additive", "weights": [1e308, 1e308, 1]}
     # sample's fixture was built before any guard ran
     (["sample"], '{"n": 100000000000000000000}'),
     (["sample"], '{"n": 1000000000}'),
-    (["sample"], '{"alpha": 100000000000000000000}'),
+    # alpha past the float range (alpha = 10^20 now runs: the fixture has no cap)
+    pytest.param(["sample"], json.dumps({"alpha": 10 ** 400}), id="sample-alpha-1e400"),
     # 745,471,995 samples per queried set, about 6 GB in one batch
     (["sample"], '{"epsilon": 1e-4}'),
     (["verify", "--property", "sandwich"],
@@ -1974,9 +2033,9 @@ def test_cli_out_without_format_writes_csv(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("cfg", [{"alpha": -1}, {"alpha": 0}, {"n": 0}, {"n": -2},
-                                 {"n": 21}, {"alpha": 2 ** 24 + 1}],
+                                 {"n": 21}],
                          ids=["alpha-negative", "alpha-zero", "n-zero", "n-negative",
-                              "n-past-20", "alpha-past-2-24"])
+                              "n-past-20"])
 def test_cli_sample_fixture_names_both_bounds(tmp_path, capsys, cfg):
     """alpha = -1 once printed "negative shift count", alpha = 0 blamed the
     lower value bound b, and n = 0 printed "need at least one element"."""
@@ -1985,5 +2044,54 @@ def test_cli_sample_fixture_names_both_bounds(tmp_path, capsys, cfg):
     assert cli.main(["sample", "--config", str(path)]) == 2
     n, alpha = cfg.get("n", 12), cfg.get("alpha", 5)
     assert capsys.readouterr().err == (
-        f"error: the fixture is guarded at 1 <= n <= 20 and 1 <= alpha <= {2 ** 24}, "
+        f"error: the fixture is guarded at 1 <= n <= 20 and alpha >= 1, "
         f"got n={n}, alpha={alpha}\n")
+
+
+@pytest.mark.parametrize("alpha", [5, 64, 2 ** 24])
+def test_cli_sample_fixture_reads_its_range_from_the_table(tmp_path, capsys, monkeypatch,
+                                                           alpha):
+    """The fixture was an alpha-bit coverage with no exact table past alpha =
+    63, so its value range OR-ed alpha-bit ints on all 2^n sets.  It is now
+    the step alpha * [S nonempty], whose range comes from its table, and the
+    summary is the coverage's."""
+    path = tmp_path / "sample.json"
+    path.write_text(json.dumps({"n": 6, "alpha": alpha, "trials": 3}))
+
+    def no_tabulate(*args):
+        raise AssertionError("the fixture's value range was tabulated")
+
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "tabulate", no_tabulate)
+        assert cli.main(["sample", "--config", str(path)]) == 0
+    got = json.loads(capsys.readouterr().out)["summary"]
+    coverage = CoverageFunction(alpha, [(1 << alpha) - 1] * 6)
+    assert got == run_sampling_validation(coverage, trials=3)[1]
+
+
+def test_cli_sample_runs_past_the_old_cap(tmp_path, capsys):
+    """alpha was capped at 2^24, the largest block the coverage fixture could
+    OR in time; the step fixture reads one table entry per set at any alpha."""
+    path = tmp_path / "sample.json"
+    path.write_text(json.dumps({"n": 20, "alpha": 2 ** 24 + 1}))
+    assert cli.main(["sample", "--config", str(path)]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["trials"] == 100 and summary["violating_trials"] == 0
+
+
+@pytest.mark.parametrize("trials", [0, 1])
+@pytest.mark.parametrize("cfg, k, n", [
+    ({"k": 13}, 13, 12),
+    ({"k": 0}, 0, 12),
+    ({"instance": {"kind": "additive", "weights": [1, 2, 3]}}, 4, 3),
+], ids=["fixture-k-13", "fixture-k-0", "instance-3-default-k"])
+def test_cli_sample_refuses_a_budget_outside_one_to_n(tmp_path, capsys, cfg, k, n, trials):
+    """k = 13 on the 12-element fixture once exited 0 at trials = 0, with a
+    query count and a prediction for a greedy run that cannot happen, and 2
+    with greedy's own refusal at trials = 1."""
+    path = tmp_path / "sample.json"
+    path.write_text(json.dumps({**cfg, "trials": trials}))
+    assert cli.main(["sample", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: greedy budget k must be in 1..n, got k={k}, n={n}\n"

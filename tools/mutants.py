@@ -181,10 +181,13 @@ CATALOGUE = (
     Mutant("hypergeom-empty-range", "verify.py",
            "    if lo > hi:\n        return Fraction(0)\n",
            "", ("tests/test_verify.py",)),
-    Mutant("emit-empty-report", "experiments.py",
-           "    if not rows:\n"
-           '        raise ValueError("refusing to emit an empty report")\n',
-           "", ("tests/test_experiments.py",)),
+    Mutant("sample-fixture-alpha", "cli.py", " and alpha >= 1):", "):",
+           ("tests/test_experiments.py::test_cli_sample_fixture_names_both_bounds",)),
+    Mutant("sample-budget-past-n", "experiments.py", "if not 1 <= k <= n:", "if not 1 <= k:",
+           ("tests/test_experiments.py::test_cli_sample_refuses_a_budget_outside_one_to_n",)),
+    Mutant("sweep-delta-range", "experiments.py", "if not 0 <= eps < 1:", "if False:",
+           ("tests/test_experiments.py::"
+            "test_cli_sweep_reads_every_seed_and_delta_before_any_run",)),
     Mutant("required-samples-underflow", "noise.py",
            "    if not denominator > 0:\n"
            '        raise ValueError(f"b * eps^2 underflows to 0 at b={b}, eps={epsilon}")\n',
