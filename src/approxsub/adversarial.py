@@ -107,8 +107,6 @@ def power_law_params(n: int, beta: float) -> HardPairParams:
     epsilon = n ** (beta - 0.5)
     if not epsilon < 1:
         raise ValueError(f"epsilon = {epsilon} must be < 1; increase n")
-    if alpha > h:
-        raise ValueError(f"rounded parameters violate alpha <= k: alpha={alpha}, k={h}")
     if 2 * h > n:
         raise ValueError(
             f"rounded parameters violate h <= n/2: h={h}, n={n} "

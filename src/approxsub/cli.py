@@ -23,8 +23,8 @@ from .adversarial import (
     gap_bound,
     power_law_params,
 )
-from .functions import (ConcaveCardinalityFunction, config_int, config_number, config_seed,
-                        instance_from_dict, refuse_stray_keys, require_keys)
+from .functions import (config_number, config_seed, instance_from_dict, refuse_stray_keys,
+                        require_keys)
 from .noise import noise_from_dict
 from .verify import check_concentration, check_monotone, check_sandwich, check_submodular
 
@@ -49,6 +49,13 @@ def _emit(rows, args, default_stdout=False):
     elif default_stdout:
         for row in rows:
             print(json.dumps(row, sort_keys=True))
+
+
+def _refuse_beside(args, key: str, keys) -> None:
+    """Refuse ``keys``, which build the runner's default input, beside ``key``."""
+    names = [name for name in keys if name in args.cfg]
+    if key in args.cfg and names:
+        raise ValueError(f"a {args.command} config with {key!r} does not read {names}")
 
 
 def _cmd_verify(args) -> int:
@@ -124,18 +131,10 @@ def _cmd_sweep(args) -> int:
     for key in ("instances", "sizes", "seeds", "delta_grid"):
         if key in cfg and not isinstance(cfg[key], list):
             raise ValueError(f"{key} must be a list, got {cfg[key]!r}")
-    if "instances" in cfg:
-        instances = [instance_from_dict(d) for d in cfg.pop("instances")]
-    else:
-        sizes = tuple(config_int(size, "a size") for size in cfg.pop("sizes", (8, 10)))
-        if not all(1 <= size <= experiments.SWEEP_MAX_N for size in sizes):
-            raise ValueError(f"sweep sizes must be in 1..{experiments.SWEEP_MAX_N}, got {sizes}")
-        corpus = experiments.instance_corpus(args.seed, sizes=sizes)
-        count = config_int(cfg.pop("count", len(corpus)), "count")
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        instances = corpus[:count]
-    rows = experiments.run_noise_sweep(instances, **cfg)
+    _refuse_beside(args, "instances", ("sizes", "count"))
+    if "instances" in cfg:  # a case without --seed: args.seed is None, and no corpus is built
+        cfg["instances"] = [instance_from_dict(d) for d in cfg["instances"]]
+    rows = experiments.run_noise_sweep(corpus_seed=args.seed, **cfg)
     _emit(rows, args)
     bad = [r for r in rows if not r["ok"]]
     print(f"sweep: {len(rows)} runs, {len(bad)} below the guarantee")
@@ -158,17 +157,9 @@ def _cmd_trap(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    cfg = args.cfg
-    if "instance" in cfg:
-        f = instance_from_dict(cfg.pop("instance"))
-    else:
-        # Default fixture: the step alpha * [S nonempty], one value on every nonempty set.
-        n, alpha = config_int(cfg.pop("n", 12), "n"), config_int(cfg.pop("alpha", 5), "alpha")
-        if not (1 <= n <= experiments.SAMPLE_MAX_N and alpha >= 1):
-            raise ValueError(f"the fixture is guarded at 1 <= n <= {experiments.SAMPLE_MAX_N} and "
-                             f"alpha >= 1, got n={n}, alpha={alpha}")
-        f = ConcaveCardinalityFunction([0] + [alpha] * n)
-    rows, summary = experiments.run_sampling_validation(f, seed=args.seed, **cfg)
+    _refuse_beside(args, "instance", ("n", "alpha"))
+    f = instance_from_dict(args.cfg.pop("instance")) if "instance" in args.cfg else None
+    rows, summary = experiments.run_sampling_validation(f, seed=args.seed, **args.cfg)
     _emit(rows, args)
     print(json.dumps({"summary": summary}, sort_keys=True))
     ok = summary["violating_fraction"] <= summary["prediction"]

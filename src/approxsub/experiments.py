@@ -231,28 +231,33 @@ SWEEP_MAX_N = 14  # brute force visits up to 2^n sets per run
 SAMPLE_MAX_N = 20  # the sampling rule's value range visits all 2^n sets
 
 
-def run_noise_sweep(instances, k: int = 4, delta_grid=(0.0, 0.5, 1 - 1e-9),
-                    seeds=range(10)) -> list[dict]:
-    """For each instance, error level delta (eps = delta/k), and seed: wrap in
-    consistent noise, run greedy, and compare against the brute-force optimum
-    of the noisy oracle and the closed-form ratio guarantee.
+def run_noise_sweep(instances=None, k: int = 4, delta_grid=(0.0, 0.5, 1 - 1e-9),
+                    seeds=range(10), sizes=(8, 10), count=None, corpus_seed=0) -> list[dict]:
+    """For each instance (default: ``instance_corpus(corpus_seed, sizes)[:count]``), error
+    level delta (eps = delta/k), and seed: wrap in consistent noise, run greedy, and compare
+    against the brute-force optimum of the noisy oracle and the closed-form ratio guarantee.
 
     Rows carry an extra 'ok' flag, value >= bound * optimum with no slack (the float
     tolerances left, :meth:`Band.near` and ``verify._SUBMODULAR_TOL``, are for rounded
-    noise products and float tables).  Rows are seed-major.  Before any run, every n must
-    be in k..SWEEP_MAX_N, every seed nonnegative and every delta/k in [0, 1).
+    noise products and float tables).  Rows are seed-major.  Before any run or corpus,
+    every n must be in k..SWEEP_MAX_N, every seed nonnegative and every delta/k in [0, 1).
     """
     k = config_int(k, "k")
     if k < 1:
         raise ValueError(f"sweep budget k must be >= 1, got {k}")
-    for inst in instances:  # before any run: greedy refuses k > n, brute force n > 14
-        if not k <= inst.n <= SWEEP_MAX_N:
-            raise ValueError(f"sweep instances need k <= n <= {SWEEP_MAX_N}, got k={k}, n={inst.n}")
+    if count is not None and config_int(count, "count") < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    sizes = [config_int(size, "a size") for size in sizes]
+    for n in sizes if instances is None else [inst.n for inst in instances]:
+        if not k <= n <= SWEEP_MAX_N:  # greedy refuses k > n; brute force visits 2^n sets
+            raise ValueError(f"sweep instances need k <= n <= {SWEEP_MAX_N}, got k={k}, n={n}")
     seeds = [config_seed(seed) for seed in seeds]
     epsilons = [float(config_number(delta, "a delta_grid entry")) / k for delta in delta_grid]
     for delta, eps in zip(delta_grid, epsilons):
         if not 0 <= eps < 1:
             raise ValueError(f"delta_grid entries need 0 <= delta/k < 1, got delta={delta}, k={k}")
+    if instances is None:
+        instances = instance_corpus(corpus_seed, sizes)[:count]
     rows = []
     for seed in seeds:
         for idx, inst in enumerate(instances):
@@ -360,12 +365,12 @@ def sampling_union_bound(n_sets: int, m: int, epsilon: float, width: float,
 
 
 def run_sampling_validation(
-    f, epsilon: float = 0.1, confidence_constant: float = 3.0, trials: int = 100,
+    f=None, epsilon: float = 0.1, confidence_constant: float = 3.0, trials: int = 100,
     seed: int = 0, k: int = 4, width: float = 0.5,
-    family: str = "uniform-relative",
+    family: str = "uniform-relative", n: int = 12, alpha: int = 5,
 ) -> tuple[list[dict], dict]:
     """Drive greedy through a sampling estimator and measure how often any
-    queried set's estimate leaves the (1 +- eps) band around f.
+    queried set's estimate leaves the (1 +- eps) band around f (None: a step fixture).
 
     m is set from the value range of f over nonempty sets; per-trial rows
     report the violating-set count against the union-bounded prediction.
@@ -376,17 +381,23 @@ def run_sampling_validation(
     _check_draws(family, width)  # the estimator's own check, even when no trial runs
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    n = f.n
+    n = config_int(n, "n") if f is None else f.n
     if not 1 <= k <= n:
         raise ValueError(f"greedy budget k must be in 1..n, got k={k}, n={n}")
     if n > SAMPLE_MAX_N:
         raise ValueError(f"sampling validation guarded at n <= {SAMPLE_MAX_N}, got {n}")
-    T = f.exact_table()
-    if T is None:
-        vals = tabulate(f, n)[1:]
-        b, B = float(min(vals)), float(max(vals))
-    else:  # int / int is correctly rounded, as float() of the Fraction T / den is
-        b, B = int(T[1:].min()) / f.den, int(T[1:].max()) / f.den
+    if f is None:  # the step fixture alpha * [S nonempty] on n elements
+        if config_int(alpha, "alpha") < 1:
+            raise ValueError(f"the step fixture needs alpha >= 1, got {alpha}")
+        f = ConcaveCardinalityFunction([0] + [alpha] * n)
+    T = f.exact_table()  # the values over nonempty sets, or their ends as exact ratios
+    ends = (tabulate(f, n)[1:] if T is None
+            else [Fraction(int(end), f.den) for end in (T[1:].min(), T[1:].max())])
+    lo, hi = min(ends), max(ends)
+    try:  # float() of an exact value is correctly rounded
+        b, B = float(lo), float(hi)
+    except OverflowError:
+        raise ValueError(f"the value range {lo}..{hi} is past the float range") from None
     m = required_samples(B, b, n, epsilon, confidence_constant)
     band = Band(float(epsilon))
     rows = []

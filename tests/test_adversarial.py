@@ -63,6 +63,23 @@ def test_power_law_params_small_n_hint_prints_the_exponent(n, beta, exponent):
     assert str(err.value).endswith(f", n={n} (need roughly n >= 2^(2/beta) = 2^{exponent})")
 
 
+def test_power_law_params_alpha_never_exceeds_k():
+    """alpha = ceil(n^(1 - beta)) <= ceil(n^(1 - beta/2)) = k, since ceil is
+    monotone, n^(1 - beta) <= n^(1 - beta/2) for n >= 1, and the snap to an
+    int keeps that order; so no guard of ``power_law_params`` tests it."""
+    accepted = 0
+    for n in sorted({*range(2, 16385, 7), *(1 << e for e in range(1, 15))}):
+        for beta in (i / 64 for i in range(1, 32)):
+            try:
+                p = power_law_params(n, beta)
+            except ValueError as exc:
+                assert "alpha" not in str(exc), (n, beta)
+                continue
+            accepted += 1
+            assert p.alpha <= p.k, (n, beta)
+    assert accepted > 40_000
+
+
 def test_cli_distinguish_tiny_beta_names_the_bound(capsys):
     assert cli.main(["distinguish", "--n", "4096", "--beta", "0.001", "--trials", "1"]) == 2
     assert capsys.readouterr().err == (

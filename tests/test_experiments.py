@@ -98,18 +98,25 @@ def test_cli_sweep_runs_at_sizes_one_and_two(tmp_path, capsys, n):
     ({"instances": [{"kind": "additive", "weights": [1] * 8},
                     {"kind": "additive", "weights": [1] * 3}]}, 4, 3),
     ({"instances": [{"kind": "additive", "weights": [1] * 15}], "k": 2}, 2, 15),
-], ids=["sizes-3", "instances-8-then-3", "instance-15"])
+    ({"sizes": [15]}, 4, 15),
+    ({"sizes": [100_000_000]}, 4, 100_000_000),
+], ids=["sizes-3", "instances-8-then-3", "instance-15", "sizes-15", "sizes-1e8"])
 def test_cli_sweep_refuses_an_instance_before_any_run(tmp_path, capsys, monkeypatch, cfg, k, n):
     """An instance smaller than the budget once ran into greedy's own
     refusal, "budget k=4 exceeds n=3", after every run on the instances
-    before it; the runner now names both bounds before greedy runs once."""
+    before it; the runner now names both bounds before greedy runs once.
+    The CLI once built the corpus before this check, after one of its own."""
     calls = []
 
     def spy(*args):
         calls.append(args)
         return greedy_cardinality(*args)
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("instance_corpus called before the sizes were checked")
+
     monkeypatch.setattr(experiments, "greedy_cardinality", spy)
+    monkeypatch.setattr(experiments, "instance_corpus", refuse)
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(cfg))
     assert cli.main(["sweep", "--config", str(path)]) == 2
@@ -616,11 +623,12 @@ def test_cli_sample_rejects_large_ground_set(tmp_path, capsys, n):
 
 
 def test_cli_sample_refuses_a_large_instance(tmp_path, capsys):
-    """The runner's own guard: an instance does not pass the fixture's."""
+    """One guard, in the runner, for an instance and for the fixture alike."""
     path = tmp_path / "sample.json"
-    path.write_text(json.dumps({"instance": {"kind": "additive", "weights": [1] * 21}}))
-    assert cli.main(["sample", "--config", str(path)]) == 2
-    assert capsys.readouterr().err == "error: sampling validation guarded at n <= 20, got 21\n"
+    for cfg in ({"instance": {"kind": "additive", "weights": [1] * 21}}, {"n": 21}):
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["sample", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: sampling validation guarded at n <= 20, got 21\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -1248,6 +1256,16 @@ def test_cli_sweep_checks_sizes_before_building_instances(tmp_path, capsys, monk
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps({"sizes": sizes}))
     _assert_rejected(capsys, ["sweep", "--config", str(path)])
+
+
+@pytest.mark.parametrize("sizes, n", [([10 ** 8], 10 ** 8), ([8, 15], 15)])
+def test_sweep_refuses_sizes_before_building_the_corpus(monkeypatch, sizes, n):
+    def refuse(*args, **kwargs):
+        raise AssertionError("instance_corpus called before the sizes were checked")
+
+    monkeypatch.setattr(experiments, "instance_corpus", refuse)
+    with pytest.raises(ValueError, match=rf"^sweep instances need k <= n <= 14, got k=4, n={n}$"):
+        run_noise_sweep(sizes=sizes)
 
 
 _junk = st.one_of(
@@ -2032,20 +2050,57 @@ def test_cli_out_without_format_writes_csv(tmp_path, capsys, argv):
     assert default.read_bytes() == spelled.read_bytes()
 
 
-@pytest.mark.parametrize("cfg", [{"alpha": -1}, {"alpha": 0}, {"n": 0}, {"n": -2},
-                                 {"n": 21}],
-                         ids=["alpha-negative", "alpha-zero", "n-zero", "n-negative",
-                              "n-past-20"])
-def test_cli_sample_fixture_names_both_bounds(tmp_path, capsys, cfg):
+@pytest.mark.parametrize("cfg, message", [
+    ({"alpha": -1}, "the step fixture needs alpha >= 1, got -1"),
+    ({"alpha": 0}, "the step fixture needs alpha >= 1, got 0"),
+    ({"n": 0}, "greedy budget k must be in 1..n, got k=4, n=0"),
+    ({"n": -2}, "greedy budget k must be in 1..n, got k=4, n=-2"),
+    ({"n": 21}, "sampling validation guarded at n <= 20, got 21"),
+    ({"alpha": 10 ** 400}, f"the value range {10 ** 400}..{10 ** 400} is past the float range"),
+], ids=["alpha-negative", "alpha-zero", "n-zero", "n-negative", "n-past-20", "alpha-past-floats"])
+def test_cli_sample_fixture_names_both_bounds(tmp_path, capsys, cfg, message):
     """alpha = -1 once printed "negative shift count", alpha = 0 blamed the
-    lower value bound b, and n = 0 printed "need at least one element"."""
+    lower value bound b, n = 0 printed "need at least one element", and
+    alpha = 10^400 "int too large to convert to float".  The fixture's n has
+    no bound of its own: it meets the budget rule and the runner's n <= 20,
+    with the messages an instance gets."""
     path = tmp_path / "sample.json"
     path.write_text(json.dumps(cfg))
     assert cli.main(["sample", "--config", str(path)]) == 2
-    n, alpha = cfg.get("n", 12), cfg.get("alpha", 5)
-    assert capsys.readouterr().err == (
-        f"error: the fixture is guarded at 1 <= n <= 20 and alpha >= 1, "
-        f"got n={n}, alpha={alpha}\n")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_sampling_refuses_n_before_building_the_fixture(monkeypatch):
+    """The fixture's table has n + 1 entries, built before the constructor
+    runs, so a large n built first would fill memory before this spy could
+    refuse it: n = 21, past the bound, shows the order at no cost."""
+    def refuse(*args):
+        raise AssertionError("the fixture was built before n was checked")
+
+    monkeypatch.setattr(experiments, "ConcaveCardinalityFunction", refuse)
+    with pytest.raises(ValueError, match=r"^sampling validation guarded at n <= 20, got 21$"):
+        run_sampling_validation(n=21)
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"instances": [_ADDITIVE], "k": 2, "sizes": [3]},
+     "a sweep config with 'instances' does not read ['sizes']"),
+    ({"instances": [_ADDITIVE], "k": 2, "count": 1},
+     "a sweep config with 'instances' does not read ['count']"),
+    ({"instance": _ADDITIVE, "k": 2, "n": 3}, "a sample config with 'instance' does not read ['n']"),
+    ({"instance": _ADDITIVE, "k": 2, "alpha": 3},
+     "a sample config with 'instance' does not read ['alpha']"),
+], ids=["sweep-sizes", "sweep-count", "sample-n", "sample-alpha"])
+def test_cli_refuses_the_default_input_keys_beside_an_input(tmp_path, capsys, cfg, message):
+    """The keys that build a runner's default input once reached it as
+    unexpected keywords beside an instance; as runner keywords they would be
+    ignored, so the subcommand names them."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["sweep" if "instances" in cfg else "sample", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("alpha", [5, 64, 2 ** 24])

@@ -181,8 +181,16 @@ CATALOGUE = (
     Mutant("hypergeom-empty-range", "verify.py",
            "    if lo > hi:\n        return Fraction(0)\n",
            "", ("tests/test_verify.py",)),
-    Mutant("sample-fixture-alpha", "cli.py", " and alpha >= 1):", "):",
-           ("tests/test_experiments.py::test_cli_sample_fixture_names_both_bounds",)),
+    Mutant("sample-fixture-alpha", "experiments.py", 'if config_int(alpha, "alpha") < 1:',
+           "if False:", ("tests/test_experiments.py::test_cli_sample_fixture_names_both_bounds",)),
+    Mutant("sample-fixture-built-first", "experiments.py",
+           '    if n > SAMPLE_MAX_N:\n',
+           '    if f is None:\n        ConcaveCardinalityFunction([0] + [alpha] * n)\n'
+           '    if n > SAMPLE_MAX_N:\n',
+           ("tests/test_experiments.py::test_sampling_refuses_n_before_building_the_fixture",)),
+    Mutant("sweep-sizes-unchecked", "experiments.py",
+           "for n in sizes if instances is None else", "for n in [] if instances is None else",
+           ("tests/test_experiments.py::test_sweep_refuses_sizes_before_building_the_corpus",)),
     Mutant("sample-budget-past-n", "experiments.py", "if not 1 <= k <= n:", "if not 1 <= k:",
            ("tests/test_experiments.py::test_cli_sample_refuses_a_budget_outside_one_to_n",)),
     Mutant("sweep-delta-range", "experiments.py", "if not 0 <= eps < 1:", "if False:",
