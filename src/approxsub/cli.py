@@ -51,13 +51,6 @@ def _emit(rows, args, default_stdout=False):
             print(json.dumps(row, sort_keys=True))
 
 
-def _refuse_beside(args, key: str, keys) -> None:
-    """Refuse ``keys``, which build the runner's default input, beside ``key``."""
-    names = [name for name in keys if name in args.cfg]
-    if key in args.cfg and names:
-        raise ValueError(f"a {args.command} config with {key!r} does not read {names}")
-
-
 def _cmd_verify(args) -> int:
     prop = args.property
     if prop == "concentration":
@@ -131,7 +124,6 @@ def _cmd_sweep(args) -> int:
     for key in ("instances", "sizes", "seeds", "delta_grid"):
         if key in cfg and not isinstance(cfg[key], list):
             raise ValueError(f"{key} must be a list, got {cfg[key]!r}")
-    _refuse_beside(args, "instances", ("sizes", "count"))
     if "instances" in cfg:  # a case without --seed: args.seed is None, and no corpus is built
         cfg["instances"] = [instance_from_dict(d) for d in cfg["instances"]]
     rows = experiments.run_noise_sweep(corpus_seed=args.seed, **cfg)
@@ -157,7 +149,6 @@ def _cmd_trap(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    _refuse_beside(args, "instance", ("n", "alpha"))
     f = instance_from_dict(args.cfg.pop("instance")) if "instance" in args.cfg else None
     rows, summary = experiments.run_sampling_validation(f, seed=args.seed, **args.cfg)
     _emit(rows, args)

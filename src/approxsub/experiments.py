@@ -232,7 +232,7 @@ SAMPLE_MAX_N = 20  # the sampling rule's value range visits all 2^n sets
 
 
 def run_noise_sweep(instances=None, k: int = 4, delta_grid=(0.0, 0.5, 1 - 1e-9),
-                    seeds=range(10), sizes=(8, 10), count=None, corpus_seed=0) -> list[dict]:
+                    seeds=range(10), sizes=None, count=None, corpus_seed=None) -> list[dict]:
     """For each instance (default: ``instance_corpus(corpus_seed, sizes)[:count]``), error
     level delta (eps = delta/k), and seed: wrap in consistent noise, run greedy, and compare
     against the brute-force optimum of the noisy oracle and the closed-form ratio guarantee.
@@ -240,14 +240,18 @@ def run_noise_sweep(instances=None, k: int = 4, delta_grid=(0.0, 0.5, 1 - 1e-9),
     Rows carry an extra 'ok' flag, value >= bound * optimum with no slack (the float
     tolerances left, :meth:`Band.near` and ``verify._SUBMODULAR_TOL``, are for rounded
     noise products and float tables).  Rows are seed-major.  Before any run or corpus,
-    every n must be in k..SWEEP_MAX_N, every seed nonnegative and every delta/k in [0, 1).
+    sizes, count or corpus_seed (None: not given) beside instances is refused, and every
+    n must be in k..SWEEP_MAX_N, every seed nonnegative and every delta/k in [0, 1).
     """
+    keys = {"sizes": sizes, "count": count, "corpus_seed": corpus_seed}
+    if instances is not None and (given := [key for key, v in keys.items() if v is not None]):
+        raise ValueError(f"a sweep config with 'instances' does not read {given}")
     k = config_int(k, "k")
     if k < 1:
         raise ValueError(f"sweep budget k must be >= 1, got {k}")
     if count is not None and config_int(count, "count") < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    sizes = [config_int(size, "a size") for size in sizes]
+    sizes = [config_int(size, "a size") for size in ((8, 10) if sizes is None else sizes)]
     for n in sizes if instances is None else [inst.n for inst in instances]:
         if not k <= n <= SWEEP_MAX_N:  # greedy refuses k > n; brute force visits 2^n sets
             raise ValueError(f"sweep instances need k <= n <= {SWEEP_MAX_N}, got k={k}, n={n}")
@@ -257,7 +261,7 @@ def run_noise_sweep(instances=None, k: int = 4, delta_grid=(0.0, 0.5, 1 - 1e-9),
         if not 0 <= eps < 1:
             raise ValueError(f"delta_grid entries need 0 <= delta/k < 1, got delta={delta}, k={k}")
     if instances is None:
-        instances = instance_corpus(corpus_seed, sizes)[:count]
+        instances = instance_corpus(0 if corpus_seed is None else corpus_seed, sizes)[:count]
     rows = []
     for seed in seeds:
         for idx, inst in enumerate(instances):
@@ -367,26 +371,30 @@ def sampling_union_bound(n_sets: int, m: int, epsilon: float, width: float,
 def run_sampling_validation(
     f=None, epsilon: float = 0.1, confidence_constant: float = 3.0, trials: int = 100,
     seed: int = 0, k: int = 4, width: float = 0.5,
-    family: str = "uniform-relative", n: int = 12, alpha: int = 5,
+    family: str = "uniform-relative", n=None, alpha=None,
 ) -> tuple[list[dict], dict]:
-    """Drive greedy through a sampling estimator and measure how often any
-    queried set's estimate leaves the (1 +- eps) band around f (None: a step fixture).
+    """Drive greedy through a sampling estimator and measure how often any queried set's
+    estimate leaves the (1 +- eps) band around f (None: the step fixture of n and alpha).
 
-    m is set from the value range of f over nonempty sets; per-trial rows
-    report the violating-set count against the union-bounded prediction.
+    m is set from the value range of f over nonempty sets; per-trial rows report the
+    violating-set count against the union-bounded prediction.  n or alpha beside f is refused.
     """
+    keys = {"n": n, "alpha": alpha}
+    if f is not None and (given := [key for key, v in keys.items() if v is not None]):
+        raise ValueError(f"a sample config with 'instance' does not read {given}")
     trials, k, seed = config_int(trials, "trials"), config_int(k, "k"), config_seed(seed)
     epsilon, width = config_number(epsilon, "epsilon"), config_number(width, "width")
     confidence_constant = config_number(confidence_constant, "confidence_constant")
     _check_draws(family, width)  # the estimator's own check, even when no trial runs
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    n = config_int(n, "n") if f is None else f.n
+    n = config_int(12 if n is None else n, "n") if f is None else f.n
     if not 1 <= k <= n:
         raise ValueError(f"greedy budget k must be in 1..n, got k={k}, n={n}")
     if n > SAMPLE_MAX_N:
         raise ValueError(f"sampling validation guarded at n <= {SAMPLE_MAX_N}, got {n}")
     if f is None:  # the step fixture alpha * [S nonempty] on n elements
+        alpha = 5 if alpha is None else alpha
         if config_int(alpha, "alpha") < 1:
             raise ValueError(f"the step fixture needs alpha >= 1, got {alpha}")
         f = ConcaveCardinalityFunction([0] + [alpha] * n)

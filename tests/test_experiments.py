@@ -2093,14 +2093,77 @@ def test_sampling_refuses_n_before_building_the_fixture(monkeypatch):
 ], ids=["sweep-sizes", "sweep-count", "sample-n", "sample-alpha"])
 def test_cli_refuses_the_default_input_keys_beside_an_input(tmp_path, capsys, cfg, message):
     """The keys that build a runner's default input once reached it as
-    unexpected keywords beside an instance; as runner keywords they would be
-    ignored, so the subcommand names them."""
+    unexpected keywords beside an instance; the runner refuses them there,
+    and the subcommand prints its line."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert cli.main(["sweep" if "instances" in cfg else "sample", "--config", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def _refuse_every_run(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an input was built or a run started before the refusal")
+
+    for name in ("instance_corpus", "greedy_cardinality", "SamplingEstimator"):
+        monkeypatch.setattr(experiments, name, refuse)
+
+
+@pytest.mark.parametrize("keyword", [{"sizes": [8]}, {"count": 1}, {"corpus_seed": 3}],
+                         ids=["sizes", "count", "corpus_seed"])
+def test_sweep_refuses_the_default_input_keys_beside_instances(monkeypatch, keyword):
+    """sizes, count and corpus_seed build the default corpus; beside instances
+    the runner once ran the instances and ignored them without a word."""
+    inst = instance_from_dict(_ADDITIVE)
+    _refuse_every_run(monkeypatch)
+    with pytest.raises(ValueError, match=re.escape(
+            f"a sweep config with 'instances' does not read {list(keyword)}")):
+        run_noise_sweep([inst], 2, [0.5], [0], **keyword)
+
+
+@pytest.mark.parametrize("keyword", [{"n": 3}, {"alpha": 2}], ids=["n", "alpha"])
+def test_sampling_refuses_the_fixture_keys_beside_an_instance(monkeypatch, keyword):
+    """n and alpha build the step fixture; beside an instance the runner once
+    ran on the instance and ignored them without a word."""
+    f = instance_from_dict(_ADDITIVE)
+    _refuse_every_run(monkeypatch)
+    with pytest.raises(ValueError, match=re.escape(
+            f"a sample config with 'instance' does not read {list(keyword)}")):
+        run_sampling_validation(f, trials=1, k=2, **keyword)
+
+
+def test_runner_defaults_are_the_documented_inputs():
+    """None means "not given": the sweep's corpus is sizes (8, 10) at corpus
+    seed 0, and the sampling fixture is n = 12, alpha = 5."""
+    sweep = {"k": 2, "delta_grid": [0.5], "seeds": [0], "count": 2}
+    assert (run_noise_sweep(**sweep) == run_noise_sweep(**sweep, sizes=None, corpus_seed=None)
+            == run_noise_sweep(**sweep, sizes=(8, 10), corpus_seed=0))
+    assert (run_sampling_validation(trials=2)
+            == run_sampling_validation(trials=2, n=None, alpha=None)
+            == run_sampling_validation(trials=2, n=12, alpha=5))
+
+
+@pytest.mark.parametrize("cfg, default", [
+    ({"n": None, "alpha": None, "trials": 2}, {"trials": 2}),
+    ({"instance": _ADDITIVE, "n": None, "k": 2, "trials": 2},
+     {"instance": _ADDITIVE, "k": 2, "trials": 2}),
+    ({"instances": [_ADDITIVE], "count": None, "k": 2, "seeds": [0]},
+     {"instances": [_ADDITIVE], "k": 2, "seeds": [0]}),
+], ids=["sample-fixture", "sample-instance", "sweep-instances"])
+def test_cli_reads_a_null_default_input_key_as_absent(tmp_path, capsys, cfg, default):
+    """A JSON null for a key that builds a runner's default input is the
+    runner's None, "not given": the run is the one without the key."""
+    command = "sweep" if "instances" in cfg else "sample"
+    outputs = []
+    for body in (cfg, default):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(body))
+        code = cli.main([command, "--config", str(path)])
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and outputs[0][1].err == ""
 
 
 @pytest.mark.parametrize("alpha", [5, 64, 2 ** 24])

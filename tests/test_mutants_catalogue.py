@@ -6,6 +6,8 @@ moves a mutated text or renames a killing test fails here first."""
 
 import importlib.util
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +34,12 @@ def test_entry_applies_once_compiles_and_names_tests_that_exist(m):
         source = (ROOT / path).read_text()
         if test:
             assert re.search(rf"^def {re.escape(test)}\(", source, re.M), target
+
+
+def test_memory_cap_turns_a_large_allocation_into_memory_error():
+    """A mutant that allocates before its guard fails a test under the cap
+    instead of filling memory; this 8 GB list is refused at once."""
+    proc = subprocess.run([sys.executable, "-c", "[0] * 10**9"], capture_output=True, text=True,
+                          preexec_fn=mutants.cap_memory, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.rstrip().endswith("MemoryError")

@@ -9,8 +9,11 @@ each on a fresh copy, applies the replacement and runs the entry's tests with
 ``-x`` against it.  The repository itself is never edited.  A run with a
 failing test (pytest exit 1) kills the mutant, and so does a run that
 outlasts ``TIMEOUT_S`` (a deleted guard can leave a loop that never ends); a
-passing run is a survivor.  Any other pytest exit (a collection or usage
-error, no tests) means no test judged the mutant, and the check stops.
+passing run is a survivor.  Every pytest run, the unmutated copy's too, has
+its address space capped at ``MEMORY_CAP``, so a mutant that allocates before
+its guard fails a test with ``MemoryError`` instead of filling the host's
+memory.  Any other pytest exit (a collection or usage error, no tests) means
+no test judged the mutant, and the check stops.
 ``tests/test_bench_hooks.py`` imports the repository's own ``src/`` by
 design, so no entry names it.
 
@@ -26,6 +29,7 @@ code it mutates if nothing needs that code; never drop the entry to pass.
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -36,6 +40,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 300
+MEMORY_CAP = 4 << 30  # bytes of address space for each pytest run
 
 
 class Mutant(NamedTuple):
@@ -191,6 +196,15 @@ CATALOGUE = (
     Mutant("sweep-sizes-unchecked", "experiments.py",
            "for n in sizes if instances is None else", "for n in [] if instances is None else",
            ("tests/test_experiments.py::test_sweep_refuses_sizes_before_building_the_corpus",)),
+    Mutant("sweep-beside-unchecked", "experiments.py",
+           "if instances is not None and (given := [key for key, v in keys.items()"
+           " if v is not None]):", "if False:",
+           ("tests/test_experiments.py::"
+            "test_sweep_refuses_the_default_input_keys_beside_instances",)),
+    Mutant("sample-beside-unchecked", "experiments.py",
+           "if f is not None and (given := [key for key, v in keys.items() if v is not None]):",
+           "if False:", ("tests/test_experiments.py::"
+                         "test_sampling_refuses_the_fixture_keys_beside_an_instance",)),
     Mutant("sample-budget-past-n", "experiments.py", "if not 1 <= k <= n:", "if not 1 <= k:",
            ("tests/test_experiments.py::test_cli_sample_refuses_a_budget_outside_one_to_n",)),
     Mutant("sweep-delta-range", "experiments.py", "if not 0 <= eps < 1:", "if False:",
@@ -215,6 +229,12 @@ def _copy(dest: Path) -> None:
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
 
 
+def cap_memory() -> None:
+    """Cap the calling process's address space at ``MEMORY_CAP`` (a
+    ``preexec_fn``: it runs in the child before pytest starts)."""
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
 def _pytest(copy: Path, tests, timeout: float):
     """(returncode or None on timeout, first failing test id) of pytest -x on
     ``tests`` with the package imported from ``copy``.  The run's cwd is the
@@ -224,7 +244,7 @@ def _pytest(copy: Path, tests, timeout: float):
             *(str(ROOT / t) for t in tests)]
     try:
         proc = subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True,
-                              timeout=timeout)
+                              timeout=timeout, preexec_fn=cap_memory)
     except subprocess.TimeoutExpired:
         return None, ""
     first = next((ln.split(" ")[1] for ln in proc.stdout.splitlines()
