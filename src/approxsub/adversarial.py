@@ -192,9 +192,9 @@ class Band:
     f.den <= (q + p) f.num F.den: :meth:`holds` compares ints, no Fraction.
     Readers: ``SandwichFunction.value`` and ``.exact_table`` call
     :meth:`holds` when both sides have a ``den``, else :meth:`contains`,
-    and ``sample`` counts its estimates' escapes with :meth:`contains`; the
-    subclass :class:`PairBand` and ``verify.check_sandwich``'s band loop,
-    two measured fast paths, inline it on these ints;
+    and ``sample`` counts its estimates' escapes with :meth:`contains`; two
+    measured fast paths restate it on these ints, as the subclass's
+    :meth:`PairBand.window` and ``verify.check_sandwich``'s band loop;
     ``verify._band_indices`` reads ``lo`` and ``hi``.  :meth:`near` is the
     one float form, with a slack for values built to lie in the band.
     """
@@ -250,8 +250,8 @@ class PairBand(Band):
 
     and with the band's ints q - p, q, q + p the test
     (1 - eps) fh <= g <= (1 + eps) fh is (q - p) F <= q G <= (q + p) F.
-    Nothing is rounded, so every outcome equals the rational test.  The
-    comparison is inlined: the collapsed greedy runs it twice per round.
+    G depends on s alone, so :meth:`window` turns the test into a range of
+    integer F per size, exactly: the collapsed greedy reads one per round.
     """
 
     __slots__ = ("n", "h", "cap_n")
@@ -262,16 +262,18 @@ class PairBand(Band):
         self.h = params.h
         self.cap_n = params.alpha * (params.n - params.h)
 
+    def window(self, s: int) -> tuple[int, int, int]:
+        """(G, F_lo, F_hi) at size s: g is in the band iff F_lo <= F <= F_hi, with
+        F_lo = ceil(q G / (q + p)) and F_hi = floor(q G / (q - p)), q - p > 0."""
+        G = min(self.n * s, s * self.h + self.cap_n)
+        return G, -(-self.q * G // self.q_hi), self.q * G // self.q_lo
+
     def sandwich(self, s1: int, s0: int) -> tuple[int, bool]:
         """(n times the sandwich oracle's value, whether g is inside the band)
         at a set with s1 planted and s0 other elements."""
-        n = self.n
-        s = s1 + s0
-        F = n * s1 + min(n * s0, self.cap_n)
-        G = min(n * s, s * self.h + self.cap_n)
-        if self.q_lo * F <= self.q * G <= self.q_hi * F:
-            return G, True
-        return F, False
+        G, lo, hi = self.window(s1 + s0)
+        F = self.n * s1 + min(self.n * s0, self.cap_n)
+        return (G, True) if lo <= F <= hi else (F, False)
 
 
 def gap_bound(params: HardPairParams) -> Fraction:

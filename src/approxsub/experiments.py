@@ -132,14 +132,13 @@ def _sandwich_greedy_fast(params: HardPairParams, hidden: Subset) -> tuple[int, 
     pair and every candidate outside yields another, so each round compares
     two exact values and charges h - s1 or n - h - s0 escapes.  Both kinds are
     left in every round: k <= h <= n/2 (``HardPairParams``), and the planted
-    set has exactly h elements.  Values are n times the oracle's and the band
-    is scaled by eps's power-of-two denominator (:class:`PairBand`), both exact
-    integer identities, so every comparison and the returned ``Fraction(V, n)``
-    equal their rational counterparts: the generic greedy's chosen set, value,
-    query count and per-query escape count (verified against it in tests).
+    set has exactly h elements.  Both candidates have size s1 + s0 + 1, so
+    one :meth:`PairBand.window` per round tests both, on values n times the
+    oracle's, in integers: the chosen set, ``Fraction(V, n)``, query count
+    and escape count equal the generic greedy's (verified in tests).
     """
-    n, h, k = params.n, params.h, params.k
     band = PairBand(params)
+    n, h, k, cap_n = params.n, params.h, params.k, band.cap_n
     # Unpacking the mask's bytes is ~20x cheaper than two Subset.elements()
     # walks at n = 4096.
     bits = np.unpackbits(
@@ -153,11 +152,15 @@ def _sandwich_greedy_fast(params: HardPairParams, hidden: Subset) -> tuple[int, 
     chosen_mask = 0
     value = 0
     for _ in range(k):
-        v_in, band_in = band.sandwich(s1 + 1, s0)
-        v_out, band_out = band.sandwich(s1, s0 + 1)
-        if not band_in:
+        G, lo, hi = band.window(s1 + s0 + 1)
+        F_in = n * (s1 + 1) + min(n * s0, cap_n)
+        F_out = n * s1 + min(n * (s0 + 1), cap_n)
+        v_in = v_out = G
+        if not lo <= F_in <= hi:
+            v_in = F_in
             escapes += h - s1
-        if not band_out:
+        if not lo <= F_out <= hi:
+            v_out = F_out
             escapes += (n - h) - s0
         if v_in != v_out:
             take_in = v_in > v_out

@@ -320,14 +320,17 @@ def mc_band_probability(
 
 def check_concentration(
     n: int, h: int, set_size: int, epsilon: float,
-    method: str = "exact", trials: int = 1_000_000, seed: int = 0,
+    method: str = "exact", trials: int | None = None, seed: int | None = None,
 ) -> ConcentrationReport:
     """Concentration of |S inter H| around mu = |S| h / n for random H.
 
     Requires eps^2 mu > 1 (the regime where the exponential reference says
     anything); rejects otherwise.  ``method`` is 'exact' (hypergeometric
-    summation) or 'mc' (seeded sampling).
-    """
+    summation, which refuses a given ``trials`` or ``seed``) or 'mc' (seeded
+    sampling, 1_000_000 trials at seed 0 unless given)."""
+    keys = {"trials": trials, "seed": seed}
+    if method == "exact" and (given := [key for key, v in keys.items() if v is not None]):
+        raise ValueError(f"the exact concentration check does not read {given}")
     if not (0 < h <= n and 0 < set_size <= n):
         raise ValueError("need 0 < h <= n and 0 < |S| <= n")
     if not (math.isfinite(epsilon) and epsilon > 0):
@@ -343,8 +346,9 @@ def check_concentration(
         measured = exact_band_probability(n, h, set_size, epsilon)
         used_trials = 0
     elif method == "mc":
-        measured = mc_band_probability(n, h, set_size, epsilon, trials, seed)
-        used_trials = trials
+        used_trials = 1_000_000 if trials is None else trials
+        seed = 0 if seed is None else seed
+        measured = mc_band_probability(n, h, set_size, epsilon, used_trials, seed)
     else:
         raise ValueError(f"unknown method {method!r}")
     reference = tail_reference(e2mu, e)

@@ -1,10 +1,11 @@
 """The exact-integer pair-band kernel against the rational code it replaced.
 
-Each reference below is the earlier implementation, kept verbatim: the
-collapsed sandwich greedy with a per-trial ``Fraction`` g-table, the scalar
-Fisher-Yates draw, and the ``Fraction`` band test of the planted optimum.  The
-pair band probability is checked against an exact ``Fraction`` sum of
-``math.comb`` ratios over the overlaps, with the earlier per-overlap band test.
+Each reference below is the earlier implementation, kept verbatim but for the
+greedy's hook that records its rounds: the collapsed sandwich greedy with a
+per-trial ``Fraction`` g-table, the scalar Fisher-Yates draw, and the
+``Fraction`` band test of the planted optimum.  The pair band probability is
+checked against an exact ``Fraction`` sum of ``math.comb`` ratios over the
+overlaps, with the earlier per-overlap band test.
 """
 
 import math
@@ -38,7 +39,9 @@ def _sandwich_band_state(params: HardPairParams):
     return cap, lo, hi, g_table
 
 
-def reference_sandwich_greedy(params: HardPairParams, hidden) -> tuple[int, Fraction, int, int]:
+def reference_sandwich_greedy(params: HardPairParams, hidden,
+                              rounds=None) -> tuple[int, Fraction, int, int]:
+    """``rounds``, when given, gets (fh_in, fh_out, g, strict win) per round."""
     n, h, k = params.n, params.h, params.k
     cap, lo, hi, g_table = _sandwich_band_state(params)
     in_ids = hidden.elements()
@@ -62,6 +65,8 @@ def reference_sandwich_greedy(params: HardPairParams, hidden) -> tuple[int, Frac
             escapes += r1
         if not band_out:
             escapes += r0
+        if rounds is not None:
+            rounds.append((fh_in, fh_out, gv, v_in != v_out))
         if r1 == 0:
             take_in = False
         elif r0 == 0:
@@ -158,6 +163,66 @@ def _param_grid():
                 for k in sorted({alpha, (alpha + h) // 2, h}):
                     for eps in (0.05, 0.125, 0.3, 0.5, 0.9):
                         yield HardPairParams(n=n, h=h, alpha=alpha, k=k, epsilon=eps)
+
+
+def _small_pairs():
+    return [params for params in _param_grid() if params.n <= 100]
+
+
+def test_integer_greedy_matches_fraction_greedy_on_small_pairs():
+    """The small pairs reach every branch of the walk, which the power-law
+    points (a tie inside the band in every round) do not: an escape of either
+    candidate alone and of both, a strict win, and each candidate at each edge
+    of the band's window, where one more unit of n fh leaves the band."""
+    seen = set()
+    for params in _small_pairs():
+        _, lo, hi, _ = _sandwich_band_state(params)
+        unit = Fraction(1, params.n)
+
+        def inside(fh, g):
+            return lo * fh <= g <= hi * fh
+
+        for seed in (0, 1):
+            hidden = draw_hidden_set(params.n, params.h, seed)
+            rounds = []
+            mask, value, escapes, queries = _sandwich_greedy_fast(params, hidden)
+            assert type(value) is Fraction
+            assert (mask, value, escapes, queries) == \
+                reference_sandwich_greedy(params, hidden, rounds), (params, seed)
+            for fh_in, fh_out, g, strict in rounds:
+                band_in, band_out = inside(fh_in, g), inside(fh_out, g)
+                seen.add(("escape", not band_in, not band_out))
+                if strict:
+                    seen.add("strict win")
+                for side, fh in (("in", fh_in), ("out", fh_out)):
+                    if inside(fh, g) and not inside(fh - unit, g):
+                        seen.add((side, "F_lo"))
+                    if inside(fh, g) and not inside(fh + unit, g):
+                        seen.add((side, "F_hi"))
+    assert seen >= {("escape", True, False), ("escape", False, True), ("escape", True, True),
+                    "strict win", ("in", "F_lo"), ("in", "F_hi"),
+                    ("out", "F_lo"), ("out", "F_hi")}
+
+
+def test_window_equals_the_cross_multiplied_band_test():
+    done = set()
+    for params in _small_pairs():
+        n, h = params.n, params.h
+        if (n, h, params.alpha, params.epsilon) in done:  # the budget k does not enter
+            continue
+        done.add((n, h, params.alpha, params.epsilon))
+        band = PairBand(params)
+        q, q_lo, q_hi = band.q, band.q_lo, band.q_hi
+        cap_n = params.alpha * (n - h)
+        for s in range(n + 1):
+            G, F_lo, F_hi = band.window(s)
+            assert G == n * min(s, Fraction(s * h, n) + params.cap)
+            # each edge is the integer F nearest its side of the band
+            assert q_hi * (F_lo - 1) < q * G <= q_hi * F_lo
+            assert q_lo * F_hi <= q * G < q_lo * (F_hi + 1)
+            for s1 in range(max(0, s - (n - h)), min(s, h) + 1):
+                F = n * s1 + min(n * (s - s1), cap_n)
+                assert (F_lo <= F <= F_hi) == (q_lo * F <= q * G <= q_hi * F), (params, s1, s)
 
 
 def test_planted_optimum_escapes_matches_fraction_form():

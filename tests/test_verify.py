@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -230,6 +231,21 @@ def test_concentration_mc_matches_exact():
                              seed=12).measured
     se = math.sqrt(max(exact * (1 - exact), 1e-12) / 1_000_000)
     assert abs(mc - exact) <= 3 * se
+
+
+@pytest.mark.parametrize("kwargs", [{"trials": 5}, {"seed": 3}, {"trials": 5, "seed": 3}])
+def test_concentration_exact_refuses_trials_and_seed(kwargs):
+    with pytest.raises(ValueError, match=re.escape(f"does not read {list(kwargs)}")):
+        check_concentration(100, 50, 40, 0.5, method="exact", **kwargs)
+
+
+def test_concentration_mc_defaults_to_a_million_trials_at_seed_zero(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "mc_band_probability",
+                        lambda n, h, size, eps, trials, seed: calls.append((trials, seed)) or 0.5)
+    assert check_concentration(100, 50, 40, 0.5, method="mc").trials == 1_000_000
+    check_concentration(100, 50, 40, 0.5, method="mc", trials=7, seed=2)
+    assert calls == [(1_000_000, 0), (7, 2)]
 
 
 def test_band_probability_helpers_agree():

@@ -59,16 +59,25 @@ def _strict(name, path, expr, lo_strict, tests):
 
 
 _HOLDS = "return self.q_lo * y <= self.q * Fn * fd <= self.q_hi * y"
-_PAIR = "if self.q_lo * F <= self.q * G <= self.q_hi * F:"
+_WALK_IN = "if not lo <= F_in <= hi:"
+_WALK_OUT = "if not lo <= F_out <= hi:"
 _LOOP = "if q_lo * y <= q * Fn <= q_hi * y:"
 _NEAR = "return low - 1e-12 * max(1.0, abs(low)) <= F <= high + 1e-12 * max(1.0, abs(high))"
 
 CATALOGUE = (
-    # The exact band test and its two inlined fast paths, edge by edge.
+    # The exact band test and its two inlined fast paths, edge by edge: the
+    # pair band's window rounds each edge of F the wrong way, and the decoy
+    # walk tests each candidate against the window with one edge strict.
     _strict("band-holds-lo", "adversarial.py", _HOLDS, True, ("tests/test_band.py",)),
     _strict("band-holds-hi", "adversarial.py", _HOLDS, False, ("tests/test_band.py",)),
-    _strict("pair-band-lo", "adversarial.py", _PAIR, True, ("tests/test_band_kernel.py",)),
-    _strict("pair-band-hi", "adversarial.py", _PAIR, False, ("tests/test_band_kernel.py",)),
+    Mutant("pair-band-lo", "adversarial.py", "-(-self.q * G // self.q_hi)",
+           "self.q * G // self.q_hi", ("tests/test_band_kernel.py",)),
+    Mutant("pair-band-hi", "adversarial.py", "self.q * G // self.q_lo",
+           "self.q * G // self.q_lo + 1", ("tests/test_band_kernel.py",)),
+    _strict("decoy-in-lo", "experiments.py", _WALK_IN, True, ("tests/test_band_kernel.py",)),
+    _strict("decoy-in-hi", "experiments.py", _WALK_IN, False, ("tests/test_band_kernel.py",)),
+    _strict("decoy-out-lo", "experiments.py", _WALK_OUT, True, ("tests/test_band_kernel.py",)),
+    _strict("decoy-out-hi", "experiments.py", _WALK_OUT, False, ("tests/test_band_kernel.py",)),
     _strict("check-sandwich-lo", "verify.py", _LOOP, True, ("tests/test_band.py",)),
     _strict("check-sandwich-hi", "verify.py", _LOOP, False, ("tests/test_band.py",)),
     # The float band test's slack: none, and 1000 times wider.
@@ -214,6 +223,10 @@ CATALOGUE = (
            "    if not denominator > 0:\n"
            '        raise ValueError(f"b * eps^2 underflows to 0 at b={b}, eps={epsilon}")\n',
            "", ("tests/test_noise.py",)),
+    Mutant("concentration-exact-unchecked", "verify.py",
+           'if method == "exact" and (given := [key for key, v in keys.items() if v is not None]):',
+           "if False:",
+           ("tests/test_verify.py::test_concentration_exact_refuses_trials_and_seed",)),
     Mutant("mc-trials", "verify.py",
            "    if trials < 1:\n"
            '        raise ValueError(f"Monte-Carlo estimate needs trials >= 1, got {trials}")\n',
